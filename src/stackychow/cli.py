@@ -436,8 +436,7 @@ def cmd_inertial(args):
   domain = _domain_for(args, kind)
   names = _sector_names(fan, labels)
   try:
-    pres = inertial_presentation(fan, kind, labels=names, domain=domain,
-                                 jobs=args.jobs)
+    pres = inertial_presentation(fan, kind, labels=names, domain=domain)
   except ValueError as e:
     raise CliError(3, str(e))
   metadata = _fan_metadata(fan, names, product=args.product or "orbifold",
@@ -486,8 +485,7 @@ def cmd_check_assoc(args):
   domain = _domain_for(args, kind)
   names = _sector_names(fan, labels)
   try:
-    witnesses = associativity_witnesses(fan, kind, domain=domain,
-                                        jobs=args.jobs)
+    witnesses = associativity_witnesses(fan, kind, domain=domain)
   except ValueError as e:
     raise CliError(3, str(e))
   rows = [[names[i - 1] if i else "1", names[j - 1] if j else "1",
@@ -510,8 +508,7 @@ def cmd_hilbert(args):
     kind = _product_kind(args, doc_bundle)
     domain = _domain_for(args, kind)
     names = _sector_names(fan, labels)
-    pres = inertial_presentation(fan, kind, labels=names, domain=domain,
-                                 jobs=args.jobs)
+    pres = inertial_presentation(fan, kind, labels=names, domain=domain)
   else:
     pres = _with_domain(sr_ring(fan), getattr(args, "coeff", None))
   maxdeg = Fraction(2 * fan.d + 2)
@@ -520,6 +517,8 @@ def cmd_hilbert(args):
       maxdeg = Fraction(args.maxdeg)
     except (ValueError, ZeroDivisionError):
       raise CliError(3, "--maxdeg: %r is not a rational" % args.maxdeg)
+    if maxdeg < 0:
+      raise CliError(3, "--maxdeg: %r is negative" % args.maxdeg)
   try:
     table = hilbert_table(pres, maxdeg)
   except ValueError as e:
@@ -545,7 +544,6 @@ def build_parser():
   shared.add_argument("--maxdeg", default=None,
                       help="degree bound as p/q (hilbert only)")
   shared.add_argument("--format", choices=("json", "text"), default="json")
-  shared.add_argument("--jobs", type=int, default=1)
   parser = argparse.ArgumentParser(
       prog="stacky-chow",
       description="Chow ring presentations of toric DM stacks from stacky "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from stackychow.lattice import AbGroup, QReducer, ZReducer
 
@@ -19,6 +20,32 @@ def _clean_coeff(c):
   if isinstance(c, Fraction):
     return int(c) if c.denominator == 1 else c
   return int(c)
+
+
+def _mul_terms(a, b):
+  """Product of two term dicts (exponent tuple -> coefficient)."""
+  out = {}
+  for e1, c1 in a.items():
+    for e2, c2 in b.items():
+      e = tuple(map(add, e1, e2))
+      out[e] = out.get(e, 0) + c1 * c2
+  return {e: c for e, c in out.items() if c}
+
+
+class Powers:
+  """poly^0, poly^1, ... as term dicts, each computed once on first use."""
+
+  __slots__ = ("_terms", "_cache")
+
+  def __init__(self, poly):
+    self._terms = poly.terms
+    self._cache = [{(0,) * poly.nvars: 1}]
+
+  def __getitem__(self, k):
+    cache = self._cache
+    while len(cache) <= k:
+      cache.append(_mul_terms(cache[-1], self._terms))
+    return cache[k]
 
 
 class Poly:
@@ -39,6 +66,17 @@ class Poly:
           clean[exp] = c
     self.terms = clean
     self._hash = None
+
+  @classmethod
+  def _trusted(cls, nvars, terms):
+    """Build from exponent tuples of length nvars without re-checking them;
+    zero coefficients are dropped and integral Fractions become ints."""
+    p = cls.__new__(cls)
+    p.nvars = nvars
+    p.terms = {e: c for e, c in zip(terms, map(_clean_coeff, terms.values()))
+               if c}
+    p._hash = None
+    return p
 
   # -- constructors ----------------------------------------------------------
 
@@ -74,46 +112,38 @@ class Poly:
     terms = dict(self.terms)
     for exp, c in other.terms.items():
       terms[exp] = terms.get(exp, 0) + c
-    return Poly(self.nvars, terms)
+    return Poly._trusted(self.nvars, terms)
 
   def __sub__(self, other):
     self._chk(other)
     terms = dict(self.terms)
     for exp, c in other.terms.items():
       terms[exp] = terms.get(exp, 0) - c
-    return Poly(self.nvars, terms)
+    return Poly._trusted(self.nvars, terms)
 
   def __neg__(self):
-    return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+    return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
   def __mul__(self, other):
     if isinstance(other, (int, Fraction)):
       return self.scale(other)
     self._chk(other)
-    terms = {}
-    for e1, c1 in self.terms.items():
-      for e2, c2 in other.terms.items():
-        e = tuple(a + b for a, b in zip(e1, e2))
-        terms[e] = terms.get(e, 0) + c1 * c2
-    return Poly(self.nvars, terms)
+    return Poly._trusted(self.nvars, _mul_terms(self.terms, other.terms))
 
   __rmul__ = __mul__
 
   def scale(self, c):
-    return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+    return Poly._trusted(self.nvars,
+                         {e: c * v for e, v in self.terms.items()})
 
   def pow(self, k):
     if k < 0:
       raise ValueError("negative power")
-    out = Poly.constant(self.nvars, 1)
-    for _ in range(k):
-      out = out * self
-    return out
+    return Poly._trusted(self.nvars, Powers(self)[k])
 
   def mul_monomial(self, exp, c=1):
-    return Poly(self.nvars,
-                {tuple(a + b for a, b in zip(e, exp)): c * v
-                 for e, v in self.terms.items()})
+    return Poly._trusted(self.nvars, {tuple(map(add, e, exp)): c * v
+                                      for e, v in self.terms.items()})
 
   def _chk(self, other):
     if self.nvars != other.nvars:
@@ -153,7 +183,7 @@ class Poly:
     for e, c in self.terms.items():
       d = monomial_degree(e, degrees)
       parts.setdefault(d, {})[e] = c
-    return {d: Poly(self.nvars, t) for d, t in sorted(parts.items())}
+    return {d: Poly._trusted(self.nvars, t) for d, t in sorted(parts.items())}
 
   def homogeneous_degree(self, degrees):
     """The common degree of all terms, None if mixed, 0 for the zero poly."""
@@ -192,15 +222,37 @@ class Poly:
           ne[idx[i]] += k
         ne = tuple(ne)
         terms[ne] = terms.get(ne, 0) + c
-      return Poly(new_nvars, terms)
-    out = Poly.zero(new_nvars)
+      return Poly._trusted(new_nvars, terms)
+    powers = [None] * self.nvars
+    one = (0,) * new_nvars
+    out = {}
     for e, c in self.terms.items():
-      term = Poly.constant(new_nvars, c)
+      term = {one: c}
       for i, k in enumerate(e):
         if k:
-          term = term * images[i].pow(k)
-      out = out + term
-    return out
+          if powers[i] is None:
+            if images[i].nvars != new_nvars:
+              raise ValueError("polynomials in different rings")
+            powers[i] = Powers(images[i])
+          term = _mul_terms(term, powers[i][k])
+      for ne, v in term.items():
+        out[ne] = out.get(ne, 0) + v
+    return Poly._trusted(new_nvars, out)
+
+  def substitute(self, i, powers):
+    """Replace variable i by the polynomial whose Powers table is given,
+    staying in the same ring."""
+    out = {}
+    for e, c in self.terms.items():
+      k = e[i]
+      if not k:
+        out[e] = out.get(e, 0) + c
+        continue
+      base = e[:i] + (0,) + e[i + 1:]
+      for pe, pc in powers[k].items():
+        ne = tuple(map(add, base, pe))
+        out[ne] = out.get(ne, 0) + c * pc
+    return Poly._trusted(self.nvars, out)
 
   def __eq__(self, other):
     return (isinstance(other, Poly) and self.nvars == other.nvars
@@ -285,9 +337,11 @@ class GradedPieceReport:
   degree: Fraction
   free_rank: int
   torsion: tuple
+  domain: str = "z"
 
   def describe(self):
-    parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.torsion]
+    ring = "Z" if self.domain == "z" else "Q"
+    parts = [ring] * self.free_rank + ["Z/%d" % d for d in self.torsion]
     return " + ".join(parts) if parts else "0"
 
 
@@ -384,11 +438,12 @@ class RingPresentation:
     deg = Fraction(deg)
     basis, red = self.reducer(deg)
     if not basis:
-      return GradedPieceReport(deg, 0, ())
+      return GradedPieceReport(deg, 0, (), self.domain)
     if self.domain == "z":
       grp = AbGroup(len(basis), red.hnf)
-      return GradedPieceReport(deg, grp.free_rank, grp.invariant_factors)
-    return GradedPieceReport(deg, len(basis) - red.rank, ())
+      return GradedPieceReport(deg, grp.free_rank, grp.invariant_factors,
+                               self.domain)
+    return GradedPieceReport(deg, len(basis) - red.rank, (), self.domain)
 
   def reduce(self, poly):
     """Canonical normal form of a polynomial modulo the (graded) ideal."""
@@ -529,45 +584,44 @@ def eliminate(pres):
       subs[names[i]] = images[i]
     names, degrees, gens, tags = new_names, new_degrees, new_gens, new_tags
 
-  # step two: bare substitutions w := P
+  # step two: bare substitutions w := P.  The ring keeps all its variables
+  # until every substitution is made; a hit rewrites only the generators and
+  # substitutions that hold w, and the eliminated variables go at the end.
+  n = len(names)
+  first = [_first_bare_variable(g) for g in gens]
+  eliminated = set()
   while True:
-    hit = None
-    for vi in range(len(names)):
-      for gk, g in enumerate(gens):
-        c = g.coeff_of_variable(vi)
-        if c not in (1, -1):
-          continue
-        exp = [0] * len(names)
-        exp[vi] = 1
-        rest = Poly(len(names), {e: v for e, v in g.terms.items()
-                                 if e != tuple(exp)})
-        if rest.occurs(vi):
-          continue
-        hit = (vi, gk, rest.scale(-c))
-        break
-      if hit:
-        break
-    if not hit:
+    hits = [(v, k) for k, v in enumerate(first) if v is not None]
+    if not hits:
       break
-    vi, gk, image_old = hit
-    nn = len(names) - 1
-    # pure reindexing that skips vi; the slot for vi itself is a dummy, it is
-    # never used because image_old does not involve vi
-    reindex = [Poly.variable(nn, i - (1 if i > vi else 0) if i != vi else 0)
-               for i in range(len(names))]
-    images = list(reindex)
-    images[vi] = image_old.map_vars(nn, reindex)
-    new_gens, new_tags = [], []
-    for k, (g, t) in enumerate(zip(gens, tags)):
-      if k == gk:
-        continue
-      new_gens.append(g.map_vars(nn, images))
-      new_tags.append(t)
-    subs = {name: p.map_vars(nn, images) for name, p in subs.items()}
-    subs[names[vi]] = images[vi]
-    del names[vi]
-    del degrees[vi]
-    gens, tags = new_gens, new_tags
+    w, gk = min(hits)
+    rel = gens.pop(gk)
+    del tags[gk], first[gk]
+    unit = tuple(int(i == w) for i in range(n))
+    c = rel.terms[unit]
+    image = Poly._trusted(n, {e: -c * v for e, v in rel.terms.items()
+                              if e != unit})
+    powers = Powers(image)
+    for k, g in enumerate(gens):
+      if g.occurs(w):
+        gens[k] = g.substitute(w, powers)
+        first[k] = _first_bare_variable(gens[k])
+    for name, p in subs.items():
+      if p.occurs(w):
+        subs[name] = p.substitute(w, powers)
+    subs[names[w]] = image
+    eliminated.add(w)
+  if eliminated:
+    keep = [i for i in range(n) if i not in eliminated]
+
+    def drop(p):
+      return Poly._trusted(len(keep), {tuple(e[i] for i in keep): c
+                                       for e, c in p.terms.items()})
+
+    names = [names[i] for i in keep]
+    degrees = [degrees[i] for i in keep]
+    gens = [drop(g) for g in gens]
+    subs = {name: drop(p) for name, p in subs.items()}
 
   out_gens, out_tags, seen = [], [], set()
   for g, t in zip(gens, tags):
@@ -578,6 +632,18 @@ def eliminate(pres):
     out_tags.append(t)
   return Elimination(
       RingPresentation(names, degrees, out_gens, out_tags, pres.domain), subs)
+
+
+def _first_bare_variable(g):
+  """The smallest variable w with g = +/-(w - P) and w absent from P."""
+  best = None
+  for e, c in g.terms.items():
+    if c in (1, -1) and sum(e) == 1:
+      w = e.index(1)
+      if (best is None or w < best) and not any(
+          f[w] for f in g.terms if f != e):
+        best = w
+  return best
 
 
 def hilbert_table(pres, maxdeg):

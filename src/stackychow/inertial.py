@@ -9,7 +9,6 @@ inertial Chow ring for each product kind.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from stackychow.charring import (
@@ -378,35 +377,26 @@ def cr_ideal(fan: StackyFan):
           for i, j, common in _nonidentity_pairs(fan) if not common]
 
 
-def br_ideal(fan: StackyFan, kind: ProductKind, jobs=1):
+def br_ideal(fan: StackyFan, kind: ProductKind):
   """One relation per unordered double-box sector pair: the pair monomial
   minus the closed form of its star product.  Pair order is deterministic."""
   els = fan.box()
   n, k = fan.n, len(els) - 1
-  pairs = [(i, j) for i, j, common in _nonidentity_pairs(fan) if common]
-
-  def one(pair):
-    i, j = pair
+  out = []
+  for i, j, common in _nonidentity_pairs(fan):
+    if not common:
+      continue
     t1, c1 = star_product(fan, kind, els[i], els[j])
     t2, c2 = star_product(fan, kind, els[j], els[i])
     assert t1 == t2 and c1 == c2
     gen = _w_monomial(n, k, (i, j))
-    if c1.is_zero():
-      return gen
-    tail = _embed(c1, n + k)
-    if not t1.is_identity:
-      tail = tail * Poly.variable(n + k, n + fan.box_index(t1) - 1)
-    return gen - tail
-
-  return _ordered_map(one, pairs, jobs)
-
-
-def _ordered_map(fn, items, jobs):
-  """Map fn over items with deterministic output order, optionally threaded."""
-  if jobs and jobs > 1:
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-      return list(pool.map(fn, items))
-  return [fn(it) for it in items]
+    if not c1.is_zero():
+      tail = _embed(c1, n + k)
+      if not t1.is_identity:
+        tail = tail * Poly.variable(n + k, n + fan.box_index(t1) - 1)
+      gen = gen - tail
+    out.append(gen)
+  return out
 
 
 def sector_labels(fan: StackyFan, labels=None):
@@ -421,7 +411,7 @@ def sector_labels(fan: StackyFan, labels=None):
 
 
 def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
-                          domain=None, jobs=1) -> RingPresentation:
+                          domain=None) -> RingPresentation:
   """Generators and relations for the inertial Chow ring of the given kind.
 
   Variables: one x per ray (degree 1) and one w per nonidentity sector with
@@ -455,7 +445,7 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
   for g in cr_ideal(fan):
     gens.append(g)
     tags.append("cone")
-  for g in br_ideal(fan, kind, jobs=jobs):
+  for g in br_ideal(fan, kind):
     gens.append(g)
     tags.append("box")
   return RingPresentation(names, degrees, gens, tags, domain)
@@ -554,19 +544,14 @@ class StarCalculator:
     return self.reduces_to_zero(lt, diff)
 
 
-def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None,
-                            jobs=1):
+def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
   """Sector triples whose two bracketings disagree after sector reduction;
   an empty list means the product is associative on every triple."""
   calc = StarCalculator(fan, kind, domain)
   k = len(calc.els)
-  triples = [(i, j, l)
-             for i in range(k) for j in range(k) for l in range(k)]
-
-  def check(t):
-    return None if calc.associates(*t) else t
-
-  return [w for w in _ordered_map(check, triples, jobs) if w is not None]
+  return [(i, j, l)
+          for i in range(k) for j in range(k) for l in range(k)
+          if not calc.associates(i, j, l)]
 
 
 def asymptotic_stabilization_witnesses(fan: StackyFan, scale, plus=True):

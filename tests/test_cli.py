@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,8 @@ from stackychow.charring import sr_ring
 from stackychow.cli import (main, parse_fan_document,
                             parse_presentation_document, print_fan_document,
                             print_presentation_document)
+from stackychow.inertial import Bundle
+from stackychow.stackyfan import weighted_projective_fan
 
 P64_DOC = {
     "schema": "stacky-chow/1",
@@ -35,7 +38,9 @@ P654_DOC = {
 def docs(tmp_path_factory):
   root = tmp_path_factory.mktemp("docs")
   paths = {}
-  for name, doc in (("p64", P64_DOC), ("p654", P654_DOC)):
+  p7911 = print_fan_document(weighted_projective_fan((7, 9, 11)),
+                             Bundle((1, 0, 2)))
+  for name, doc in (("p64", P64_DOC), ("p654", P654_DOC), ("p7911", p7911)):
     p = root / (name + ".json")
     p.write_text(json.dumps(doc))
     paths[name] = str(p)
@@ -241,9 +246,30 @@ def test_hilbert_table(docs, capsys):
   assert [r["text"] for r in doc["pieces"]] == ["Z", "Z", "Z/24", "Z/24"]
   code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg", "x")
   assert code == 3
+  code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg", "-1")
+  assert code == 3 and "negative" in err and out == ""
+  assert run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "0")[
+      "pieces"] == [{"degree": "0", "free_rank": 1, "torsion": [],
+                     "text": "Z"}]
   # the age-zero sector introduces a degree-0 variable
   code, out, err = run(capsys, "hilbert", docs["p64"], "--product", "orbifold")
   assert code == 3 and "nonpositive variable degree" in err
+
+
+# stdout sha256 of `inertial --product v-plus --simplify`, recorded before the
+# substitution engine of eliminate was rewritten
+SIMPLIFY_DIGESTS = {
+    "p654": "ef6a8d18bcb45ef571d7ae44475ef6d93ffdd7c607b8cea688ce3c93c5b1d2eb",
+    "p7911": "72ee4e69a9484eb33e0ad39a4d595f9ec07f639f536d5b2c82dbf132b5c2fdf4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMPLIFY_DIGESTS))
+def test_simplify_output_pinned(docs, capsys, name):
+  code, out, err = run(capsys, "inertial", docs[name], "--product", "v-plus",
+                       "--simplify")
+  assert code == 0, err
+  assert hashlib.sha256(out.encode()).hexdigest() == SIMPLIFY_DIGESTS[name]
 
 
 def test_hilbert_inertial_rational(docs, capsys):
@@ -252,3 +278,4 @@ def test_hilbert_inertial_rational(docs, capsys):
   total = sum(r["free_rank"] for r in doc["pieces"])
   assert all(r["torsion"] == [] for r in doc["pieces"])
   assert total == 15
+  assert doc["pieces"][0]["text"] == "Q"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from stackychow.gradedpoly import (
     EqualityWitness,
     Poly,
+    Powers,
     RingPresentation,
     eliminate,
     format_poly,
@@ -84,6 +85,13 @@ def test_graded_piece_empty_degree():
 def test_hilbert_table():
   table = hilbert_table(sr_p64_like(), 3)
   assert [p.describe() for p in table] == ["Z", "Z", "Z/24", "Z/24"]
+
+
+def test_describe_rational_pieces():
+  pres = RingPresentation(["x", "y"], [1, 1], [], [], "q")
+  assert [p.describe() for p in hilbert_table(pres, 2)] == [
+      "Q", "Q + Q", "Q + Q + Q"]
+  assert pres.graded_piece(Fraction(1, 2)).describe() == "0"
 
 
 def test_hilbert_zero_ideal():
@@ -245,6 +253,114 @@ def test_eliminate_preserves_pieces(seed, nvars):
     a = pres.graded_piece(d)
     b = res.presentation.graded_piece(d)
     assert (a.free_rank, a.torsion) == (b.free_rank, b.torsion)
+
+
+def _original_images(res, names):
+  """Each original variable as a polynomial in the eliminated ring."""
+  pres = res.presentation
+  nn = len(pres.names)
+  return [res.substitutions[nm] if nm in res.substitutions
+          else Poly.variable(nn, pres.names.index(nm)) for nm in names]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 3))
+def test_eliminate_substitutions_land_in_ideal(seed, nvars):
+  # the presentations of test_eliminate_preserves_pieces
+  rng = random.Random(seed)
+  names = ["x%d" % (i + 1) for i in range(nvars)]
+  gens = [Poly.linear([rng.randint(-3, 3) for _ in range(nvars)])]
+  gens += [_random_homogeneous(rng, nvars, 2)]
+  gens = [g for g in gens if not g.is_zero()]
+  pres = RingPresentation(names, [1] * nvars, gens, ["box"] * len(gens), "z")
+  res = eliminate(pres)
+  out = res.presentation
+  nn = len(out.names)
+  images = _original_images(res, names)
+  for g in gens:
+    mapped = g.map_vars(nn, images)
+    assert mapped.homogeneous_degree(out.degrees) is not None
+    assert out.contains(mapped)
+    # and so do its multiples up to degree 3
+    for m in monomials_of_degree(out.degrees, 1):
+      assert out.contains(mapped.mul_monomial(m))
+
+
+def test_eliminate_substitution_chain():
+  # x2 := x1*x3 comes first; the later x3 := x1^2 rewrites that substitution
+  gens = [P(3, {(0, 1, 0): 1, (1, 0, 1): -1}),   # x2 - x1*x3
+          P(3, {(0, 0, 1): -1, (2, 0, 0): 1}),   # -x3 + x1^2
+          P(3, {(0, 2, 0): 1, (0, 0, 3): 1})]    # x2^2 + x3^3
+  pres = RingPresentation(["x1", "x2", "x3"], [1, 3, 2], gens, ["a", "b", "c"],
+                          "z")
+  res = eliminate(pres)
+  assert res.presentation.names == ("x1",)
+  assert res.presentation.degrees == (1,)
+  assert res.presentation.tags == ("c",)
+  assert res.presentation.generators == (P(1, {(6,): 2}),)
+  assert list(res.substitutions) == ["x2", "x3"]
+  assert res.substitutions["x2"] == P(1, {(3,): 1})
+  assert res.substitutions["x3"] == P(1, {(2,): 1})
+
+
+def test_eliminate_every_variable():
+  pres = RingPresentation(["x"], [1], [P(1, {(1,): 1, (0,): -2})], ["box"],
+                          "q")
+  res = eliminate(pres)
+  assert res.presentation.names == ()
+  assert res.presentation.generators == ()
+  assert res.substitutions == {"x": Poly.constant(0, 2)}
+
+
+def _naive_expand(poly, new_nvars, images):
+  """Term by term: c * prod images[i]^k, by repeated multiplication."""
+  out = Poly.zero(new_nvars)
+  for e, c in poly.terms.items():
+    term = Poly.constant(new_nvars, c)
+    for i, k in enumerate(e):
+      for _ in range(k):
+        term = term * images[i]
+    out = out + term
+  return out
+
+
+def _random_poly(rng, nvars, nterms, maxexp):
+  terms = {}
+  for _ in range(nterms):
+    exp = tuple(rng.randint(0, maxexp) for _ in range(nvars))
+    terms[exp] = rng.choice([rng.randint(-4, 4),
+                             Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+  return Poly(nvars, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_map_vars_matches_naive_expansion(seed, nvars, new_nvars, reindex):
+  rng = random.Random(seed)
+  poly = _random_poly(rng, nvars, rng.randint(0, 5), 3)
+  images = []
+  for _ in range(nvars):
+    if reindex or rng.random() < 0.5:
+      images.append(Poly.variable(new_nvars, rng.randrange(new_nvars)))
+    else:
+      images.append(_random_poly(rng, new_nvars, rng.randint(0, 3), 2))
+  assert poly.map_vars(new_nvars, images) == _naive_expand(poly, new_nvars,
+                                                           images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4))
+def test_substitute_matches_naive_expansion(seed, nvars):
+  rng = random.Random(seed)
+  poly = _random_poly(rng, nvars, rng.randint(0, 5), 3)
+  i = rng.randrange(nvars)
+  image = _random_poly(rng, nvars, rng.randint(0, 3), 2)
+  images = [Poly.variable(nvars, j) for j in range(nvars)]
+  images[i] = image
+  got = poly.substitute(i, Powers(image))
+  assert got == _naive_expand(poly, nvars, images)
+  assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
 
 
 @settings(max_examples=25, deadline=None)

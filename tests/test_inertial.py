@@ -450,11 +450,6 @@ def test_br_ideal_trivial_box():
   assert cr_ideal(line) == []
 
 
-def test_br_ideal_parallel_matches_serial(p654):
-  kind = ProductKind.v_minus(Bundle((1, 2, 3)))
-  assert br_ideal(p654, kind, jobs=4) == br_ideal(p654, kind)
-
-
 # -- presentations ------------------------------------------------------------
 
 def test_presentation_trivial_box_is_toric_ring():
