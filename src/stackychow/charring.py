@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, prod
 
 from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.lattice import (
@@ -26,6 +27,10 @@ from stackychow.lattice import (
     solve_integer,
 )
 from stackychow.stackyfan import StackyFan
+
+# largest term count tilde_monomial may produce; a star coefficient with a
+# large bundle over multi-term tilde classes would otherwise run for hours
+MAX_EXPANSION_TERMS = 10 ** 6
 
 
 class CharacterData:
@@ -67,6 +72,8 @@ class CharacterData:
           self._psi_sign = -1
       self.f = self._associated_matrix()
     self._check()
+    self._term_counts = [len(self.tilde_poly(i).terms) for i in range(n)]
+    self._powers = {}
 
   def iota_star(self, el):
     """The map [m] -> [(m, 0)] from the rigidified group to the full one."""
@@ -153,6 +160,29 @@ class CharacterData:
     """tilde_x_i as a degree-one polynomial in the x variables."""
     return Poly.linear([self.f[k, i] for k in range(self.fan.n)])
 
+  def tilde_monomial(self, exps):
+    """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
+    cached per (i, exps[i]).  Raises ValueError, before expanding anything,
+    when the product could have more than MAX_EXPANSION_TERMS terms."""
+    n = self.fan.n
+    bound = min(
+        prod(comb(e + t - 1, t - 1)
+             for e, t in zip(exps, self._term_counts) if e),
+        comb(sum(exps) + n - 1, n - 1))
+    if bound > MAX_EXPANSION_TERMS:
+      text = "*".join("tilde_x%d^%d" % (i + 1, e)
+                      for i, e in enumerate(exps) if e)
+      raise ValueError("coefficient %s may expand to %d terms, more than the "
+                       "limit of %d" % (text, bound, MAX_EXPANSION_TERMS))
+    out = Poly.constant(n, 1)
+    for i, e in enumerate(exps):
+      if e:
+        power = self._powers.get((i, e))
+        if power is None:
+          power = self._powers[i, e] = self.tilde_poly(i).pow(e)
+        out = out * power
+    return out
+
 
 _character_cache = {}
 
@@ -188,28 +218,20 @@ def minimal_nonfaces(fan: StackyFan, base=()):
   return found
 
 
+def _nonface_monomials(fan, cd, base=()):
+  return [cd.tilde_monomial(tuple(int(i in s) for i in range(fan.n)))
+          for s in minimal_nonfaces(fan, base)]
+
+
 def sr_ideal(fan: StackyFan, cd: CharacterData):
   """Non-face monomials, written in the x variables via the matrix f."""
-  out = []
-  for s in minimal_nonfaces(fan):
-    poly = Poly.constant(fan.n, 1)
-    for i in s:
-      poly = poly * cd.tilde_poly(i)
-    out.append(poly)
-  return out
+  return _nonface_monomials(fan, cd)
 
 
 def sector_ideal(fan: StackyFan, v):
   """Relations cutting the closed substack indexed by a box element: non-face
   monomials of the star of the element's minimal cone."""
-  cd = character_data(fan)
-  out = []
-  for s in minimal_nonfaces(fan, v.sigma_min):
-    poly = Poly.constant(fan.n, 1)
-    for i in s:
-      poly = poly * cd.tilde_poly(i)
-    out.append(poly)
-  return out
+  return _nonface_monomials(fan, character_data(fan), v.sigma_min)
 
 
 def sr_ring(fan: StackyFan) -> RingPresentation:

@@ -453,7 +453,10 @@ def cmd_multiply(args):
   els = fan.box()
   i = _resolve_sector(fan, names, args.left)
   j = _resolve_sector(fan, names, args.right)
-  target, coeff = star_product(fan, kind, els[i], els[j])
+  try:
+    target, coeff = star_product(fan, kind, els[i], els[j])
+  except ValueError as e:
+    raise CliError(3, str(e))
   xnames = ["x%d" % (t + 1) for t in range(fan.n)]
   coeff_text = format_poly(coeff, xnames)
   if target is None:
@@ -508,7 +511,10 @@ def cmd_hilbert(args):
     kind = _product_kind(args, doc_bundle)
     domain = _domain_for(args, kind)
     names = _sector_names(fan, labels)
-    pres = inertial_presentation(fan, kind, labels=names, domain=domain)
+    try:
+      pres = inertial_presentation(fan, kind, labels=names, domain=domain)
+    except ValueError as e:
+      raise CliError(3, str(e))
   else:
     pres = _with_domain(sr_ring(fan), getattr(args, "coeff", None))
   maxdeg = Fraction(2 * fan.d + 2)

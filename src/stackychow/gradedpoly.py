@@ -137,9 +137,33 @@ class Poly:
                          {e: c * v for e, v in self.terms.items()})
 
   def pow(self, k):
+    """self^k by the multinomial theorem, handing the k factors out to one
+    term at a time; a state (factors left, monomial so far) keeps its
+    coefficient, and states that meet are merged.  For a monomial or a
+    linear form that is about one step per term of the result per term of
+    self, where repeated multiplication takes about k."""
     if k < 0:
       raise ValueError("negative power")
-    return Poly._trusted(self.nvars, Powers(self)[k])
+    if not self.terms:
+      return Poly.constant(self.nvars, 1) if k == 0 else self
+    *rest, (last, c_last) = self.terms.items()
+    states = {(k, (0,) * self.nvars): 1}
+    for e, c in rest:
+      nxt = {}
+      for (left, exp), v in states.items():
+        binom = power = 1  # C(left, a) and c^a
+        for a in range(left + 1):
+          key = (left - a, exp)
+          nxt[key] = nxt.get(key, 0) + v * binom * power
+          exp = tuple(map(add, exp, e))
+          binom = binom * (left - a) // (a + 1)
+          power *= c
+      states = nxt
+    out = {}
+    for (left, exp), v in states.items():
+      key = tuple(x + left * y for x, y in zip(exp, last))
+      out[key] = out.get(key, 0) + v * c_last ** left
+    return Poly._trusted(self.nvars, out)
 
   def mul_monomial(self, exp, c=1):
     return Poly._trusted(self.nvars, {tuple(map(add, e, exp)): c * v
@@ -343,9 +367,6 @@ class GradedPieceReport:
     ring = "Z" if self.domain == "z" else "Q"
     parts = [ring] * self.free_rank + ["Z/%d" % d for d in self.torsion]
     return " + ".join(parts) if parts else "0"
-
-
-GENERATOR_TAGS = ("linear", "stanley_reisner", "sector", "cone", "box")
 
 
 class RingPresentation:

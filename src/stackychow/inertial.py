@@ -2,7 +2,8 @@
 
 Sectors are indexed by box elements and everything reduces to exact
 arithmetic on their q-vectors: logarithmic traces and restrictions, the
-index sets B+/B- of a sector pair, twist classes, closed-form star products,
+index sets B+/B- and V+/V- restrictions of a sector pair, one exponent rule
+(star_exponents) behind the star products and twist classes of every kind,
 and the cone/box relation ideals that assemble into a presentation of the
 inertial Chow ring for each product kind.
 """
@@ -10,6 +11,7 @@ inertial Chow ring for each product kind.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from stackychow.charring import (
     character_data,
@@ -278,71 +280,54 @@ def v_minus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
   return KClass([bundle.a[i] if i in idx else 0 for i in range(fan.n)])
 
 
-def twist(fan: StackyFan, kind: ProductKind, v1, v2) -> Poly:
-  """The twist class of the pair as a polynomial in the x variables; the
-  normal-direction factor over rays with q1+q2 = 1 is not included."""
-  if kind.is_asymptotic:
-    raise ValueError("asymptotic products have no twist class")
-  a, b = _pair(fan, v1, v2)
-  cd = character_data(fan)
-  exps = kind.twist_exponents(fan.n)
-  out = Poly.constant(fan.n, 1)
-  for i in range(fan.n):
-    k = 1 if a.q[i] + b.q[i] > 1 else 0
-    if kind.plus_sided:
-      if a.q[i] + b.q[i] >= 1:
-        k += exps[i]
-    elif a.q[i] != 0 and b.q[i] != 0 and a.q[i] + b.q[i] <= 1:
-      # boundary rays (phase sum exactly one) carry the bundle exponent too;
-      # dropping them breaks associativity of the minus-sided product
-      k += exps[i]
-    if k:
-      out = out * cd.tilde_poly(i).pow(k)
-  return out
+def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
+  """(target sector, exponent vector e) of the star product of two sectors:
+  the coefficient is prod_i tilde_x_i^e_i, and a None vector means it is
+  zero.  The target is None when the pair shares no cone; the asymptotic
+  kinds keep the box-sum target on their vanishing pairs.
 
-
-def star_product(fan: StackyFan, kind: ProductKind, v1, v2):
-  """(target sector, coefficient polynomial in the x variables).
-
-  The coefficient is zero, with a None target, when the pair shares no cone;
-  the asymptotic kinds also return a zero coefficient on their vanishing
-  pairs while keeping the box-sum target."""
+  Per ray, with phase sum s = q1 + q2, e starts at [s >= 1].  The plus-sided
+  kinds add the bundle exponent a_i where s >= 1; the minus-sided kinds add
+  it where both phases are nonzero and s <= 1 (boundary rays with s = 1
+  carry it too, or the minus-sided product is not associative).  +infinity
+  vanishes where some s >= 1; -infinity vanishes where some ray has both
+  phases nonzero and s <= 1 (a closed set, or the limit of the scaled
+  products would not exist) and keeps the orbifold value elsewhere."""
   a = fan.box_lookup(v1.v)
   b = fan.box_lookup(v2.v)
   if not fan.has_common_cone(sorted(set(a.sigma_min) | set(b.sigma_min))):
-    return None, Poly.zero(fan.n)
+    return None, None
   target = fan.box_add(a, b)
-  cd = character_data(fan)
-  bp = [i for i in range(fan.n) if a.q[i] + b.q[i] >= 1]
-  if kind.name == "plus_infinity" and bp:
-    return target, Poly.zero(fan.n)
-  if kind.name == "minus_infinity" and any(
-      a.q[i] != 0 and b.q[i] != 0 and a.q[i] + b.q[i] <= 1
-      for i in range(fan.n)):
-    # the minus-sided vanishing set is closed: rays with phase sum exactly
-    # one kill the product as well, or the limit of the scaled products
-    # would not exist
-    return target, Poly.zero(fan.n)
-  coeff = Poly.constant(fan.n, 1)
+  sums = [x + y for x, y in zip(a.q, b.q)]
+  exps = [int(s >= 1) for s in sums]
+  minus = [x != 0 and y != 0 and s <= 1 for x, y, s in zip(a.q, b.q, sums)]
+  if kind.name == "plus_infinity":
+    return target, None if any(exps) else tuple(exps)
+  if kind.name == "minus_infinity":
+    return target, None if any(minus) else tuple(exps)
+  on = exps if kind.plus_sided else minus
+  return target, tuple(e + c * k for e, c, k in
+                       zip(exps, kind.twist_exponents(fan.n), on))
+
+
+def twist(fan: StackyFan, kind: ProductKind, v1, v2) -> Poly:
+  """The twist class of the pair as a polynomial in the x variables: the
+  star exponents less the normal-direction factor over rays with q1+q2 = 1."""
   if kind.is_asymptotic:
-    # surviving asymptotic pairs take the orbifold value
-    for i in bp:
-      coeff = coeff * cd.tilde_poly(i)
-    return target, coeff
-  exps = kind.twist_exponents(fan.n)
-  if kind.plus_sided:
-    for i in bp:
-      coeff = coeff * cd.tilde_poly(i).pow(exps[i] + 1)
-  else:
-    for i in range(fan.n):
-      s = a.q[i] + b.q[i]
-      k = 1 if s >= 1 else 0
-      if a.q[i] != 0 and b.q[i] != 0 and s <= 1:
-        # see twist: boundary rays keep the bundle exponent
-        k += exps[i]
-      if k:
-        coeff = coeff * cd.tilde_poly(i).pow(k)
-  return target, coeff
+    raise ValueError("asymptotic products have no twist class")
+  a, b = _pair(fan, v1, v2)
+  _, exps = star_exponents(fan, kind, a, b)
+  return character_data(fan).tilde_monomial(
+      tuple(e - (x + y == 1) for e, x, y in zip(exps, a.q, b.q)))
+
+
+def star_product(fan: StackyFan, kind: ProductKind, v1, v2):
+  """(target sector, coefficient polynomial in the x variables): the
+  expansion of star_exponents, with a zero coefficient for a None vector."""
+  target, exps = star_exponents(fan, kind, v1, v2)
+  if exps is None:
+    return target, Poly.zero(fan.n)
+  return target, character_data(fan).tilde_monomial(exps)
 
 
 # -- relation ideals -----------------------------------------------------------
@@ -386,14 +371,12 @@ def br_ideal(fan: StackyFan, kind: ProductKind):
   for i, j, common in _nonidentity_pairs(fan):
     if not common:
       continue
-    t1, c1 = star_product(fan, kind, els[i], els[j])
-    t2, c2 = star_product(fan, kind, els[j], els[i])
-    assert t1 == t2 and c1 == c2
+    target, coeff = star_product(fan, kind, els[i], els[j])
     gen = _w_monomial(n, k, (i, j))
-    if not c1.is_zero():
-      tail = _embed(c1, n + k)
-      if not t1.is_identity:
-        tail = tail * Poly.variable(n + k, n + fan.box_index(t1) - 1)
+    if not coeff.is_zero():
+      tail = _embed(coeff, n + k)
+      if not target.is_identity:
+        tail = tail * Poly.variable(n + k, n + fan.box_index(target) - 1)
       gen = gen - tail
     out.append(gen)
   return out
@@ -458,8 +441,10 @@ class StarCalculator:
 
   A class is a sector index with an x-coefficient; products land in a single
   sector, and normal forms reduce the coefficient modulo that sector's
-  x-ideal (linear + nonface + annihilator).  Sector rings are handled in
-  eliminated variables to keep the graded pieces small."""
+  x-ideal (linear + nonface + annihilator).  Coefficients stay exponent
+  vectors (see star_exponents) and are expanded only for a reduction.
+  Sector rings are handled in eliminated variables to keep the graded
+  pieces small."""
 
   def __init__(self, fan: StackyFan, kind: ProductKind, domain=None):
     fan.require_valid()
@@ -472,14 +457,21 @@ class StarCalculator:
     self._sector = {}
 
   def star(self, i, j):
-    """(target sector index or None, coefficient Poly) for sector indices."""
+    """(target sector index or None, exponent vector or None for a zero
+    coefficient) for sector indices."""
     key = (i, j) if i <= j else (j, i)
     if key not in self._table:
-      target, coeff = star_product(self.fan, self.kind,
-                                   self.els[key[0]], self.els[key[1]])
+      target, exps = star_exponents(self.fan, self.kind,
+                                    self.els[key[0]], self.els[key[1]])
       idx = None if target is None else self.fan.box_index(target)
-      self._table[key] = (idx, coeff)
+      self._table[key] = (idx, exps)
     return self._table[key]
+
+  def coefficient(self, exps):
+    """The coefficient Poly of an exponent vector, zero for None."""
+    if exps is None:
+      return Poly.zero(self.fan.n)
+    return self.cd.tilde_monomial(exps)
 
   def _sector_elim(self, i):
     if i not in self._sector:
@@ -514,34 +506,29 @@ class StarCalculator:
     return pres.contains(coeff.map_vars(nn, images))
 
   def triple(self, i, j, l, left):
-    """Raw coefficient and target of one bracketing of a sector triple."""
-    if left:
-      t1, c1 = self.star(i, j)
-    else:
-      t1, c1 = self.star(j, l)
-    if t1 is None or c1.is_zero():
-      return None, Poly.zero(self.fan.n)
-    if left:
-      t2, c2 = self.star(t1, l)
-    else:
-      t2, c2 = self.star(i, t1)
-    return t2, c1 * c2
+    """Target and exponent vector (None when zero) of one bracketing of a
+    sector triple: the two star exponent vectors add."""
+    t1, e1 = self.star(i, j) if left else self.star(j, l)
+    if e1 is None:
+      return None, None
+    t2, e2 = self.star(t1, l) if left else self.star(i, t1)
+    if e2 is None:
+      return None, None
+    return t2, tuple(map(add, e1, e2))
 
   def associates(self, i, j, l):
     """Do the two bracketings of sectors (i, j, l) agree in the quotient?"""
-    lt, lc = self.triple(i, j, l, True)
-    rt, rc = self.triple(i, j, l, False)
-    if lc.is_zero() and rc.is_zero():
+    lt, le = self.triple(i, j, l, True)
+    rt, re = self.triple(i, j, l, False)
+    if le == re:
       return True
-    if lc.is_zero():
-      return self.reduces_to_zero(rt, rc)
-    if rc.is_zero():
-      return self.reduces_to_zero(lt, lc)
+    if le is None:
+      return self.reduces_to_zero(rt, self.coefficient(re))
+    if re is None:
+      return self.reduces_to_zero(lt, self.coefficient(le))
     assert lt == rt
-    diff = lc - rc
-    if diff.is_zero():
-      return True
-    return self.reduces_to_zero(lt, diff)
+    return self.reduces_to_zero(
+        lt, self.coefficient(le) - self.coefficient(re))
 
 
 def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
@@ -567,11 +554,12 @@ def asymptotic_stabilization_witnesses(fan: StackyFan, scale, plus=True):
   k = len(scaled.els)
   for i in range(k):
     for j in range(i, k):
-      t1, c1 = scaled.star(i, j)
-      t2, c2 = asym.star(i, j)
-      if t1 is None and t2 is None:
+      t1, e1 = scaled.star(i, j)
+      t2, e2 = asym.star(i, j)
+      if (t1 is None and t2 is None) or e1 == e2:
         continue
       assert t1 == t2
-      if not scaled.reduces_to_zero(t1, c1 - c2):
+      if not scaled.reduces_to_zero(
+          t1, scaled.coefficient(e1) - scaled.coefficient(e2)):
         out.append((i, j))
   return out

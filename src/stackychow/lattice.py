@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 
 
 class IntMatrix:
@@ -36,10 +36,6 @@ class IntMatrix:
   @staticmethod
   def identity(n):
     return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-  @staticmethod
-  def zeros(m, n):
-    return IntMatrix([[0] * n for _ in range(m)])
 
   def __getitem__(self, ij):
     i, j = ij
@@ -546,9 +542,6 @@ class AbGroup:
   def from_canonical(self, coords):
     return AbElement(self, self._reduce(tuple(coords)))
 
-  def is_trivial(self):
-    return self.free_rank == 0 and not self.invariant_factors
-
   def order(self):
     if self.free_rank:
       raise ValueError("infinite group")
@@ -643,21 +636,6 @@ def coker(m: IntMatrix) -> AbGroup:
   return AbGroup(m.cols, m)
 
 
-def quotient(group: AbGroup, extra_relations) -> AbGroup:
-  """Quotient by extra relations given in generator coordinates."""
-  if not isinstance(extra_relations, IntMatrix):
-    extra_relations = IntMatrix(extra_relations)
-  if group.relations.rows:
-    rel = group.relations.vstack(extra_relations)
-  else:
-    rel = extra_relations
-  return AbGroup(group.ngens, rel)
-
-
-def canon(group: AbGroup, coords) -> AbElement:
-  return group.element(coords)
-
-
 def hom_preimage(f: IntMatrix, g_src: AbGroup, g_dst: AbGroup, y: AbElement):
   """Some x in g_src with f(x) = y in g_dst, or None.
 
@@ -679,35 +657,7 @@ def hom_preimage(f: IntMatrix, g_src: AbGroup, g_dst: AbGroup, y: AbElement):
   return g_src.element(sol[:g_src.ngens])
 
 
-def lattice_membership_reducer(rows, width):
-  """ZReducer for the integer row span (convenience constructor)."""
-  return ZReducer(rows, width)
-
-
 def frac(x) -> Fraction:
   """Fractional part in [0, 1)."""
   x = Fraction(x)
   return x - floor(x)
-
-
-def lcm(a, b):
-  return abs(a * b) // gcd(a, b) if a and b else 0
-
-
-def primitive(vec):
-  """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-  fracs = [Fraction(x) for x in vec]
-  if all(x == 0 for x in fracs):
-    return tuple(0 for _ in fracs)
-  denom = 1
-  for x in fracs:
-    denom = denom * x.denominator // gcd(denom, x.denominator)
-  ints = [int(x * denom) for x in fracs]
-  g = 0
-  for x in ints:
-    g = gcd(g, x)
-  ints = [x // g for x in ints]
-  lead = next(x for x in ints if x != 0)
-  if lead < 0:
-    ints = [-x for x in ints]
-  return tuple(ints)

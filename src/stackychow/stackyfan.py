@@ -430,8 +430,8 @@ def _cone_str(cone):
 
 def _direction(vec):
   """Scale a rational vector by a positive constant to a primitive integer
-  vector.  Unlike primitive() this never flips signs, so it identifies the
-  ray through the vector rather than the line."""
+  vector.  It never flips signs, so it identifies the ray through the vector
+  rather than the line."""
   fracs = [Fraction(x) for x in vec]
   denom = 1
   for x in fracs:

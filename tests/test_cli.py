@@ -1,8 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
+from stackychow import charring
 from stackychow.charring import sr_ring
 from stackychow.cli import (main, parse_fan_document,
                             parse_presentation_document, print_fan_document,
@@ -34,13 +36,25 @@ P654_DOC = {
 }
 
 
+# a rank-2 fan with Z/3 torsion whose first tilde class has four terms in the
+# x variables, so star coefficients expand into many terms
+TORSION4_DOC = {
+    "schema": "stacky-chow/1",
+    "rank": 2,
+    "torsion": [3],
+    "b": [[-2, 0, 1], [-1, -1, 1], [0, -1, 0], [1, -1, 2]],
+    "max_cones": [[1, 2], [2, 3], [3, 4]],
+}
+
+
 @pytest.fixture(scope="session")
 def docs(tmp_path_factory):
   root = tmp_path_factory.mktemp("docs")
   paths = {}
   p7911 = print_fan_document(weighted_projective_fan((7, 9, 11)),
                              Bundle((1, 0, 2)))
-  for name, doc in (("p64", P64_DOC), ("p654", P654_DOC), ("p7911", p7911)):
+  for name, doc in (("p64", P64_DOC), ("p654", P654_DOC), ("p7911", p7911),
+                    ("torsion4", TORSION4_DOC)):
     p = root / (name + ".json")
     p.write_text(json.dumps(doc))
     paths[name] = str(p)
@@ -256,20 +270,70 @@ def test_hilbert_table(docs, capsys):
   assert code == 3 and "nonpositive variable degree" in err
 
 
-# stdout sha256 of `inertial --product v-plus --simplify`, recorded before the
-# substitution engine of eliminate was rewritten
-SIMPLIFY_DIGESTS = {
-    "p654": "ef6a8d18bcb45ef571d7ae44475ef6d93ffdd7c607b8cea688ce3c93c5b1d2eb",
-    "p7911": "72ee4e69a9484eb33e0ad39a4d595f9ec07f639f536d5b2c82dbf132b5c2fdf4",
+# stdout sha256 of CLI runs, keyed by test id: (document, argv).  The
+# simplify digests were recorded before the substitution engine of eliminate
+# was rewritten, the others before star coefficients became exponent vectors.
+PINNED = {
+    "p654": ("p654", ["inertial", "--product", "v-plus", "--simplify"],
+             "ef6a8d18bcb45ef571d7ae44475ef6d93ffdd7c607b8cea688ce3c93c5b1d2eb"),
+    "p7911": ("p7911", ["inertial", "--product", "v-plus", "--simplify"],
+              "72ee4e69a9484eb33e0ad39a4d595f9ec07f639f536d5b2c82dbf132b5c2fdf4"),
+    "p654-orbifold": ("p654", ["inertial", "--product", "orbifold"],
+        "8b8148c8f20837f1488065f49ce8ac731089db8d58b6dab48cc332467559e788"),
+    "p654-virtual": ("p654", ["inertial", "--product", "virtual"],
+        "bda9f528dce6adb9a6e217c8fb4b0a95a7b0d67908d45669c1d312240bda04f5"),
+    "p654-v-plus": ("p654", ["inertial", "--product", "v-plus"],
+        "498a09a341e794fe7d067238af6b2f9ebf3546d86a95eb68ea61972ceea5981d"),
+    "p654-v-minus": ("p654", ["inertial", "--product", "v-minus"],
+        "36b77b29baf2b905c6aa1fb241f526f323fa0ed6c741e9c55053104a0fe56904"),
+    "p654-plus-inf": ("p654", ["inertial", "--product", "plus-inf"],
+        "0a5420e12fc2a9c801150b1657fbfb2676baab86328b9348871b1e64e806769b"),
+    "p654-minus-inf": ("p654", ["inertial", "--product", "minus-inf"],
+        "60d7b886b661f73150d11b1a69c168733d8bcef7745cfdf52487d1e085740866"),
+    "p654-multiply": ("p654", ["multiply", "--product", "v-plus", "--bundle",
+                               "2,0,5", "w9", "w10"],
+        "55eca3c4c8a9e213d2c1c07546c4bfe6f7ea2102fab94da46ff52d6a911e598c"),
+    "torsion4-multiply": ("torsion4", ["multiply", "--product", "v-minus",
+                                       "--bundle", "2,1,0,3", "w3", "w4"],
+        "8c305ffde7bc8c84414eeb33442dbb529fdd591bdd2e69b5623fd37b69b456cf"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIMPLIFY_DIGESTS))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_simplify_output_pinned(docs, capsys, name):
-  code, out, err = run(capsys, "inertial", docs[name], "--product", "v-plus",
-                       "--simplify")
+  doc, argv, digest = PINNED[name]
+  code, out, err = run(capsys, argv[0], docs[doc], *argv[1:])
   assert code == 0, err
-  assert hashlib.sha256(out.encode()).hexdigest() == SIMPLIFY_DIGESTS[name]
+  assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oversized_coefficient_refused(docs, capsys):
+  # tilde_x1 has four terms, so tilde_x1^201 would have C(204, 3) terms
+  start = time.perf_counter()
+  for argv in (["inertial"], ["multiply", "w3", "w4"], ["hilbert"]):
+    code, out, err = run(capsys, argv[0], docs["torsion4"], *argv[1:],
+                         "--product", "v-plus", "--bundle", "200,200,200,200")
+    assert code == 3 and out == ""
+    assert "more than the limit of 1000000" in err
+  assert time.perf_counter() - start < 1
+
+
+def test_expansion_limit_reaches_check_assoc(docs, capsys, monkeypatch):
+  monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", 0)
+  code, out, err = run(capsys, "check-assoc", docs["p654"])
+  assert code == 3 and "more than the limit of 0" in err
+
+
+def test_large_bundle_on_monomial_classes(docs, capsys):
+  # the tilde classes of P(6,5,4) are single variables, so any power is one
+  # term and a huge bundle exponent is cheap
+  code, out, err = run(capsys, "inertial", docs["p654"], "--product", "v-plus",
+                       "--bundle", "1000000,0,0")
+  assert code == 0, err
+  doc = run_json(capsys, "multiply", docs["p654"], "--product", "v-plus",
+                 "--bundle", "1000000,0,0", "w9", "w10")
+  assert doc["coefficient"]["terms"] == [
+      {"coeff": "1", "powers": [[1, 1000001], [3, 1]]}]
 
 
 def test_hilbert_inertial_rational(docs, capsys):

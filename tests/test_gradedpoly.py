@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -361,6 +362,28 @@ def test_substitute_matches_naive_expansion(seed, nvars):
   got = poly.substitute(i, Powers(image))
   assert got == _naive_expand(poly, nvars, images)
   assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+def test_pow_of_monomial_is_one_term_and_fast():
+  x = Poly.variable(3, 0)
+  start = time.perf_counter()
+  p = x.pow(10 ** 6)
+  assert time.perf_counter() - start < 1
+  assert p.terms == {(10 ** 6, 0, 0): 1}
+  assert P(2, {(1, 2): -2}).pow(3) == P(2, {(3, 6): -8})
+  assert Poly.zero(2).pow(0) == Poly.constant(2, 1)
+  assert Poly.zero(2).pow(2).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(0, 6))
+def test_pow_matches_repeated_multiplication(seed, nvars, k):
+  rng = random.Random(seed)
+  poly = _random_poly(rng, nvars, rng.randint(0, 3), 2)
+  expected = Poly.constant(nvars, 1)
+  for _ in range(k):
+    expected = expected * poly
+  assert poly.pow(k) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -27,6 +27,7 @@ from stackychow.inertial import (
     log_trace,
     log_trace_phases,
     q_vector,
+    star_exponents,
     star_product,
     twist,
     v_minus,
@@ -286,6 +287,55 @@ def test_star_product_anchors(p654):
                       el(p654, (-2, -1)))
   assert t == el(p654, (-1, 0))
   assert c == tilde(p654, 1) * tilde(p654, 2)
+
+
+def test_star_exponents_anchors(p654):
+  v1, v2, v3 = el(p654, (0, 1)), el(p654, (1, 1)), el(p654, (1, 2))
+  a = Bundle((1, 2, 3))
+  # q-sums (1, 1/2, 0), both rays shared: ray 0 lands on one, so it takes
+  # the crossing factor and, on either side, the bundle exponent
+  assert star_exponents(p654, ProductKind.v_plus(a), v2, v2) == (v1, (2, 0, 0))
+  assert star_exponents(p654, ProductKind.v_minus(a), v2, v2) == (
+      v1, (2, 2, 0))
+  assert star_exponents(p654, VIRTUAL, v2, v2) == (v1, (2, 1, 0))
+  assert star_exponents(p654, ORBIFOLD, v2, v2) == (v1, (1, 0, 0))
+  assert star_exponents(p654, MINUS_INFINITY, v2, v2) == (v1, None)
+  assert star_exponents(p654, PLUS_INFINITY, v2, v2) == (v1, None)
+  # q-sums (1/2, 5/4, 0): ray 1 crosses one on both sides
+  t, e = star_exponents(p654, ProductKind.v_minus(a), v1, v3)
+  assert e == (0, 1, 0)
+  assert star_exponents(p654, ORBIFOLD, v1, el(p654, (-2, -3))) == (None,
+                                                                   None)
+
+
+@settings(max_examples=10, deadline=None)
+@given(fan=valid_fans(max_box=10), data=st.data())
+def test_star_exponents_expand_to_star_product(fan, data):
+  a = Bundle(data.draw(st.lists(st.integers(0, 3), min_size=fan.n,
+                                max_size=fan.n)))
+  els = fan.box()
+  for kind in (ORBIFOLD, VIRTUAL, PLUS_INFINITY, MINUS_INFINITY,
+               ProductKind.v_plus(a), ProductKind.v_minus(a)):
+    for v in els:
+      for w in els:
+        target, exps = star_exponents(fan, kind, v, w)
+        assert star_exponents(fan, kind, w, v) == (target, exps)
+        t, c = star_product(fan, kind, v, w)
+        assert t == target
+        if exps is None:
+          assert c.is_zero()
+          continue
+        expected = Poly.constant(fan.n, 1)
+        for i, k in enumerate(exps):
+          expected = expected * tilde(fan, i, power=k)
+        assert c == expected
+        if not kind.is_asymptotic:
+          # the twist leaves out one tilde_x_i on rays with q-sum one
+          normal = Poly.constant(fan.n, 1)
+          for i in range(fan.n):
+            if v.q[i] + w.q[i] == 1:
+              normal = normal * tilde(fan, i)
+          assert twist(fan, kind, v, w) * normal == c
 
 
 def test_star_product_unit_and_commutativity(p654, p64):

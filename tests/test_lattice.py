@@ -10,8 +10,6 @@ from stackychow.lattice import (
     coker,
     frac,
     hom_preimage,
-    primitive,
-    quotient,
     row_hermite,
     smith_normal_form,
     solve_integer,
@@ -111,13 +109,10 @@ def test_hom_preimage():
   assert dst2.element(tuple(2 * c for c in y.rep())) == dst2.element((2,))
 
 
-def test_frac_and_primitive():
+def test_frac():
   assert frac(Fraction(7, 6)) == Fraction(1, 6)
   assert frac(Fraction(-1, 6)) == Fraction(5, 6)
   assert frac(3) == 0
-  assert primitive((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
-  assert primitive((0, 0)) == (0, 0)
-  assert primitive((-2, 4)) == (1, -2)
 
 
 def test_row_hermite_canonical():
