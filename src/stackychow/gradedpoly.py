@@ -2,9 +2,9 @@
 
 All ideal questions are answered degree by degree: the piece of a quotient
 ring in one degree is finitely generated abelian group data obtained from the
-monomials of that degree and the generator multiples landing there.  Smith
-and Hermite forms take the place of Groebner bases; variable degrees are
-positive rationals and every coefficient is exact.
+monomials of that degree and the generator multiples landing there.  Row
+echelon bases and Smith forms take the place of Groebner bases; variable
+degrees are positive rationals and every coefficient is exact.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ class RingPresentation:
     if not basis:
       return GradedPieceReport(deg, 0, (), self.domain)
     if self.domain == "z":
-      grp = AbGroup(len(basis), red.hnf)
+      grp = AbGroup(len(basis), red.rows)
       return GradedPieceReport(deg, grp.free_rank, grp.invariant_factors,
                                self.domain)
     return GradedPieceReport(deg, len(basis) - red.rank, (), self.domain)
@@ -504,22 +504,15 @@ def ideal_equal_up_to(p1, p2, maxdeg):
     raise ValueError("mismatched coefficient domains")
   n = len(p1.names)
   for deg in occurring_degrees(p1.degrees, maxdeg):
-    basis1, red1 = p1.reducer(deg)
-    basis2, red2 = p2.reducer(deg)
-    if red1.key() == red2.key():
-      continue
-    for row, where in [(r, "first_only") for r in _span_rows(red1)] + \
-                      [(r, "second_only") for r in _span_rows(red2)]:
-      other = red2 if where == "first_only" else red1
-      if not other.contains(row):
-        witness = Poly(n, dict(zip(basis1, row)))
-        return False, EqualityWitness(deg, witness, where)
-    raise AssertionError("distinct spans but no witness row")
+    basis, red1 = p1.reducer(deg)
+    _, red2 = p2.reducer(deg)
+    for rows, other, where in ((red1.rows, red2, "first_only"),
+                               (red2.rows, red1, "second_only")):
+      for row in rows:
+        if not other.contains(row):
+          witness = Poly(n, dict(zip(basis, row)))
+          return False, EqualityWitness(deg, witness, where)
   return True, None
-
-
-def _span_rows(red):
-  return red.hnf if isinstance(red, ZReducer) else red.rref
 
 
 @dataclass

@@ -1,16 +1,17 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over Z or Q with arbitrary precision (Python ints and
-fractions.Fraction); no floating point anywhere.  The normal forms track their
+fractions.Fraction); no floating point anywhere.  The Smith form tracks its
 unimodular transforms so callers can change bases, lift representatives and
-solve linear systems exactly.
+solve integral systems exactly.  Row spans over Z and Q, and rational
+systems, go through one integer row-echelon kernel (`_echelon`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd, lcm
 
 
 class IntMatrix:
@@ -66,11 +67,6 @@ class IntMatrix:
     if self.rows != other.rows:
       raise ValueError("shape mismatch")
     return IntMatrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
-
-  def vstack(self, other):
-    if self.cols != other.cols and self.rows and other.rows:
-      raise ValueError("shape mismatch")
-    return IntMatrix(self.entries + other.entries)
 
   def det(self):
     """Determinant by fraction-free Bareiss elimination."""
@@ -248,114 +244,149 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
                           IntMatrix(ui), IntMatrix(vi))
 
 
-def row_hermite(rows, width):
-  """Canonical row Hermite form of the integer row span.
+class _Echelon:
+  """Echelon basis of the span of some rows, over Z (ZReducer) or Q (QReducer).
 
-  Returns a list of pivot rows sorted by pivot column, pivots positive,
-  entries above each pivot reduced into [0, pivot).
+  The two domains differ only in `_clear`, which cancels the leading entry
+  of a row being inserted against the pivot row of its column, and in
+  `_step`, the residue of a vector at one pivot column; see `_echelon`.
+  `rows` holds the basis, sorted by pivot column.
   """
-  pivots = {}
-
-  def insert(row):
-    r = list(row)
-    while True:
-      j = next((k for k, x in enumerate(r) if x != 0), None)
-      if j is None:
-        return
-      if j not in pivots:
-        if r[j] < 0:
-          r = [-x for x in r]
-        pivots[j] = r
-        return
-      p = pivots[j]
-      g, s, t = _xgcd(p[j], r[j])
-      new_p = [s * x + t * y for x, y in zip(p, r)]
-      r = [(p[j] // g) * y - (r[j] // g) * x for x, y in zip(p, r)]
-      pivots[j] = new_p
-
-  for row in rows:
-    insert(row)
-  cols = sorted(pivots)
-  # reduce entries above pivots
-  for j in cols:
-    p = pivots[j]
-    for j2 in cols:
-      if j2 <= j:
-        continue
-      p2 = pivots[j2]
-      q = p[j2] // p2[j2]
-      if q:
-        pivots[j] = [x - q * y for x, y in zip(pivots[j], p2)]
-        p = pivots[j]
-  return [tuple(pivots[j]) for j in cols]
-
-
-class ZReducer:
-  """Reduce integer vectors to canonical residues modulo a row span."""
 
   def __init__(self, rows, width):
     self.width = width
-    self.hnf = row_hermite(rows, width)
-    self._piv = [(next(k for k, x in enumerate(r) if x != 0), r) for r in self.hnf]
+    self._pivots = _echelon(rows, self._clear, self._step)
+    self.rows = tuple(r for _, r in self._pivots)
 
   def reduce(self, vec):
-    v = list(vec)
-    for j, row in self._piv:
-      q = v[j] // row[j]
-      if q:
-        v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
+    return _reduce(vec, self._pivots, self._step)
 
   def contains(self, vec):
     return all(x == 0 for x in self.reduce(vec))
-
-  def key(self):
-    return tuple(self.hnf)
-
-
-class QReducer:
-  """Reduce rational vectors modulo a Q-row span (RREF based)."""
-
-  def __init__(self, rows, width):
-    self.width = width
-    self.rref = []
-    piv = {}
-    for row in rows:
-      r = [Fraction(x) for x in row]
-      for j, prow in piv.items():
-        if r[j]:
-          c = r[j]
-          r = [x - c * y for x, y in zip(r, prow)]
-      j = next((k for k, x in enumerate(r) if x != 0), None)
-      if j is None:
-        continue
-      c = r[j]
-      r = [x / c for x in r]
-      for j2, prow in piv.items():
-        if prow[j]:
-          c = prow[j]
-          piv[j2] = [x - c * y for x, y in zip(prow, r)]
-      piv[j] = r
-    self._piv = sorted(piv.items())
-    self.rref = [tuple(r) for _, r in self._piv]
-
-  def reduce(self, vec):
-    v = [Fraction(x) for x in vec]
-    for j, row in self._piv:
-      if v[j]:
-        c = v[j]
-        v = [x - c * y for x, y in zip(v, row)]
-    return tuple(v)
-
-  def contains(self, vec):
-    return all(x == 0 for x in self.reduce(vec))
-
-  def key(self):
-    return tuple(self.rref)
 
   @property
   def rank(self):
-    return len(self._piv)
+    return len(self._pivots)
+
+
+class ZReducer(_Echelon):
+  """Reduce integer vectors to canonical residues modulo a Z-row span."""
+
+  @staticmethod
+  def _clear(p, r, j):
+    """p becomes the gcd row of column j, and r is cleared there."""
+    a, c = p[j], r[j]
+    if c % a == 0:
+      return p, ZReducer._step(r, p, j)[0]
+    g, s, t = _xgcd(a, c)
+    a, c = a // g, c // g
+    return ([s * x + t * y for x, y in zip(p, r)],
+            [a * y - c * x for x, y in zip(p, r)])
+
+  @staticmethod
+  def _step(v, p, k):
+    """v with its entry at column k brought into [0, p[k]), and 1."""
+    q = v[k] // p[k]
+    if not q:
+      return v, 1
+    return [x - q * y for x, y in zip(v, p)], 1
+
+
+class QReducer(_Echelon):
+  """Reduce rational vectors modulo a Q-row span."""
+
+  @staticmethod
+  def _clear(p, r, j):
+    return p, QReducer._step(r, p, j)[0]
+
+  @staticmethod
+  def _step(v, p, k):
+    """v with column k cancelled fraction-free and made primitive, and the
+    factor by which it was scaled."""
+    a, c = p[k], v[k]
+    g = gcd(a, c)
+    a, c = a // g, c // g
+    v = [a * x - c * y for x, y in zip(v, p)]
+    h = gcd(*v)
+    if h > 1:
+      return [x // h for x in v], Fraction(a, h)
+    return v, a
+
+
+def _echelon(rows, clear, step):
+  """Sorted (pivot column, row) pairs of an echelon basis of the row span.
+
+  The basis rows are integer rows with positive pivots; rational rows have
+  their denominators cleared on entry.  Rows are inserted one at a time:
+  `clear` cancels the leading entry of the row with the pivot row of its
+  column until the row vanishes or leads at a free column.  There it is
+  stored after `step` has reduced it at every later pivot column, which
+  keeps the entries small (Kannan-Bachem).
+  """
+  piv = {}
+  for row in rows:
+    r = _integral(row)[0]
+    j = _lead(r, 0)
+    while j is not None:
+      p = piv.get(j)
+      if p is None:
+        piv[j] = _tidy(r if r[j] > 0 else [-x for x in r], j, piv, step)
+        break
+      new_p, r = clear(p, r, j)
+      if new_p is not p:
+        piv[j] = _tidy(new_p, j, piv, step)
+      j = _lead(r, j + 1)
+  return [(j, tuple(piv[j])) for j in sorted(piv)]
+
+
+def _tidy(row, j, piv, step):
+  """row, pivot at column j, reduced at the later pivot columns of piv."""
+  return _residue(row, [(k, piv[k]) for k in sorted(piv) if k > j], step)[0]
+
+
+def _residue(v, pivots, step):
+  """v reduced at each (column, pivot row) in turn, and the factor the
+  result is scaled by (1 over Z)."""
+  scale = 1
+  for k, p in pivots:
+    if v[k]:
+      v, m = step(v, p, k)
+      scale *= m
+  return v, scale
+
+
+def _reduce(vec, pivots, step):
+  """The residue of vec modulo the echelon basis `pivots`.
+
+  At every pivot column it is zero (Q) or in [0, pivot) (Z), which makes
+  it unique in its coset: it does not depend on which echelon basis is kept.
+  """
+  v, den = _integral(vec)
+  v, scale = _residue(v, pivots, step)
+  scale *= den
+  if scale == 1:
+    return tuple(v)
+  return tuple(Fraction(x) / scale for x in v)
+
+
+def _integral(row):
+  """(m * row as a list of ints, m) for the least m > 0 clearing the
+  denominators of row."""
+  den = 1
+  for x in row:
+    if type(x) is not int:
+      den = lcm(den, Fraction(x).denominator)
+  if den == 1:
+    return [int(x) for x in row], 1
+  return [int(x * den) for x in row], den
+
+
+def _lead(row, start):
+  """The first column >= start where row is nonzero, or None."""
+  for k in range(start, len(row)):
+    if row[k]:
+      return k
+  return None
 
 
 def _xgcd(a, b):
@@ -403,32 +434,20 @@ def solve_rational(columns, b):
   columns: list of equal-length rational vectors.  Returns the unique
   coefficient tuple, or None if b is outside the column span.  Raises
   ValueError when the columns are dependent.
+
+  (b, 0) reduces modulo the rows (col_j, e_j) to (0, -q) exactly when
+  b = sum_j q_j col_j; a pivot in the e-block is a dependency.
   """
-  k = len(columns)
-  if k == 0:
-    return () if all(Fraction(x) == 0 for x in b) else None
-  m = len(columns[0])
-  aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(b[i])]
-         for i in range(m)]
-  pivots = []
-  row = 0
-  for col in range(k):
-    sel = next((i for i in range(row, m) if aug[i][col] != 0), None)
-    if sel is None:
-      raise ValueError("columns not linearly independent")
-    aug[row], aug[sel] = aug[sel], aug[row]
-    pv = aug[row][col]
-    aug[row] = [x / pv for x in aug[row]]
-    for i in range(m):
-      if i != row and aug[i][col]:
-        c = aug[i][col]
-        aug[i] = [x - c * y for x, y in zip(aug[i], aug[row])]
-    pivots.append(col)
-    row += 1
-  for i in range(row, m):
-    if aug[i][k] != 0:
-      return None
-  return tuple(aug[i][k] for i in range(k))
+  m, k = len(b), len(columns)
+  eye = [(0,) * j + (1,) + (0,) * (k - j - 1) for j in range(k)]
+  pivots = _echelon([tuple(c) + e for c, e in zip(columns, eye)],
+                    QReducer._clear, QReducer._step)
+  if any(j >= m for j, _ in pivots):
+    raise ValueError("columns not linearly independent")
+  res = _reduce(tuple(b) + (0,) * k, pivots, QReducer._step)
+  if any(res[:m]):
+    return None
+  return tuple(-Fraction(x) for x in res[m:])
 
 
 def solve_rational_nonneg(columns, b):

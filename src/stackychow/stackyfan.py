@@ -215,16 +215,15 @@ class StackyFan:
     cols = [self.free(i) for i in cone]
     k = len(cols)
     basis = list(cols)
+    eye = [tuple(1 if i == j else 0 for i in range(self.d))
+           for j in range(self.d)]
     # complete to a basis of Q^d with standard vectors
-    for j in range(self.d):
-      e = tuple(1 if i == j else 0 for i in range(self.d))
+    for e in eye:
       if rational_rank(basis + [e]) > len(basis):
         basis.append(e)
-    m = [[Fraction(basis[j][i]) for j in range(self.d)] for i in range(self.d)]
-    inv = _invert_rational(m)
-    ineqs = [tuple(inv[j]) for j in range(k)]
-    eqs = [tuple(inv[j]) for j in range(k, self.d)]
-    return eqs, ineqs
+    # row j of the inverse of the basis matrix is the j-th dual functional
+    inv = list(zip(*(solve_rational(basis, e) for e in eye)))
+    return inv[k:], inv[:k]
 
   def _intersection_is_common_face(self, s, t):
     common = sorted(set(s) & set(t))
@@ -448,24 +447,6 @@ def _torsion_tuples(torsion):
   for m in torsion:
     out = [t + (x,) for t in out for x in range(m)]
   return out
-
-
-def _invert_rational(m):
-  n = len(m)
-  aug = [[Fraction(m[i][j]) for j in range(n)] +
-         [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-  for col in range(n):
-    sel = next((i for i in range(col, n) if aug[i][col] != 0), None)
-    if sel is None:
-      raise ValueError("singular matrix")
-    aug[col], aug[sel] = aug[sel], aug[col]
-    pv = aug[col][col]
-    aug[col] = [x / pv for x in aug[col]]
-    for i in range(n):
-      if i != col and aug[i][col]:
-        c = aug[i][col]
-        aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-  return [row[n:] for row in aug]
 
 
 def weighted_projective_fan(weights):

@@ -9,7 +9,9 @@ from stackychow.charring import sr_ring
 from stackychow.cli import (main, parse_fan_document,
                             parse_presentation_document, print_fan_document,
                             print_presentation_document)
+from stackychow.gradedpoly import monomials_of_degree
 from stackychow.inertial import Bundle
+from stackychow.lattice import AbGroup
 from stackychow.stackyfan import weighted_projective_fan
 
 P64_DOC = {
@@ -47,6 +49,17 @@ TORSION4_DOC = {
 }
 
 
+# four rays in the plane whose Chow ring over Z has torsion in every degree
+# from 2 on; a row-echelon pass without entry control blew up on degree 6
+BLOWUP_DOC = {
+    "schema": "stacky-chow/1",
+    "rank": 2,
+    "torsion": [],
+    "b": [[-1, 0], [-2, -2], [0, -3], [3, -3]],
+    "max_cones": [[1, 2], [2, 3], [3, 4]],
+}
+
+
 @pytest.fixture(scope="session")
 def docs(tmp_path_factory):
   root = tmp_path_factory.mktemp("docs")
@@ -54,7 +67,7 @@ def docs(tmp_path_factory):
   p7911 = print_fan_document(weighted_projective_fan((7, 9, 11)),
                              Bundle((1, 0, 2)))
   for name, doc in (("p64", P64_DOC), ("p654", P654_DOC), ("p7911", p7911),
-                    ("torsion4", TORSION4_DOC)):
+                    ("torsion4", TORSION4_DOC), ("blowup", BLOWUP_DOC)):
     p = root / (name + ".json")
     p.write_text(json.dumps(doc))
     paths[name] = str(p)
@@ -268,6 +281,30 @@ def test_hilbert_table(docs, capsys):
   # the age-zero sector introduces a degree-0 variable
   code, out, err = run(capsys, "hilbert", docs["p64"], "--product", "orbifold")
   assert code == 3 and "nonpositive variable degree" in err
+
+
+def _raw_piece(pres, deg):
+  """(free rank, torsion) of degree deg, by a Smith form of every generator
+  times every monomial, with no echelon pass in between."""
+  basis = monomials_of_degree(pres.degrees, deg)
+  index = {e: k for k, e in enumerate(basis)}
+  rows = [g.mul_monomial(m).vector(index)
+          for g, dg in zip(pres.generators, pres.generator_degrees())
+          if dg <= deg for m in monomials_of_degree(pres.degrees, deg - dg)]
+  grp = AbGroup(len(basis), rows)
+  return grp.free_rank, [str(d) for d in grp.invariant_factors]
+
+
+def test_hilbert_integral_entries_stay_small(docs, capsys):
+  start = time.perf_counter()
+  doc = run_json(capsys, "hilbert", docs["blowup"])
+  assert time.perf_counter() - start < 5
+  pres = sr_ring(parse_fan_document(BLOWUP_DOC)[0])
+  assert [r["degree"] for r in doc["pieces"]] == [str(d) for d in range(7)]
+  for row in doc["pieces"]:
+    assert (row["free_rank"], row["torsion"]) == _raw_piece(
+        pres, int(row["degree"]))
+  assert doc["pieces"][6]["text"] == " + ".join(["Z/3"] * 6 + ["Z/12"])
 
 
 # stdout sha256 of CLI runs, keyed by test id: (document, argv).  The

@@ -142,6 +142,17 @@ def test_ideal_unequal_witness():
   assert witness.poly == P(1, {(2,): 1})
 
 
+def test_ideal_equal_depends_on_the_domain():
+  # (2x) and (x) differ over Z, first in degree 1, and agree over Q
+  x = Poly.variable(1, 0)
+  pres = [[RingPresentation(["x"], [1], [g], ["box"], domain)
+           for g in (x * 2, x)] for domain in ("z", "q")]
+  ok, witness = ideal_equal_up_to(*pres[0], 3)
+  assert not ok
+  assert (witness.degree, witness.where, witness.poly) == (1, "second_only", x)
+  assert ideal_equal_up_to(*pres[1], 3) == (True, None)
+
+
 def test_eliminate_single_linear():
   pres = RingPresentation(["x", "y"], [1, 1],
                           [P(2, {(1, 0): 1, (0, 1): -1})], ["linear"], "z")

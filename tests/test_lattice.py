@@ -10,7 +10,6 @@ from stackychow.lattice import (
     coker,
     frac,
     hom_preimage,
-    row_hermite,
     smith_normal_form,
     solve_integer,
     solve_rational,
@@ -115,13 +114,6 @@ def test_frac():
   assert frac(3) == 0
 
 
-def test_row_hermite_canonical():
-  h1 = row_hermite([(2, 4), (0, 6)], 2)
-  h2 = row_hermite([(2, 10), (0, -6), (2, 4)], 2)
-  assert h1 == h2
-  assert h1 == [(2, 4), (0, 6)]
-
-
 def test_zreducer_membership():
   red = ZReducer([(2, 0, 1), (0, 3, 1)], 3)
   assert red.contains((2, 3, 2))
@@ -194,10 +186,150 @@ def test_abgroup_roundtrip(rows, coeffs):
 @given(small_matrices)
 def test_hermite_span_stable(rows):
   width = len(rows[0])
-  h = row_hermite(rows, width)
   # sum of all the rows is in the span
   total = tuple(sum(c) for c in zip(*rows))
   red = ZReducer(rows, width)
   assert red.contains(total)
-  # hermite of hermite is identical
-  assert row_hermite(h, width) == h
+
+
+# -- the echelon kernel against independent oracles ----------------------------
+
+small_fraction_matrices = st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.fractions(-5, 5, max_denominator=4),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+def _q_rank(rows):
+  """Rank over Q by dense Fraction elimination: a reference that shares no
+  code with the integer kernel.  (smith_normal_form is no oracle for stacked
+  rows: its entries can explode on some dense 5 x 4 integer matrices.)"""
+  m = [[Fraction(x) for x in row] for row in rows]
+  rank = 0
+  for j in range(len(m[0]) if m else 0):
+    p = next((i for i in range(rank, len(m)) if m[i][j]), None)
+    if p is None:
+      continue
+    m[rank], m[p] = m[p], m[rank]
+    for i in range(rank + 1, len(m)):
+      c = m[i][j] / m[rank][j]
+      m[i] = [x - c * y for x, y in zip(m[i], m[rank])]
+    rank += 1
+  return rank
+
+
+def _pivots(red):
+  """(column, pivot) of each kept row, checking the echelon shape."""
+  out = []
+  for row in red.rows:
+    j = next(k for k, x in enumerate(row) if x != 0)
+    assert not out or j > out[-1][0]
+    assert row[j] > 0
+    out.append((j, row[j]))
+  return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrices, small_fraction_matrices))
+def test_qreducer_rank_is_smith_rank(rows):
+  width = len(rows[0])
+  red = QReducer(rows, width)
+  assert red.rank == len(red.rows) == _q_rank(rows)
+  if all(type(x) is int for row in rows for x in row):
+    assert red.rank == smith_normal_form(IntMatrix(rows)).rank
+  # the kept rows span the same Q-space as the input
+  assert _q_rank(list(rows) + list(red.rows)) == red.rank
+  assert all(red.contains(r) for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_zreducer_keeps_the_group(rows):
+  width = len(rows[0])
+  red = ZReducer(rows, width)
+  kept, raw = AbGroup(width, red.rows), AbGroup(width, rows)
+  assert (kept.free_rank, kept.invariant_factors) == \
+      (raw.free_rank, raw.invariant_factors)
+  assert all(red.contains(r) for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.data())
+def test_zreducer_residue(rows, data):
+  width = len(rows[0])
+  red = ZReducer(rows, width)
+  v = data.draw(st.lists(st.integers(-20, 20), min_size=width,
+                         max_size=width))
+  cs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                          max_size=len(rows)))
+  shifted = list(v)
+  for c, row in zip(cs, rows):
+    shifted = [x + c * y for x, y in zip(shifted, row)]
+  res = red.reduce(v)
+  assert red.reduce(shifted) == res
+  for j, p in _pivots(red):
+    assert 0 <= res[j] < p
+  # v - res lies in the row lattice
+  g = AbGroup(width, rows)
+  assert g.element([a - b for a, b in zip(v, res)]).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrices, small_fraction_matrices), st.data())
+def test_qreducer_residue(rows, data):
+  width = len(rows[0])
+  red = QReducer(rows, width)
+  v = data.draw(st.lists(st.fractions(-9, 9, max_denominator=5),
+                         min_size=width, max_size=width))
+  cs = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                          min_size=len(rows), max_size=len(rows)))
+  shifted = list(v)
+  for c, row in zip(cs, rows):
+    shifted = [x + c * y for x, y in zip(shifted, row)]
+  res = red.reduce(v)
+  assert red.reduce(shifted) == res
+  for j, _ in _pivots(red):
+    assert res[j] == 0
+  # v - res lies in the row space
+  diff = [a - b for a, b in zip(v, res)]
+  assert _q_rank(list(rows) + [diff]) == red.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrices, small_fraction_matrices), st.data())
+def test_solve_rational_oracle(cols, data):
+  m, k = len(cols[0]), len(cols)
+  b = data.draw(st.lists(st.fractions(-9, 9, max_denominator=3),
+                         min_size=m, max_size=m))
+  if _q_rank(cols) < k:
+    try:
+      solve_rational(cols, b)
+      assert False, "expected ValueError"
+    except ValueError:
+      pass
+    return
+  q = solve_rational(cols, b)
+  if _q_rank(list(cols) + [b]) > k:
+    assert q is None
+  else:
+    assert len(q) == k
+    assert [sum(qj * c[i] for qj, c in zip(q, cols)) for i in range(m)] == b
+  # a combination of the columns is always solved, by its coefficients
+  qs = data.draw(st.lists(st.fractions(-4, 4, max_denominator=4),
+                          min_size=k, max_size=k))
+  b2 = [sum(qj * c[i] for qj, c in zip(qs, cols)) for i in range(m)]
+  assert list(solve_rational(cols, b2)) == qs
+
+
+def test_solve_rational_edges():
+  assert solve_rational([], (0, 0)) == ()
+  assert solve_rational([], (1, 0)) is None
+  assert solve_rational([(0, 3)], (0, 1)) == (Fraction(1, 3),)
+  for cols in ([(0, 0)], [(1, 2), (2, 4)]):
+    try:
+      solve_rational(cols, (1, 2))
+      assert False, "expected ValueError"
+    except ValueError:
+      pass
