@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from math import floor, gcd, lcm
+from operator import add, mul
 
 from stackychow.lattice import AbGroup, QReducer, ZReducer
 
@@ -301,59 +302,59 @@ def monomial_degree(exp, degrees):
 
 def monomials_of_degree(degrees, target):
   """All exponent tuples of the given degree, ascending lexicographic order."""
-  degrees = [Fraction(d) for d in degrees]
-  if any(d <= 0 for d in degrees):
+  # Fraction(d) of a Fraction costs an ABC check; a basis miss pays it per
+  # variable
+  degrees = [d if type(d) is Fraction else Fraction(d) for d in degrees]
+  scale = lcm(*(d.denominator for d in degrees))
+  dd = [d.numerator * (scale // d.denominator) for d in degrees]
+  if any(x <= 0 for x in dd):
     raise ValueError("nonpositive variable degree")
-  target = Fraction(target)
-  if target < 0:
+  t = Fraction(target) * scale
+  if t < 0 or t.denominator != 1:
     return []
-  scale = 1
-  for d in degrees + [target]:
-    scale = scale * d.denominator // _gcd(scale, d.denominator)
-  dd = [int(d * scale) for d in degrees]
-  t = int(target * scale)
+  t = int(t)
   n = len(dd)
+  # a nonzero remainder left for variables i, i+1, ... must be a multiple
+  # of g[i] and at least low[i]: their gcd and their least degree
+  g, low = [0] * (n + 1), [t + 1] * (n + 1)
+  for i in range(n - 1, -1, -1):
+    g[i] = gcd(dd[i], g[i + 1])
+    low[i] = min(dd[i], low[i + 1])
+  zeros = (0,) * n
   out = []
 
   def rec(i, remaining, acc):
-    if i == n:
-      if remaining == 0:
-        out.append(tuple(acc))
-      return
-    if i == n - 1:
-      q, r = divmod(remaining, dd[i])
-      if r == 0:
-        out.append(tuple(acc + [q]))
-      return
-    for e in range(remaining // dd[i] + 1):
-      rec(i + 1, remaining - e * dd[i], acc + [e])
+    if not remaining:
+      out.append(acc + zeros[i:])
+    elif i < n and remaining % g[i] == 0 and remaining >= low[i]:
+      if i == n - 1:
+        out.append(acc + (remaining // dd[i],))
+        return
+      for e in range(remaining // dd[i] + 1):
+        rec(i + 1, remaining - e * dd[i], acc + (e,))
 
-  rec(0, t, [])
+  rec(0, t, ())
   return out
 
 
 def occurring_degrees(degrees, maxdeg):
   """Degrees of monomials up to maxdeg, sorted ascending (0 included)."""
-  degrees = sorted({Fraction(d) for d in degrees})
+  degrees = {Fraction(d) for d in degrees}
   if any(d <= 0 for d in degrees):
     raise ValueError("nonpositive variable degree")
-  maxdeg = Fraction(maxdeg)
-  seen = {Fraction(0)}
-  frontier = [Fraction(0)]
+  scale = lcm(*(d.denominator for d in degrees))
+  steps = [int(d * scale) for d in degrees]
+  top = floor(Fraction(maxdeg) * scale)
+  seen = {0}
+  frontier = [0]
   while frontier:
-    d = frontier.pop()
-    for step in degrees:
-      nd = d + step
-      if nd <= maxdeg and nd not in seen:
-        seen.add(nd)
-        frontier.append(nd)
-  return sorted(seen)
-
-
-def _gcd(a, b):
-  while b:
-    a, b = b, a % b
-  return a
+    t = frontier.pop()
+    for step in steps:
+      nt = t + step
+      if nt <= top and nt not in seen:
+        seen.add(nt)
+        frontier.append(nt)
+  return [Fraction(t, scale) for t in sorted(seen)]
 
 
 @dataclass(frozen=True)
@@ -404,14 +405,26 @@ class RingPresentation:
     self.generators = generators
     self.tags = tags
     self.domain = domain
-    self._reducers = {}
+    # one integer grading: a monomial of exponent e has degree
+    # (e . ideg) / scale, scale the lcm of the degree denominators
+    self.scale = lcm(*(d.denominator for d in degrees))
+    self.ideg = tuple(int(d * self.scale) for d in degrees)
+    self._reducers = {}  # Fraction degree -> (basis, reducer)
+    self._bases = {}     # integer degree -> monomial basis
     self._gen_degrees = None
+    self._gen_idegs = None
 
   def generator_degrees(self):
     """Per-generator homogeneous degree, None where a generator mixes degrees."""
     if self._gen_degrees is None:
-      self._gen_degrees = tuple(
-          g.homogeneous_degree(self.degrees) for g in self.generators)
+      ideg = self.ideg
+      idegs = []
+      for g in self.generators:
+        degs = {sum(map(mul, e, ideg)) for e in g.terms} or {0}
+        idegs.append(degs.pop() if len(degs) == 1 else None)
+      self._gen_idegs = tuple(idegs)
+      self._gen_degrees = tuple(None if t is None else Fraction(t, self.scale)
+                                for t in idegs)
     return self._gen_degrees
 
   @property
@@ -427,18 +440,35 @@ class RingPresentation:
       raise ValueError("presentation is not graded")
 
   def basis(self, deg):
-    return monomials_of_degree(self.degrees, deg)
+    """Exponent tuples of degree deg, ascending lexicographic order (empty
+    off the grid of multiples of 1/scale)."""
+    t = Fraction(deg) * self.scale
+    if t.denominator != 1:
+      return monomials_of_degree(self.degrees, deg)
+    return self._basis(int(t))
 
-  def _degree_rows(self, deg, basis_index):
+  def _basis(self, t):
+    """The monomial basis in integer degree t, enumerated once."""
+    basis = self._bases.get(t)
+    if basis is None:
+      basis = self._bases[t] = monomials_of_degree(self.degrees,
+                                                   Fraction(t, self.scale))
+    return basis
+
+  def _degree_rows(self, t, basis_index):
+    """Every nonzero generator times every monomial landing in integer
+    degree t, as dense rows over basis_index (graded presentations only)."""
+    width = len(basis_index)
     rows = []
-    for g, dg in zip(self.generators, self.generator_degrees()):
-      if g.is_zero():
+    for g, tg in zip(self.generators, self._gen_idegs):
+      if not g.terms or tg > t:
         continue
-      rem = Fraction(deg) - dg
-      if rem < 0:
-        continue
-      for m in monomials_of_degree(self.degrees, rem):
-        rows.append(g.mul_monomial(m).vector(basis_index))
+      terms = tuple(g.terms.items())
+      for m in self._basis(t - tg):
+        row = [0] * width
+        for e, c in terms:
+          row[basis_index[tuple(map(add, e, m))]] = c
+        rows.append(row)
     return rows
 
   def reducer(self, deg):
@@ -447,7 +477,9 @@ class RingPresentation:
       self._require_graded()
       basis = self.basis(deg)
       basis_index = {e: k for k, e in enumerate(basis)}
-      rows = self._degree_rows(deg, basis_index)
+      # off the grid of multiples of 1/scale the basis is empty
+      rows = (self._degree_rows(int(deg * self.scale), basis_index)
+              if basis else [])
       if self.domain == "z":
         red = ZReducer(rows, len(basis))
       else:
@@ -458,25 +490,27 @@ class RingPresentation:
   def graded_piece(self, deg):
     deg = Fraction(deg)
     basis, red = self.reducer(deg)
-    if not basis:
-      return GradedPieceReport(deg, 0, (), self.domain)
     if self.domain == "z":
-      grp = AbGroup(len(basis), red.rows)
-      return GradedPieceReport(deg, grp.free_rank, grp.invariant_factors,
-                               self.domain)
+      free_rank, torsion = red.invariants()
+      return GradedPieceReport(deg, free_rank, torsion, self.domain)
     return GradedPieceReport(deg, len(basis) - red.rank, (), self.domain)
 
   def reduce(self, poly):
     """Canonical normal form of a polynomial modulo the (graded) ideal."""
     if poly.nvars != len(self.names):
       raise ValueError("polynomial in wrong ring")
-    out = Poly.zero(poly.nvars)
-    for deg, part in poly.components(self.degrees).items():
-      basis, red = self.reducer(deg)
-      basis_index = {e: k for k, e in enumerate(basis)}
-      vec = red.reduce(part.vector(basis_index))
-      out = out + Poly(poly.nvars, dict(zip(basis, vec)))
-    return out
+    parts = {}
+    ideg = self.ideg
+    for e, c in poly.terms.items():
+      parts.setdefault(sum(map(mul, e, ideg)), {})[e] = c
+    out = {}
+    for t, part in sorted(parts.items()):
+      basis, red = self.reducer(Fraction(t, self.scale))
+      vec = [part.get(e, 0) for e in basis]
+      for e, c in zip(basis, red.reduce(vec)):
+        if c:
+          out[e] = c
+    return Poly._trusted(poly.nvars, out)
 
   def contains(self, poly):
     return self.reduce(poly).is_zero()
@@ -660,9 +694,34 @@ def _first_bare_variable(g):
   return best
 
 
+MAX_TABLE_ROWS = 10 ** 6
+
+
 def hilbert_table(pres, maxdeg):
-  return [pres.graded_piece(d)
-          for d in occurring_degrees(pres.degrees, maxdeg)]
+  """The graded pieces in every occurring degree up to maxdeg.
+
+  Once the piece of every occurring degree in a window [z, z + m) is zero,
+  m the largest variable degree, every higher piece is zero too: dividing a
+  monomial above the window by one variable at a time lands inside it.
+  Those pieces are reported without building their reducers.
+  """
+  maxdeg = Fraction(maxdeg)
+  if floor(maxdeg * pres.scale) + 1 > MAX_TABLE_ROWS:
+    raise ValueError("the degree bound could give more than the limit of "
+                     "%d table rows" % MAX_TABLE_ROWS)
+  window = max(pres.degrees, default=0)
+  table, zero_from = [], None
+  for d in occurring_degrees(pres.degrees, maxdeg):
+    if zero_from is not None and d >= zero_from + window:
+      table.append(GradedPieceReport(d, 0, (), pres.domain))
+      continue
+    piece = pres.graded_piece(d)
+    if piece.free_rank or piece.torsion:
+      zero_from = None
+    elif zero_from is None:
+      zero_from = d
+    table.append(piece)
+  return table
 
 
 def format_coeff(c):

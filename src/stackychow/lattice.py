@@ -272,6 +272,25 @@ class _Echelon:
 class ZReducer(_Echelon):
   """Reduce integer vectors to canonical residues modulo a Z-row span."""
 
+  def invariants(self):
+    """(free rank, invariant factors) of Z^width modulo the row span.
+
+    A pivot 1 eliminates its column.  Each other row is reduced at the
+    later unit-pivot columns (a stored row is reduced only at the pivots
+    inserted before it), which zeroes it on every unit-pivot column; those
+    columns are dropped, and the Smith form runs on what is left.
+    """
+    units = [(j, p) for j, p in self._pivots if p[j] == 1]
+    unit_cols = {j for j, _ in units}
+    keep = [k for k in range(self.width) if k not in unit_cols]
+    rest = []
+    for j, p in self._pivots:
+      if p[j] != 1:
+        r = _residue(p, [(u, q) for u, q in units if u > j], self._step)[0]
+        rest.append([r[k] for k in keep])
+    grp = AbGroup(len(keep), rest)
+    return grp.free_rank, grp.invariant_factors
+
   @staticmethod
   def _clear(p, r, j):
     """p becomes the gcd row of column j, and r is cleared there."""

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -275,6 +276,10 @@ def test_hilbert_table(docs, capsys):
   assert code == 3
   code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg", "-1")
   assert code == 3 and "negative" in err and out == ""
+  start = time.perf_counter()
+  code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg", "1e400")
+  assert code == 3 and "limit of 1000000 table rows" in err and out == ""
+  assert time.perf_counter() - start < 1
   assert run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "0")[
       "pieces"] == [{"degree": "0", "free_rank": 1, "torsion": [],
                      "text": "Z"}]
@@ -309,7 +314,9 @@ def test_hilbert_integral_entries_stay_small(docs, capsys):
 
 # stdout sha256 of CLI runs, keyed by test id: (document, argv).  The
 # simplify digests were recorded before the substitution engine of eliminate
-# was rewritten, the others before star coefficients became exponent vectors.
+# was rewritten, the hilbert one before degrees became integers and Z pieces
+# split off their unit pivots, the others before star coefficients became
+# exponent vectors.
 PINNED = {
     "p654": ("p654", ["inertial", "--product", "v-plus", "--simplify"],
              "ef6a8d18bcb45ef571d7ae44475ef6d93ffdd7c607b8cea688ce3c93c5b1d2eb"),
@@ -333,6 +340,10 @@ PINNED = {
     "torsion4-multiply": ("torsion4", ["multiply", "--product", "v-minus",
                                        "--bundle", "2,1,0,3", "w3", "w4"],
         "8c305ffde7bc8c84414eeb33442dbb529fdd591bdd2e69b5623fd37b69b456cf"),
+    # 768 monomials in degree 7/2, which reads Z/6 + Z/6 + Z/24
+    "p654-hilbert-z": ("p654", ["hilbert", "--product", "orbifold", "--coeff",
+                                "z", "--maxdeg", "7/2"],
+        "900535401df4135cf5e60c2516cf95a1dc7bb0253b6ceac746b6dec320283f6c"),
 }
 
 
@@ -371,6 +382,20 @@ def test_large_bundle_on_monomial_classes(docs, capsys):
                  "--bundle", "1000000,0,0", "w9", "w10")
   assert doc["coefficient"]["terms"] == [
       {"coeff": "1", "powers": [[1, 1000001], [3, 1]]}]
+
+
+def test_hilbert_default_maxdeg_stops_at_zero_window(docs, capsys):
+  # the default maxdeg is 6; every piece above degree 2 is zero
+  start = time.perf_counter()
+  doc = run_json(capsys, "hilbert", docs["p654"], "--product", "orbifold",
+                 "--coeff", "q")
+  assert time.perf_counter() - start < 30
+  assert doc["pieces"][-1]["degree"] == "6"
+  # Borisov-Chen-Smith: the sum over sectors f of n - s(f), n = 3 weights
+  # and s(f) the number of weights w with f*w not an integer
+  assert sum(r["free_rank"] for r in doc["pieces"]) == 15
+  assert all(r["text"] == "0" for r in doc["pieces"]
+             if Fraction(r["degree"]) > 2)
 
 
 def test_hilbert_inertial_rational(docs, capsys):

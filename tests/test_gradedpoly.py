@@ -2,10 +2,13 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackychow import gradedpoly
 from stackychow.gradedpoly import (
     EqualityWitness,
+    GradedPieceReport,
     Poly,
     Powers,
     RingPresentation,
@@ -16,6 +19,7 @@ from stackychow.gradedpoly import (
     monomials_of_degree,
     occurring_degrees,
 )
+from stackychow.lattice import AbGroup, QReducer, ZReducer
 
 
 def P(nvars, terms):
@@ -423,3 +427,79 @@ def test_ideal_equal_unimodular_invariance(seed):
                         p2.tags, "z")
   ok_t, _ = ideal_equal_up_to(t1, t2, 3)
   assert ok == ok_t
+
+
+def _fraction_piece(pres, deg):
+  """The graded piece from Fraction degrees alone: every generator times
+  every monomial of the complementary degree, their echelon rows, and over
+  Z the Smith form of all those rows."""
+  basis = monomials_of_degree(pres.degrees, deg)
+  index = {e: k for k, e in enumerate(basis)}
+  rows = [g.mul_monomial(m).vector(index) for g in pres.generators
+          if not g.is_zero()
+          for m in monomials_of_degree(
+              pres.degrees, deg - g.homogeneous_degree(pres.degrees))]
+  if pres.domain == "q":
+    return GradedPieceReport(deg, len(basis) - QReducer(rows, len(basis)).rank,
+                             (), "q")
+  grp = AbGroup(len(basis), ZReducer(rows, len(basis)).rows)
+  return GradedPieceReport(deg, grp.free_rank, grp.invariant_factors, "z")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from("zq"))
+def test_integer_grading_matches_fraction_reference(seed, nvars, domain):
+  rng = random.Random(seed)
+  degrees = [Fraction(rng.randint(1, 3), rng.randint(1, 3))
+             for _ in range(nvars)]
+  names = ["x%d" % (i + 1) for i in range(nvars)]
+  gens = []
+  for _ in range(rng.randint(0, 3)):
+    ms = monomials_of_degree(degrees, rng.choice(
+        occurring_degrees(degrees, 3)[1:]))
+    coeffs = [-2, -1, 1, 3] + ([Fraction(1, 2)] if domain == "q" else [])
+    gens.append(Poly(nvars, {m: rng.choice(coeffs)
+                             for m in rng.sample(ms, min(len(ms), 3))}))
+  if rng.random() < 0.6:
+    # a power of every variable: the pieces vanish from some degree on
+    for i in range(nvars):
+      exp = [0] * nvars
+      exp[i] = rng.randint(1, 3)
+      gens.append(Poly(nvars, {tuple(exp): rng.choice([1, 2])}))
+  one, x1 = (0,) * nvars, (1,) + (0,) * (nvars - 1)
+  mixed = gens + [Poly.zero(nvars), Poly(nvars, {x1: 1, one: 1})]
+  pres = RingPresentation(names, degrees, mixed, None, domain)
+  assert pres.generator_degrees() == tuple(
+      g.homogeneous_degree(degrees) for g in mixed)
+  assert pres.generator_degrees()[-2:] == (0, None)
+  step = Fraction(1, pres.scale)
+  for deg in (-1, -step, 0, step / 2, Fraction(1, 7), step, 1, Fraction(5, 2),
+              Fraction(5, 2) + step / 3):
+    assert pres.basis(deg) == monomials_of_degree(degrees, deg)
+    assert pres.basis(deg) == monomials_of_degree(degrees, deg)
+  maxdeg = Fraction(rng.randint(0, 8), 2)
+  graded = RingPresentation(names, degrees, gens, None, domain)
+  table = hilbert_table(graded, maxdeg)
+  assert table == [graded.graded_piece(d)
+                   for d in occurring_degrees(degrees, maxdeg)]
+  assert table == [_fraction_piece(graded, d)
+                   for d in occurring_degrees(degrees, maxdeg)]
+
+
+def test_hilbert_table_stops_past_a_zero_window():
+  # Z[x, y] / (x^2, y^2), deg x = 1, deg y = 2: zero from degree 4 on
+  x2, y2 = P(2, {(2, 0): 1}), P(2, {(0, 2): 1})
+  pres = RingPresentation(["x", "y"], [1, 2], [x2, y2], None, "z")
+  table = hilbert_table(pres, 9)
+  assert [p.describe() for p in table] == ["Z", "Z", "Z", "Z"] + ["0"] * 6
+  # the window is [4, 6); no reducer is built above it
+  assert sorted(pres._reducers) == list(range(6))
+
+
+def test_hilbert_table_row_limit(monkeypatch):
+  # degree 5/2 in steps of 1/2 could need 6 rows
+  monkeypatch.setattr(gradedpoly, "MAX_TABLE_ROWS", 6)
+  pres = RingPresentation(["x"], [Fraction(1, 2)], [], None, "q")
+  assert len(hilbert_table(pres, Fraction(5, 2))) == 6
+  with pytest.raises(ValueError, match="limit of 6 table rows"):
+    hilbert_table(pres, 3)

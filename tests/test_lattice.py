@@ -244,15 +244,38 @@ def test_qreducer_rank_is_smith_rank(rows):
   assert all(red.contains(r) for r in rows)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices)
+# rows leading at increasing columns, so each is stored before the pivots
+# of the rows after it and is not reduced there
+echelon_matrices = st.integers(2, 5).flatmap(
+    lambda c: st.lists(
+        st.tuples(st.booleans(), st.sampled_from([1, 2, 4, 6]),
+                  st.lists(st.integers(-3, 3), min_size=c, max_size=c)),
+        min_size=c, max_size=c)).map(
+    lambda specs: [[0] * j + [a] + tail[j + 1:]
+                   for j, (used, a, tail) in enumerate(specs) if used]
+).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_matrices, echelon_matrices))
 def test_zreducer_keeps_the_group(rows):
   width = len(rows[0])
   red = ZReducer(rows, width)
   kept, raw = AbGroup(width, red.rows), AbGroup(width, rows)
   assert (kept.free_rank, kept.invariant_factors) == \
       (raw.free_rank, raw.invariant_factors)
+  assert red.invariants() == (raw.free_rank, raw.invariant_factors)
   assert all(red.contains(r) for r in rows)
+
+
+def test_zreducer_invariants_reduce_at_later_unit_pivots():
+  # the stored row (2, 1, 0) predates the unit pivot of (0, 1, 3); reduced
+  # there it is (2, 0, -3), so the quotient is Z, not Z + Z/2
+  red = ZReducer([[2, 1, 0], [0, 1, 3]], 3)
+  assert red.rows == ((2, 1, 0), (0, 1, 3))
+  assert red.invariants() == (1, ())
+  assert ZReducer([], 2).invariants() == (2, ())
+  assert ZReducer([[1, 4], [0, 6]], 2).invariants() == (0, (6,))
 
 
 @settings(max_examples=60, deadline=None)
