@@ -11,7 +11,6 @@ the linear relations of the rays and the non-face monomials in tilde x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
@@ -22,7 +21,6 @@ from stackychow.lattice import (
     IntMatrix,
     QReducer,
     coker,
-    hom_preimage,
     smith_normal_form,
     solve_integer,
 )
@@ -88,15 +86,13 @@ class CharacterData:
 
   def _associated_matrix(self):
     n = self.fan.n
-    free = AbGroup(n)
-    ident = IntMatrix.identity(n)
     lam = _independent_rows(self.x_rig.relations.entries)
-    cols = []
-    for i in range(n):
-      target = self.psi(self.iota_star(self.x[i]))
-      pre = hom_preimage(ident, free, self.x_rig, target)
-      assert pre is not None  # x_k generate, so a preimage always exists
-      cols.append(_babai_reduce(pre.coords, lam))
+    # column i is any preimage in Z^n of psi(iota_star(x_i)), reduced modulo
+    # the relation lattice; lam is a basis of that lattice, so the reduced
+    # column is the one representative in the half-open nearest-plane box,
+    # whichever preimage it starts from
+    cols = [_babai_reduce(self.psi(self.iota_star(self.x[i])).rep(), lam)
+            for i in range(n)]
     f0 = IntMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
     if not lam or f0.det() != 0:
       return f0

@@ -24,8 +24,11 @@ from stackychow.stackyfan import StackyFan
 
 SCHEMA = "stacky-chow/1"
 
-PRODUCT_NAMES = ("orbifold", "virtual", "v-plus", "v-minus", "plus-inf",
-                 "minus-inf")
+# CLI product name -> ProductKind, or for the twisted kinds its maker
+_KINDS = {"orbifold": ORBIFOLD, "virtual": VIRTUAL,
+          "v-plus": ProductKind.v_plus, "v-minus": ProductKind.v_minus,
+          "plus-inf": PLUS_INFINITY, "minus-inf": MINUS_INFINITY}
+PRODUCT_NAMES = tuple(_KINDS)
 
 _FAN_KEYS = {"schema", "rank", "torsion", "b", "max_cones", "bundle", "labels"}
 
@@ -167,6 +170,10 @@ def load_fan_document(path):
   except json.JSONDecodeError as e:
     raise _schema_error("%s: line %d column %d: %s"
                         % (path, e.lineno, e.colno, e.msg))
+  except (RecursionError, ValueError) as e:
+    # nesting deeper than the interpreter's stack, or an integer literal
+    # longer than its digit limit
+    raise _schema_error("%s: %s" % (path, e))
   return parse_fan_document(doc)
 
 
@@ -309,36 +316,27 @@ def _fan_metadata(fan, names, product=None, bundle=None):
   }
 
 
-def _product_kind(args, doc_bundle):
-  name = getattr(args, "product", None) or "orbifold"
-  if name == "orbifold":
-    return ORBIFOLD
-  if name == "virtual":
-    return VIRTUAL
-  if name == "plus-inf":
-    return PLUS_INFINITY
-  if name == "minus-inf":
-    return MINUS_INFINITY
-  bundle = doc_bundle
-  if getattr(args, "bundle", None):
-    try:
-      bundle = Bundle([int(c) for c in args.bundle.split(",")])
-    except ValueError as e:
-      raise CliError(3, "--bundle: %s" % e)
-  if bundle is None:
-    raise CliError(3, "product %s requires a bundle: pass --bundle or add a "
-                      "bundle field to the document" % name)
-  maker = ProductKind.v_plus if name == "v-plus" else ProductKind.v_minus
-  return maker(bundle)
-
-
-def _domain_for(args, kind):
-  coeff = getattr(args, "coeff", None)
-  if coeff is None:
-    return kind.default_domain
-  if coeff == "z" and kind.is_asymptotic:
+def _product(args, doc_bundle):
+  """(ProductKind, coefficient domain) of a --product/--bundle/--coeff
+  request; the twisted kinds take --bundle, else the document's bundle."""
+  name = args.product or "orbifold"
+  kind = _KINDS[name]
+  if name in ("v-plus", "v-minus"):
+    bundle = doc_bundle
+    if args.bundle:
+      try:
+        bundle = Bundle([int(c) for c in args.bundle.split(",")])
+      except ValueError as e:
+        raise CliError(3, "--bundle: %s" % e)
+    if bundle is None:
+      raise CliError(3, "product %s requires a bundle: pass --bundle or add "
+                        "a bundle field to the document" % name)
+    kind = kind(bundle)
+  if args.coeff is None:
+    return kind, kind.default_domain
+  if args.coeff == "z" and kind.is_asymptotic:
     raise CliError(3, "asymptotic products require rational coefficients")
-  return coeff
+  return kind, args.coeff
 
 
 def _with_domain(pres, domain):
@@ -348,7 +346,7 @@ def _with_domain(pres, domain):
                           pres.tags, domain)
 
 
-def _resolve_sector(fan, names, token):
+def _resolve_sector(names, token):
   """A sector argument is a document label, w<k>, or a bare box index."""
   if token in names:
     return names.index(token) + 1
@@ -384,7 +382,7 @@ def _presentation_text(pres):
   return "\n".join(lines)
 
 
-def _finish_presentation(args, fan, pres, metadata):
+def _finish_presentation(args, pres, metadata):
   if args.simplify:
     elim = eliminate(pres)
     pres = elim.presentation
@@ -397,9 +395,13 @@ def _finish_presentation(args, fan, pres, metadata):
 
 
 # -- commands --------------------------------------------------------------------
+#
+# Each command runs as run(args, fan, doc_bundle, labels) on the loaded
+# document; main has already checked the fan's hypotheses, except for
+# validate.  `labels` is the document's map, which a command resolves into
+# sector names only where it prints them.
 
-def cmd_validate(args):
-  fan, bundle, labels = load_fan_document(args.file)
+def cmd_validate(args, fan, doc_bundle, labels):
   errors = list(fan.validate())
   doc = {"schema": SCHEMA, "valid": not errors, "errors": errors}
   text = "valid stacky fan" if not errors else "\n".join(errors)
@@ -407,11 +409,8 @@ def cmd_validate(args):
   return 0 if not errors else 2
 
 
-def cmd_box(args):
-  fan, bundle, labels = load_fan_document(args.file)
-  _require_valid(fan)
-  names = _sector_names(fan, labels)
-  rows = _box_rows(fan, names)
+def cmd_box(args, fan, doc_bundle, labels):
+  rows = _box_rows(fan, _sector_names(fan, labels))
   lines = []
   for row in rows:
     lines.append("%s: v=(%s) q=(%s) age=%s gamma=(%s) s=(%s) cone={%s}" % (
@@ -421,42 +420,28 @@ def cmd_box(args):
   return _emit(args, {"schema": SCHEMA, "box": rows}, "\n".join(lines))
 
 
-def cmd_chow(args):
-  fan, bundle, labels = load_fan_document(args.file)
-  _require_valid(fan)
-  pres = _with_domain(sr_ring(fan), getattr(args, "coeff", None))
+def cmd_chow(args, fan, doc_bundle, labels):
+  pres = _with_domain(sr_ring(fan), args.coeff)
   names = _sector_names(fan, labels)
-  return _finish_presentation(args, fan, pres, _fan_metadata(fan, names))
+  return _finish_presentation(args, pres, _fan_metadata(fan, names))
 
 
-def cmd_inertial(args):
-  fan, doc_bundle, labels = load_fan_document(args.file)
-  _require_valid(fan)
-  kind = _product_kind(args, doc_bundle)
-  domain = _domain_for(args, kind)
+def cmd_inertial(args, fan, doc_bundle, labels):
+  kind, domain = _product(args, doc_bundle)
   names = _sector_names(fan, labels)
-  try:
-    pres = inertial_presentation(fan, kind, labels=names, domain=domain)
-  except ValueError as e:
-    raise CliError(3, str(e))
+  pres = inertial_presentation(fan, kind, labels=names, domain=domain)
   metadata = _fan_metadata(fan, names, product=args.product or "orbifold",
                            bundle=kind.bundle)
-  return _finish_presentation(args, fan, pres, metadata)
+  return _finish_presentation(args, pres, metadata)
 
 
-def cmd_multiply(args):
-  fan, doc_bundle, labels = load_fan_document(args.file)
-  _require_valid(fan)
-  kind = _product_kind(args, doc_bundle)
-  _domain_for(args, kind)
+def cmd_multiply(args, fan, doc_bundle, labels):
+  kind, _ = _product(args, doc_bundle)
   names = _sector_names(fan, labels)
   els = fan.box()
-  i = _resolve_sector(fan, names, args.left)
-  j = _resolve_sector(fan, names, args.right)
-  try:
-    target, coeff = star_product(fan, kind, els[i], els[j])
-  except ValueError as e:
-    raise CliError(3, str(e))
+  i = _resolve_sector(names, args.left)
+  j = _resolve_sector(names, args.right)
+  target, coeff = star_product(fan, kind, els[i], els[j])
   xnames = ["x%d" % (t + 1) for t in range(fan.n)]
   coeff_text = format_poly(coeff, xnames)
   if target is None:
@@ -481,16 +466,10 @@ def cmd_multiply(args):
   return _emit(args, doc, text)
 
 
-def cmd_check_assoc(args):
-  fan, doc_bundle, labels = load_fan_document(args.file)
-  _require_valid(fan)
-  kind = _product_kind(args, doc_bundle)
-  domain = _domain_for(args, kind)
+def cmd_check_assoc(args, fan, doc_bundle, labels):
+  kind, domain = _product(args, doc_bundle)
   names = _sector_names(fan, labels)
-  try:
-    witnesses = associativity_witnesses(fan, kind, domain=domain)
-  except ValueError as e:
-    raise CliError(3, str(e))
+  witnesses = associativity_witnesses(fan, kind, domain=domain)
   rows = [[names[i - 1] if i else "1", names[j - 1] if j else "1",
            names[l - 1] if l else "1"] for i, j, l in witnesses]
   doc = {
@@ -504,19 +483,13 @@ def cmd_check_assoc(args):
   return _emit(args, doc, text)
 
 
-def cmd_hilbert(args):
-  fan, doc_bundle, labels = load_fan_document(args.file)
-  _require_valid(fan)
+def cmd_hilbert(args, fan, doc_bundle, labels):
   if args.product:
-    kind = _product_kind(args, doc_bundle)
-    domain = _domain_for(args, kind)
-    names = _sector_names(fan, labels)
-    try:
-      pres = inertial_presentation(fan, kind, labels=names, domain=domain)
-    except ValueError as e:
-      raise CliError(3, str(e))
+    kind, domain = _product(args, doc_bundle)
+    pres = inertial_presentation(fan, kind, labels=_sector_names(fan, labels),
+                                 domain=domain)
   else:
-    pres = _with_domain(sr_ring(fan), getattr(args, "coeff", None))
+    pres = _with_domain(sr_ring(fan), args.coeff)
   maxdeg = Fraction(2 * fan.d + 2)
   if args.maxdeg is not None:
     try:
@@ -525,13 +498,9 @@ def cmd_hilbert(args):
       raise CliError(3, "--maxdeg: %r is not a rational" % args.maxdeg)
     if maxdeg < 0:
       raise CliError(3, "--maxdeg: %r is negative" % args.maxdeg)
-  try:
-    table = hilbert_table(pres, maxdeg)
-  except ValueError as e:
-    raise CliError(3, str(e))
   rows = [{"degree": str(r.degree), "free_rank": r.free_rank,
            "torsion": [str(m) for m in r.torsion], "text": r.describe()}
-          for r in table]
+          for r in hilbert_table(pres, maxdeg)]
   text = "\n".join("deg %s: %s" % (r["degree"], r["text"]) for r in rows)
   return _emit(args, {"schema": SCHEMA, "pieces": rows}, text)
 
@@ -569,19 +538,34 @@ def build_parser():
   return parser
 
 
+# built by the first job of a process; parse_args keeps no state between jobs
+_parser = None
+
+
 def main(argv=None):
-  parser = build_parser()
+  """Run one job: parse argv, load the fan document, check the fan (except
+  for validate), run the command.  A ValueError the library raises on a
+  well-formed fan is a semantically invalid request, so it exits 3."""
+  global _parser
+  if _parser is None:
+    _parser = build_parser()
   try:
-    args = parser.parse_args(argv)
+    args = _parser.parse_args(argv)
   except SystemExit as e:
     # argparse exits 2 on usage errors; that code is reserved for fans
     # failing their hypotheses, so report usage problems as misuse
     return 0 if not e.code else 3
   try:
-    return args.run(args)
+    fan, doc_bundle, labels = load_fan_document(args.file)
+    if args.command != "validate":
+      _require_valid(fan)
+    return args.run(args, fan, doc_bundle, labels)
   except CliError as e:
     sys.stderr.write("stacky-chow: %s\n" % e)
     return e.code
+  except ValueError as e:
+    sys.stderr.write("stacky-chow: %s\n" % e)
+    return 3
 
 
 if __name__ == "__main__":

@@ -474,36 +474,32 @@ class StarCalculator:
     return self.cd.tilde_monomial(exps)
 
   def _sector_elim(self, i):
+    """Sector i's x-ring after eliminate, with the images of x1..xn in it."""
     if i not in self._sector:
       fan = self.fan
+      names = ["x%d" % (t + 1) for t in range(fan.n)]
       lin = linear_ideal(fan)
       sr = sr_ideal(fan, self.cd)
       sec = sector_ideal(fan, self.els[i])
-      pres = RingPresentation(
-          ["x%d" % (t + 1) for t in range(fan.n)],
-          [Fraction(1)] * fan.n,
-          lin + sr + sec,
+      elim = eliminate(RingPresentation(
+          names, [Fraction(1)] * fan.n, lin + sr + sec,
           ("linear",) * len(lin) + ("stanley_reisner",) * len(sr)
           + ("sector",) * len(sec),
-          self.domain)
-      self._sector[i] = eliminate(pres)
+          self.domain))
+      pres = elim.presentation
+      nn = len(pres.names)
+      images = [elim.substitutions[name] if name in elim.substitutions
+                else Poly.variable(nn, pres.names.index(name))
+                for name in names]
+      self._sector[i] = (pres, images)
     return self._sector[i]
 
   def reduces_to_zero(self, i, coeff):
     """Does the x-coefficient die in sector i's quotient ring?"""
     if coeff.is_zero():
       return True
-    elim = self._sector_elim(i)
-    pres = elim.presentation
-    nn = len(pres.names)
-    images = []
-    for t in range(self.fan.n):
-      name = "x%d" % (t + 1)
-      if name in elim.substitutions:
-        images.append(elim.substitutions[name])
-      else:
-        images.append(Poly.variable(nn, pres.names.index(name)))
-    return pres.contains(coeff.map_vars(nn, images))
+    pres, images = self._sector_elim(i)
+    return pres.contains(coeff.map_vars(len(pres.names), images))
 
   def triple(self, i, j, l, left):
     """Target and exponent vector (None when zero) of one bracketing of a

@@ -63,11 +63,6 @@ class IntMatrix:
       raise ValueError("shape mismatch")
     return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-  def hstack(self, other):
-    if self.rows != other.rows:
-      raise ValueError("shape mismatch")
-    return IntMatrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
-
   def det(self):
     """Determinant by fraction-free Bareiss elimination."""
     if self.rows != self.cols:
@@ -112,7 +107,6 @@ class SnfDecomposition:
   d: IntMatrix
   v: IntMatrix
   u_inv: IntMatrix
-  v_inv: IntMatrix
 
   @property
   def diagonal(self):
@@ -139,7 +133,6 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
   u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
   ui = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
   v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-  vi = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
   def row_swap(i, j):
     a[i], a[j] = a[j], a[i]
@@ -165,15 +158,13 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
       r[i], r[j] = r[j], r[i]
     for r in v:
       r[i], r[j] = r[j], r[i]
-    vi[i], vi[j] = vi[j], vi[i]
 
   def col_addmul(j, i, c):
-    # col_j += c*col_i; inverse: row_i -= c*row_j
+    # col_j += c*col_i
     for r in a:
       r[j] += c * r[i]
     for r in v:
       r[j] += c * r[i]
-    vi[i] = [x - c * y for x, y in zip(vi[i], vi[j])]
 
   def pivot_search(t):
     best = None
@@ -241,7 +232,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
       row_neg(i)
 
   return SnfDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v),
-                          IntMatrix(ui), IntMatrix(vi))
+                          IntMatrix(ui))
 
 
 class _Echelon:
@@ -672,27 +663,6 @@ class AbElement:
 def coker(m: IntMatrix) -> AbGroup:
   """Z^cols modulo the row span of m."""
   return AbGroup(m.cols, m)
-
-
-def hom_preimage(f: IntMatrix, g_src: AbGroup, g_dst: AbGroup, y: AbElement):
-  """Some x in g_src with f(x) = y in g_dst, or None.
-
-  f maps generator coordinates of g_src to generator coordinates of g_dst
-  (columns are images of source generators).
-  """
-  if f.rows != g_dst.ngens or f.cols != g_src.ngens:
-    raise ValueError("shape mismatch")
-  if y.group != g_dst:
-    raise ValueError("target element in wrong group")
-  target = list(y.rep())
-  if g_dst.relations.rows:
-    combined = f.hstack(g_dst.relations.transpose())
-  else:
-    combined = f
-  sol = solve_integer(combined, target)
-  if sol is None:
-    return None
-  return g_src.element(sol[:g_src.ngens])
 
 
 def frac(x) -> Fraction:

@@ -332,7 +332,7 @@ class StackyFan:
       identity = [e for e in els if e.is_identity]
       rest = [e for e in els if not e.is_identity]
       self._box = tuple(identity + rest)
-      self._box_by_v = {e.v: e for e in self._box}
+      self._box_by_v = {e.v: k for k, e in enumerate(self._box)}
     return self._box
 
   def box_lookup(self, v):
@@ -340,10 +340,12 @@ class StackyFan:
     v = self.norm_element(v)
     if v not in self._box_by_v:
       raise ValueError("%r is not a box element" % (v,))
-    return self._box_by_v[v]
+    return self._box[self._box_by_v[v]]
 
   def box_index(self, el):
-    return self.box().index(el)
+    """Position of a box element in box order."""
+    self.box()
+    return self._box_by_v[el.v]
 
   def box_add(self, v1: BoxElement, v2: BoxElement):
     """Box addition: the group law of N(sigma) on box representatives."""

@@ -1,19 +1,23 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from stackychow import charring
+from stackychow import charring, cli
 from stackychow.charring import sr_ring
-from stackychow.cli import (main, parse_fan_document,
+from stackychow.cli import (CliError, PRODUCT_NAMES, main, parse_fan_document,
                             parse_presentation_document, print_fan_document,
                             print_presentation_document)
 from stackychow.gradedpoly import monomials_of_degree
 from stackychow.inertial import Bundle
 from stackychow.lattice import AbGroup
 from stackychow.stackyfan import weighted_projective_fan
+from tests.conftest import valid_fans
 
 P64_DOC = {
     "schema": "stacky-chow/1",
@@ -115,6 +119,11 @@ def schema_case(tmp_path, capsys, doc, needle, raw=None):
 
 def test_schema_errors(tmp_path, capsys):
   schema_case(tmp_path, capsys, None, "line 1", raw="{not json")
+  schema_case(tmp_path, capsys, None, "recursion",
+              raw="[" * 100000 + "]" * 100000)
+  schema_case(tmp_path, capsys, None, "5000 digits",
+              raw=json.dumps({**P64_DOC, "rank": 0}).replace(
+                  '"rank": 0', '"rank": ' + "1" * 5000))
   schema_case(tmp_path, capsys, {**P64_DOC, "schema": "v2"}, "field schema")
   schema_case(tmp_path, capsys, {**P64_DOC, "extra": 1}, "unknown field extra")
   schema_case(tmp_path, capsys, {**P64_DOC, "b": [[2, 1], [-3]]}, "b[1]")
@@ -405,3 +414,146 @@ def test_hilbert_inertial_rational(docs, capsys):
   assert all(r["torsion"] == [] for r in doc["pieces"])
   assert total == 15
   assert doc["pieces"][0]["text"] == "Q"
+
+
+def test_library_value_error_exits_3(docs, capsys, monkeypatch):
+  def refuse(fan):
+    raise ValueError("refused by the library")
+  monkeypatch.setattr(cli, "sr_ring", refuse)
+  assert run(capsys, "chow", docs["p64"]) == (
+      3, "", "stacky-chow: refused by the library\n")
+
+
+def test_out_of_range_label_refused_only_where_sectors_are_named(tmp_path,
+                                                                 capsys):
+  p = tmp_path / "labels.json"
+  p.write_text(json.dumps({**P64_DOC, "labels": {"99": "far"}}))
+  assert run(capsys, "validate", str(p))[0] == 0
+  assert run(capsys, "hilbert", str(p), "--maxdeg", "1")[0] == 0
+  code, out, err = run(capsys, "box", str(p))
+  assert (code, out) == (3, "") and "label index 99 out of range" in err
+
+
+def test_parser_is_built_once(docs, capsys, monkeypatch):
+  monkeypatch.setattr(cli, "_parser", None)
+  builds = []
+  build = cli.build_parser
+  monkeypatch.setattr(cli, "build_parser",
+                      lambda: builds.append(1) or build())
+  for argv in (["validate", docs["p64"]], ["box", docs["p64"]], ["--help"],
+               ["box", docs["p64"], "--product", "bogus"]):
+    run(capsys, *argv)
+  assert builds == [1]
+
+
+# -- fuzz: small fan documents and malformed variants of them ---------------------
+
+@st.composite
+def raw_fan_documents(draw):
+  """Rank at most 3, free entries in [-3, 3], at most rank + 3 rays, torsion
+  orders up to 4; the maximal cones are arbitrary ray sets, so most of these
+  fail the stacky-fan hypotheses."""
+  d = draw(st.integers(0, 3))
+  torsion = draw(st.sampled_from([[], [], [2], [3], [4], [2, 2]]))
+  n = draw(st.integers(1, d + 3))
+  b = [[draw(st.integers(-3, 3)) for _ in range(d)]
+       + [draw(st.integers(0, m - 1)) for m in torsion] for _ in range(n)]
+  cones = draw(st.lists(st.lists(st.integers(1, n), min_size=1,
+                                 max_size=max(d, 1), unique=True),
+                        min_size=1, max_size=4))
+  return {"schema": "stacky-chow/1", "rank": d, "torsion": torsion, "b": b,
+          "max_cones": cones}
+
+
+fan_documents = st.one_of(
+    raw_fan_documents(),
+    valid_fans(max_box=16).map(lambda fan: print_fan_document(fan)))
+
+_BAD_VALUES = st.sampled_from(["x", "", True, None, [], {}, -1, 7, 1.5, [[]],
+                               ["1", "y"], {"1": "a"}, "1" * 5000])
+
+
+@st.composite
+def fan_texts(draw):
+  """The JSON text of a fan document, with optional bundle and labels, and
+  with one defect in about half of the draws."""
+  doc = draw(fan_documents)
+  n = len(doc["b"])
+  if draw(st.booleans()):
+    doc["bundle"] = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+  if draw(st.integers(0, 3)) == 0:
+    doc["labels"] = {str(k): "s%d" % k for k in draw(
+        st.sets(st.integers(1, 20), max_size=3))}
+  defect = draw(st.sampled_from(
+      ["none"] * 6 + ["drop", "field", "unknown", "entry", "cone", "labels",
+                      "bundle", "truncate"]))
+  if defect == "drop":
+    del doc[draw(st.sampled_from(["schema", "rank", "torsion", "b",
+                                  "max_cones"]))]
+  elif defect == "field":
+    doc[draw(st.sampled_from(sorted(doc)))] = draw(_BAD_VALUES)
+  elif defect == "unknown":
+    doc["extra"] = 1
+  elif defect == "entry":
+    row = draw(st.sampled_from(doc["b"]))
+    if row and draw(st.booleans()):
+      row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_VALUES)
+    else:
+      row.append(0)
+  elif defect == "cone":
+    doc["max_cones"][0].append(draw(st.sampled_from([0, n + 1, "1", None])))
+  elif defect == "labels":
+    doc["labels"] = draw(st.sampled_from([{"0": "a"}, {"1": ""}, {"x": "a"},
+                                          {"1": "a", "2": "a"}, ["a"]]))
+  elif defect == "bundle":
+    doc["bundle"] = draw(st.sampled_from([[1] * (n + 1), [-1] * n,
+                                          ["a"] * n, 3]))
+  text = json.dumps(doc)
+  if defect == "truncate":
+    text = text[:draw(st.integers(0, len(text) - 1))]
+  return text
+
+
+_FUZZ_COMMANDS = (["validate"], ["box"], ["chow", "--simplify"], ["inertial"],
+                  ["multiply"], ["check-assoc"], ["hilbert", "--maxdeg", "2"])
+_SECTORS = st.sampled_from(["0", "1", "3", "w1", "w2", "s1", "x"])
+
+
+def _box_size(text):
+  try:
+    fan = parse_fan_document(json.loads(text))[0]
+  except (CliError, ValueError):
+    return 0
+  return 0 if fan.validate() else len(fan.box())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=fan_texts(), command=st.sampled_from(_FUZZ_COMMANDS),
+       data=st.data())
+def test_cli_fuzz_exit_codes(tmp_path_factory, text, command, data):
+  argv = list(command)
+  if argv[0] == "multiply":
+    argv += [data.draw(_SECTORS), data.draw(_SECTORS)]
+  product = data.draw(st.sampled_from((None,) + PRODUCT_NAMES))
+  if product:
+    argv += ["--product", product]
+  if data.draw(st.integers(0, 3)) == 0:
+    argv += ["--bundle", data.draw(st.sampled_from(["1,2,3", "0,1", "2,-1",
+                                                    "a", "1,1,1,1"]))]
+  coeff = data.draw(st.sampled_from([None, "z", "q"]))
+  if coeff:
+    argv += ["--coeff", coeff]
+  if argv[0] in ("inertial", "check-assoc") or "--product" in argv[1:]:
+    # the sector sweeps are quadratic and cubic in the box: keep runs short
+    assume(_box_size(text) <= 16)
+  path = tmp_path_factory.getbasetemp() / "fuzz.json"
+  path.write_text(text)
+  out, err = io.StringIO(), io.StringIO()
+  with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main([argv[0], str(path)] + argv[1:])
+  out, err = out.getvalue(), err.getvalue()
+  assert code in (0, 1, 2, 3), (argv, text, err)
+  if code == 0:
+    assert json.loads(out)["schema"] == "stacky-chow/1"
+  elif not (argv[0] == "validate" and code == 2):
+    assert out == "" and err.startswith("stacky-chow: "), (argv, text, err)
