@@ -455,6 +455,7 @@ class StarCalculator:
     self.els = fan.box()
     self._table = {}
     self._sector = {}
+    self._verdicts = {}
 
   def star(self, i, j):
     """(target sector index or None, exponent vector or None for a zero
@@ -513,28 +514,61 @@ class StarCalculator:
     return t2, tuple(map(add, e1, e2))
 
   def associates(self, i, j, l):
-    """Do the two bracketings of sectors (i, j, l) agree in the quotient?"""
+    """Do the two bracketings of sectors (i, j, l) agree in the quotient?
+    The verdict depends only on the two (target, exponent vector) pairs, so
+    each distinct comparison is reduced once."""
     lt, le = self.triple(i, j, l, True)
     rt, re = self.triple(i, j, l, False)
     if le == re:
       return True
-    if le is None:
-      return self.reduces_to_zero(rt, self.coefficient(re))
-    if re is None:
-      return self.reduces_to_zero(lt, self.coefficient(le))
-    assert lt == rt
-    return self.reduces_to_zero(
-        lt, self.coefficient(le) - self.coefficient(re))
+    key = (lt, le, rt, re)
+    verdict = self._verdicts.get(key)
+    if verdict is None:
+      if le is None:
+        verdict = self.reduces_to_zero(rt, self.coefficient(re))
+      elif re is None:
+        verdict = self.reduces_to_zero(lt, self.coefficient(le))
+      else:
+        assert lt == rt
+        verdict = self.reduces_to_zero(
+            lt, self.coefficient(le) - self.coefficient(re))
+      self._verdicts[key] = verdict
+    return verdict
 
 
 def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
-  """Sector triples whose two bracketings disagree after sector reduction;
-  an empty list means the product is associative on every triple."""
+  """Sector triples whose two bracketings disagree after sector reduction,
+  sorted; an empty list means the product is associative on every triple.
+
+  The star table is keyed on unordered pairs, so the bracketings of
+  (l, j, i) are those of (i, j, l) swapped: only l >= i is checked, and a
+  failure lists both triples.  A triple whose two exponent sums agree needs
+  no reduction; every other one goes through associates."""
   calc = StarCalculator(fan, kind, domain)
   k = len(calc.els)
-  return [(i, j, l)
-          for i in range(k) for j in range(k) for l in range(k)
-          if not calc.associates(i, j, l)]
+  rows = [[calc.star(i, j) for j in range(k)] for i in range(k)]
+  out = set()
+  for i in range(k):
+    row_i = rows[i]
+    for j in range(k):
+      t1, e1 = row_i[j]
+      row_ij = None if e1 is None else rows[t1]
+      row_j = rows[j]
+      for l in range(i, k):
+        le = None
+        if row_ij is not None:
+          e2 = row_ij[l][1]
+          if e2 is not None:
+            le = tuple(map(add, e1, e2))
+        t3, e3 = row_j[l]
+        re = None
+        if e3 is not None:
+          e4 = row_i[t3][1]
+          if e4 is not None:
+            re = tuple(map(add, e3, e4))
+        if le != re and not calc.associates(i, j, l):
+          out.update(((i, j, l), (l, j, i)))
+  return sorted(out)
 
 
 def asymptotic_stabilization_witnesses(fan: StackyFan, scale, plus=True):

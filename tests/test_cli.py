@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stackychow import charring, cli
+from stackychow import charring, cli, inertial
 from stackychow.charring import sr_ring
 from stackychow.cli import (CliError, PRODUCT_NAMES, main, parse_fan_document,
                             parse_presentation_document, print_fan_document,
@@ -278,6 +278,24 @@ def test_check_assoc(docs, capsys):
     assert doc["associative"] is True and doc["witnesses"] == []
 
 
+def test_check_assoc_reports_first_witness(docs, capsys, monkeypatch):
+  # one more power of the first ray on one sector pair breaks associativity
+  real = inertial.star_exponents
+
+  def star_exponents(fan, kind, v1, v2):
+    target, exps = real(fan, kind, v1, v2)
+    if exps is not None and (fan.box_index(v1), fan.box_index(v2)) == (1, 2):
+      exps = (exps[0] + 1,) + exps[1:]
+    return target, exps
+  monkeypatch.setattr(inertial, "star_exponents", star_exponents)
+  doc = run_json(capsys, "check-assoc", docs["p654"])
+  assert doc["associative"] is False and doc["witnesses"]
+  code, out, err = run(capsys, "check-assoc", docs["p654"], "--format", "text")
+  assert code == 0 and err == ""
+  assert out == "NOT associative: first witness (%s)\n" % ", ".join(
+      doc["witnesses"][0])
+
+
 def test_hilbert_table(docs, capsys):
   doc = run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "3")
   assert [r["text"] for r in doc["pieces"]] == ["Z", "Z", "Z/24", "Z/24"]
@@ -467,7 +485,7 @@ def raw_fan_documents(draw):
 
 fan_documents = st.one_of(
     raw_fan_documents(),
-    valid_fans(max_box=16).map(lambda fan: print_fan_document(fan)))
+    valid_fans(max_box=30).map(lambda fan: print_fan_document(fan)))
 
 _BAD_VALUES = st.sampled_from(["x", "", True, None, [], {}, -1, 7, 1.5, [[]],
                                ["1", "y"], {"1": "a"}, "1" * 5000])
@@ -544,8 +562,8 @@ def test_cli_fuzz_exit_codes(tmp_path_factory, text, command, data):
   if coeff:
     argv += ["--coeff", coeff]
   if argv[0] in ("inertial", "check-assoc") or "--product" in argv[1:]:
-    # the sector sweeps are quadratic and cubic in the box: keep runs short
-    assume(_box_size(text) <= 16)
+    # the sector sweeps grow with the box: keep runs short
+    assume(_box_size(text) <= (30 if argv[0] == "check-assoc" else 16))
   path = tmp_path_factory.getbasetemp() / "fuzz.json"
   path.write_text(text)
   out, err = io.StringIO(), io.StringIO()

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackychow import inertial
 from stackychow.charring import character_data
 from stackychow.gradedpoly import Poly
 from stackychow.inertial import (
@@ -611,6 +613,80 @@ def test_associativity_random_fans(fan, data):
   else:
     kind = ProductKind(name)
   assert associativity_witnesses(fan, kind) == []
+
+
+def _perturbed(pair, ray):
+  """Patch star_exponents so that the coefficient of one sector pair (box
+  indices, smaller first) carries one more power of one ray's class; the
+  product is then no longer associative."""
+  real = inertial.star_exponents
+
+  def star_exponents(fan, kind, v1, v2):
+    target, exps = real(fan, kind, v1, v2)
+    if exps is not None and (fan.box_index(v1), fan.box_index(v2)) == pair:
+      exps = tuple(e + (r == ray) for r, e in enumerate(exps))
+    return target, exps
+  return mock.patch.object(inertial, "star_exponents", star_exponents)
+
+
+def _brute_force_witnesses(fan, kind):
+  calc = StarCalculator(fan, kind)
+  k = len(calc.els)
+  return [(i, j, l) for i in range(k) for j in range(k) for l in range(k)
+          if not calc.associates(i, j, l)]
+
+
+def _all_kinds(n):
+  return [ORBIFOLD, VIRTUAL, PLUS_INFINITY, MINUS_INFINITY,
+          ProductKind.v_plus(Bundle([1] * n)),
+          ProductKind.v_minus(Bundle([2] * n))]
+
+
+def test_witnesses_of_a_perturbed_product(p654, p64):
+  total = 0
+  for fan in (p654, p64, weighted_projective_fan((2, 3, 5, 7))):
+    for kind in _all_kinds(fan.n):
+      for pair in ((1, 2), (0, 1)):
+        with _perturbed(pair, 0):
+          witnesses = associativity_witnesses(fan, kind)
+          assert witnesses == _brute_force_witnesses(fan, kind)
+        total += len(witnesses)
+  assert total > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(fan=valid_fans(max_box=12), data=st.data())
+def test_witnesses_of_a_perturbed_product_random_fans(fan, data):
+  k = len(fan.box())
+  i = data.draw(st.integers(0, k - 1))
+  pair = (i, data.draw(st.integers(i, k - 1)))
+  ray = data.draw(st.integers(0, fan.n - 1))
+  kind = data.draw(st.sampled_from(_all_kinds(fan.n)))
+  with _perturbed(pair, ray):
+    assert (associativity_witnesses(fan, kind)
+            == _brute_force_witnesses(fan, kind))
+
+
+def test_each_distinct_comparison_is_reduced_once(monkeypatch):
+  fan = weighted_projective_fan((13, 17, 19))
+  calc = StarCalculator(fan, ORBIFOLD)
+  k = len(calc.els)
+  # the sweep checks l >= i; (l, j, i) is the same comparison, swapped
+  keys = set()
+  for i in range(k):
+    for j in range(k):
+      for l in range(i, k):
+        lt, le = calc.triple(i, j, l, True)
+        rt, re = calc.triple(i, j, l, False)
+        if le != re:
+          keys.add((lt, le, rt, re))
+  calls = []
+  reduce = StarCalculator.reduces_to_zero
+  monkeypatch.setattr(StarCalculator, "reduces_to_zero",
+                      lambda self, i, coeff: calls.append(i)
+                      or reduce(self, i, coeff))
+  assert associativity_witnesses(fan, ORBIFOLD) == []
+  assert len(calls) == len(keys)
 
 
 @settings(max_examples=10, deadline=None)
