@@ -159,17 +159,25 @@ class CharacterData:
   def tilde_monomial(self, exps):
     """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
     cached per (i, exps[i]).  Raises ValueError, before expanding anything,
-    when the product could have more than MAX_EXPANSION_TERMS terms."""
+    when the product could have more than MAX_EXPANSION_TERMS terms or its
+    expansion could take more coefficient products than that: the sum, over
+    the factors, of the term bounds of the partial product and the factor."""
     n = self.fan.n
-    bound = min(
-        prod(comb(e + t - 1, t - 1)
-             for e, t in zip(exps, self._term_counts) if e),
-        comb(sum(exps) + n - 1, n - 1))
-    if bound > MAX_EXPANSION_TERMS:
+    factors = [(e, comb(e + t - 1, t - 1))
+               for e, t in zip(exps, self._term_counts) if e]
+    bound = min(prod(f for _, f in factors), comb(sum(exps) + n - 1, n - 1))
+    partial, degree, work = 1, 0, 0
+    for e, f in factors:
+      work += partial * f
+      degree += e
+      partial = min(partial * f, comb(degree + n - 1, n - 1))
+    if max(bound, work) > MAX_EXPANSION_TERMS:
       text = "*".join("tilde_x%d^%d" % (i + 1, e)
                       for i, e in enumerate(exps) if e)
-      raise ValueError("coefficient %s may expand to %d terms, more than the "
-                       "limit of %d" % (text, bound, MAX_EXPANSION_TERMS))
+      cost = ("expand to %d terms" % bound if bound > MAX_EXPANSION_TERMS
+              else "take %d coefficient products to expand" % work)
+      raise ValueError("coefficient %s may %s, more than the limit of %d"
+                       % (text, cost, MAX_EXPANSION_TERMS))
     out = Poly.constant(n, 1)
     for i, e in enumerate(exps):
       if e:

@@ -260,14 +260,17 @@ def _pair(fan, v1, v2):
 def b_plus(fan: StackyFan, v1, v2):
   """0-based ray indices where the two q-vectors sum to 1 or more."""
   a, b = _pair(fan, v1, v2)
-  return tuple(i for i in range(fan.n) if a.q[i] + b.q[i] >= 1)
+  den = fan.box_denominator
+  return tuple(i for i, (x, y) in enumerate(zip(fan.phases(a), fan.phases(b)))
+               if x + y >= den)
 
 
 def b_minus(fan: StackyFan, v1, v2):
   """0-based ray indices where both q-entries are nonzero but sum below 1."""
   a, b = _pair(fan, v1, v2)
-  return tuple(i for i in range(fan.n)
-               if a.q[i] != 0 and b.q[i] != 0 and a.q[i] + b.q[i] < 1)
+  den = fan.box_denominator
+  return tuple(i for i, (x, y) in enumerate(zip(fan.phases(a), fan.phases(b)))
+               if x and y and x + y < den)
 
 
 def v_plus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
@@ -298,9 +301,10 @@ def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
   if not fan.has_common_cone(sorted(set(a.sigma_min) | set(b.sigma_min))):
     return None, None
   target = fan.box_add(a, b)
-  sums = [x + y for x, y in zip(a.q, b.q)]
-  exps = [int(s >= 1) for s in sums]
-  minus = [x != 0 and y != 0 and s <= 1 for x, y, s in zip(a.q, b.q, sums)]
+  den = fan.box_denominator
+  pairs = list(zip(fan.phases(a), fan.phases(b)))
+  exps = [int(x + y >= den) for x, y in pairs]
+  minus = [bool(x and y and x + y <= den) for x, y in pairs]
   if kind.name == "plus_infinity":
     return target, None if any(exps) else tuple(exps)
   if kind.name == "minus_infinity":
@@ -317,8 +321,10 @@ def twist(fan: StackyFan, kind: ProductKind, v1, v2) -> Poly:
     raise ValueError("asymptotic products have no twist class")
   a, b = _pair(fan, v1, v2)
   _, exps = star_exponents(fan, kind, a, b)
+  den = fan.box_denominator
   return character_data(fan).tilde_monomial(
-      tuple(e - (x + y == 1) for e, x, y in zip(exps, a.q, b.q)))
+      tuple(e - (x + y == den)
+            for e, x, y in zip(exps, fan.phases(a), fan.phases(b))))
 
 
 def star_product(fan: StackyFan, kind: ProductKind, v1, v2):
@@ -475,8 +481,11 @@ class StarCalculator:
     return self.cd.tilde_monomial(exps)
 
   def _sector_elim(self, i):
-    """Sector i's x-ring after eliminate, with the images of x1..xn in it."""
-    if i not in self._sector:
+    """Sector i's x-ring after eliminate, with the images of x1..xn in it.
+    The ring depends only on the sector's minimal cone, so it is built once
+    per cone."""
+    cone = self.els[i].sigma_min
+    if cone not in self._sector:
       fan = self.fan
       names = ["x%d" % (t + 1) for t in range(fan.n)]
       lin = linear_ideal(fan)
@@ -492,8 +501,8 @@ class StarCalculator:
       images = [elim.substitutions[name] if name in elim.substitutions
                 else Poly.variable(nn, pres.names.index(name))
                 for name in names]
-      self._sector[i] = (pres, images)
-    return self._sector[i]
+      self._sector[cone] = (pres, images)
+    return self._sector[cone]
 
   def reduces_to_zero(self, i, coeff):
     """Does the x-coefficient die in sector i's quotient ring?"""

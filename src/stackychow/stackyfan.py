@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 
 from stackychow.lattice import (
     IntMatrix,
@@ -94,6 +95,8 @@ class StackyFan:
     self._validation = None
     self._box = None
     self._box_by_v = None
+    self._den = None
+    self._phases = None
     self._double = None
 
   @property
@@ -317,7 +320,10 @@ class StackyFan:
     return out
 
   def box(self):
-    """All box elements, identity first, then sorted by (cone, q, torsion)."""
+    """All box elements, identity first, then sorted by (cone, q, torsion).
+
+    Also fixes the box denominator D, the lcm of every q denominator, and
+    each element's phase numerators over it (see phases)."""
     if self._box is None:
       self.require_valid()
       by_v = {}
@@ -331,16 +337,36 @@ class StackyFan:
       els = sorted(by_v.values(), key=BoxElement.sort_key)
       identity = [e for e in els if e.is_identity]
       rest = [e for e in els if not e.is_identity]
+      self._den = lcm(*(c.denominator for e in els for c in e.q))
+      self._phases = {
+          e.v: tuple(c.numerator * (self._den // c.denominator) for c in e.q)
+          for e in els}
       self._box = tuple(identity + rest)
       self._box_by_v = {e.v: k for k, e in enumerate(self._box)}
     return self._box
 
-  def box_lookup(self, v):
+  @property
+  def box_denominator(self):
+    """D: every box phase q_i is an integer over D."""
     self.box()
-    v = self.norm_element(v)
-    if v not in self._box_by_v:
-      raise ValueError("%r is not a box element" % (v,))
-    return self._box[self._box_by_v[v]]
+    return self._den
+
+  def phases(self, el: BoxElement):
+    """The phase numerators of a box element over D: q_i = phases[i] / D."""
+    self.box()
+    return self._phases[el.v]
+
+  def box_lookup(self, v):
+    """The box element of an element of N; a canonical tuple (a key of the
+    box table) is found without normalising."""
+    self.box()
+    k = self._box_by_v.get(v) if type(v) is tuple else None
+    if k is None:
+      v = self.norm_element(v)
+      k = self._box_by_v.get(v)
+      if k is None:
+        raise ValueError("%r is not a box element" % (v,))
+    return self._box[k]
 
   def box_index(self, el):
     """Position of a box element in box order."""
@@ -348,16 +374,20 @@ class StackyFan:
     return self._box_by_v[el.v]
 
   def box_add(self, v1: BoxElement, v2: BoxElement):
-    """Box addition: the group law of N(sigma) on box representatives."""
+    """Box addition: the group law of N(sigma) on box representatives,
+    v1 + v2 less the rays whose phase numerators sum to D or more."""
     union = sorted(set(v1.sigma_min) | set(v2.sigma_min))
     if not self.has_common_cone(union):
       raise ValueError("no common cone")
-    total = self.add_elements(v1.v, v2.v)
-    for i in range(self.n):
-      if v1.q[i] + v2.q[i] >= 1:
-        total = self.add_elements(total, self.neg_element(self.rays[i]))
-    out = self.box_lookup(total)
-    assert out.q == tuple(frac(a + b) for a, b in zip(v1.q, v2.q))
+    self.box()
+    den, phases = self._den, self._phases
+    p1, p2 = phases[v1.v], phases[v2.v]
+    total = list(map(add, v1.v, v2.v))
+    for x, y, ray in zip(p1, p2, self.rays):
+      if x + y >= den:
+        total = list(map(sub, total, ray))
+    out = self.box_lookup(tuple(total))
+    assert phases[out.v] == tuple((x + y) % den for x, y in zip(p1, p2))
     return out
 
   def box_inverse(self, v: BoxElement):

@@ -399,6 +399,24 @@ def test_expansion_limit_reaches_check_assoc(docs, capsys, monkeypatch):
   assert code == 3 and "more than the limit of 0" in err
 
 
+def test_expansion_work_refused(tmp_path, capsys):
+  # tilde_x2^81 and tilde_x3^81 have 3,403 terms each: the product has fewer
+  # than 10^6 terms, but multiplying them out takes about 11.6 M products
+  p = tmp_path / "work.json"
+  p.write_text(json.dumps({
+      "schema": "stacky-chow/1", "rank": 2, "torsion": [2],
+      "b": [[0, -1, 1], [2, -2, 1], [3, 0, 1], [2, 1, 0]],
+      "max_cones": [[1, 2], [2, 3], [3, 4]]}))
+  start = time.perf_counter()
+  code, out, err = run(capsys, "multiply", str(p), "w4", "w6", "--product",
+                       "v-plus", "--bundle", "0,80,80,0")
+  assert time.perf_counter() - start < 2
+  assert code == 3 and out == ""
+  assert err.startswith("stacky-chow: ") and err.count("\n") == 1
+  assert "coefficient products" in err
+  assert "more than the limit of 1000000" in err
+
+
 def test_large_bundle_on_monomial_classes(docs, capsys):
   # the tilde classes of P(6,5,4) are single variables, so any power is one
   # term and a huge bundle exponent is cheap

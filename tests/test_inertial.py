@@ -340,6 +340,66 @@ def test_star_exponents_expand_to_star_product(fan, data):
           assert twist(fan, kind, v, w) * normal == c
 
 
+# -- a Fraction reference for the integer box phases ---------------------------
+
+def _reference_box_add(fan, a, b):
+  """v1 + v2 less the rays whose q-sum reaches one; its q is frac(q1 + q2)."""
+  total = [x + y for x, y in zip(a.v, b.v)]
+  for i in range(fan.n):
+    if a.q[i] + b.q[i] >= 1:
+      total = [t - c for t, c in zip(total, fan.rays[i])]
+  total = tuple(total[:fan.d]) + tuple(
+      c % m for c, m in zip(total[fan.d:], fan.torsion))
+  out, = [e for e in fan.box() if e.v == total]
+  assert out.q == tuple((x + y) % 1 for x, y in zip(a.q, b.q))
+  return out
+
+
+def _reference_star_exponents(fan, kind, a, b):
+  if not fan.has_common_cone(set(a.sigma_min) | set(b.sigma_min)):
+    return None, None
+  target = _reference_box_add(fan, a, b)
+  sums = [x + y for x, y in zip(a.q, b.q)]
+  exps = [int(s >= 1) for s in sums]
+  minus = [x != 0 and y != 0 and s <= 1 for x, y, s in zip(a.q, b.q, sums)]
+  if kind.name == "plus_infinity":
+    return target, None if any(exps) else tuple(exps)
+  if kind.name == "minus_infinity":
+    return target, None if any(minus) else tuple(exps)
+  on = exps if kind.plus_sided else minus
+  return target, tuple(e + c * k for e, c, k in
+                       zip(exps, kind.twist_exponents(fan.n), on))
+
+
+@settings(max_examples=25, deadline=None)
+@given(fan=valid_fans(max_box=16), data=st.data())
+def test_integer_phases_match_fraction_reference(fan, data):
+  a = Bundle(data.draw(st.lists(st.integers(0, 3), min_size=fan.n,
+                                max_size=fan.n)))
+  cd = character_data(fan)
+  for v, w, _ in fan.double_box().pairs:
+    assert fan.box_add(v, w) == _reference_box_add(fan, v, w)
+    sums = [x + y for x, y in zip(v.q, w.q)]
+    assert b_plus(fan, v, w) == tuple(
+        i for i, s in enumerate(sums) if s >= 1)
+    assert b_minus(fan, v, w) == tuple(
+        i for i, s in enumerate(sums) if v.q[i] and w.q[i] and s < 1)
+    for kind in _all_kinds(fan.n) + [ProductKind.v_plus(a),
+                                     ProductKind.v_minus(a)]:
+      target, exps = _reference_star_exponents(fan, kind, v, w)
+      assert star_exponents(fan, kind, v, w) == (target, exps)
+      if not kind.is_asymptotic:
+        assert twist(fan, kind, v, w) == cd.tilde_monomial(
+            tuple(e - (s == 1) for e, s in zip(exps, sums)))
+  for e in fan.box():
+    assert fan.box_lookup(list(e.v)) is e
+    shifted = e.v[:fan.d] + tuple(c + m for c, m in
+                                  zip(e.v[fan.d:], fan.torsion))
+    assert fan.box_lookup(shifted) is e
+    with pytest.raises(ValueError, match="wrong length"):
+      fan.box_lookup(e.v + (0,))
+
+
 def test_star_product_unit_and_commutativity(p654, p64):
   for fan in (p654, p64):
     ident = fan.box()[0]
@@ -629,8 +689,8 @@ def _perturbed(pair, ray):
   return mock.patch.object(inertial, "star_exponents", star_exponents)
 
 
-def _brute_force_witnesses(fan, kind):
-  calc = StarCalculator(fan, kind)
+def _brute_force_witnesses(fan, kind, calculator=StarCalculator):
+  calc = calculator(fan, kind)
   k = len(calc.els)
   return [(i, j, l) for i in range(k) for j in range(k) for l in range(k)
           if not calc.associates(i, j, l)]
@@ -667,6 +727,26 @@ def test_witnesses_of_a_perturbed_product_random_fans(fan, data):
             == _brute_force_witnesses(fan, kind))
 
 
+def _counting_eliminate(monkeypatch):
+  """Wrap inertial.eliminate; the returned list grows by one per call."""
+  calls = []
+  real = inertial.eliminate
+  monkeypatch.setattr(inertial, "eliminate",
+                      lambda pres: calls.append(pres) or real(pres))
+  return calls
+
+
+def _counting_reductions(monkeypatch):
+  """Wrap StarCalculator.reduces_to_zero; the returned list collects the
+  sector index of every call."""
+  calls = []
+  reduce = StarCalculator.reduces_to_zero
+  monkeypatch.setattr(StarCalculator, "reduces_to_zero",
+                      lambda self, i, coeff: calls.append(i)
+                      or reduce(self, i, coeff))
+  return calls
+
+
 def test_each_distinct_comparison_is_reduced_once(monkeypatch):
   fan = weighted_projective_fan((13, 17, 19))
   calc = StarCalculator(fan, ORBIFOLD)
@@ -680,13 +760,34 @@ def test_each_distinct_comparison_is_reduced_once(monkeypatch):
         rt, re = calc.triple(i, j, l, False)
         if le != re:
           keys.add((lt, le, rt, re))
-  calls = []
-  reduce = StarCalculator.reduces_to_zero
-  monkeypatch.setattr(StarCalculator, "reduces_to_zero",
-                      lambda self, i, coeff: calls.append(i)
-                      or reduce(self, i, coeff))
+  calls = _counting_reductions(monkeypatch)
+  rings = _counting_eliminate(monkeypatch)
   assert associativity_witnesses(fan, ORBIFOLD) == []
   assert len(calls) == len(keys)
+  # one eliminated sector ring per minimal cone, not per sector
+  cones = {calc.els[i].sigma_min for i in calls}
+  assert len(rings) == len(cones) < len(set(calls))
+
+
+class _FreshSectorRings(StarCalculator):
+  """A calculator that builds a fresh sector ring for every reduction, so
+  no ring is shared between sectors."""
+
+  def _sector_elim(self, i):
+    self._sector = {}
+    return super()._sector_elim(i)
+
+
+def test_shared_sector_rings_keep_the_witnesses(monkeypatch):
+  fan = weighted_projective_fan((13, 17, 19))
+  els = fan.box()
+  with _perturbed((1, 2), 0):
+    want = _brute_force_witnesses(fan, ORBIFOLD, _FreshSectorRings)
+    calls = _counting_reductions(monkeypatch)
+    rings = _counting_eliminate(monkeypatch)
+    assert associativity_witnesses(fan, ORBIFOLD) == want != []
+  cones = {els[i].sigma_min for i in calls}
+  assert len(rings) == len(cones) < len(set(calls))
 
 
 @settings(max_examples=10, deadline=None)
