@@ -11,6 +11,7 @@ the linear relations of the rays and the non-face monomials in tilde x.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
@@ -188,14 +189,14 @@ class CharacterData:
     return out
 
 
-_character_cache = {}
+# written, never read: the live character data, counted by perfbench
+_character_cache = weakref.WeakValueDictionary()
 
 
 def character_data(fan: StackyFan) -> CharacterData:
-  key = id(fan)
-  if key not in _character_cache or _character_cache[key][0] is not fan:
-    _character_cache[key] = (fan, CharacterData(fan))
-  return _character_cache[key][1]
+  if fan._characters is None:
+    fan._characters = _character_cache[id(fan)] = CharacterData(fan)
+  return fan._characters
 
 
 def linear_ideal(fan: StackyFan):

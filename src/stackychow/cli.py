@@ -9,6 +9,7 @@ never pass through floating point or fixed-width readers.
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from stackychow.inertial import (Bundle, MINUS_INFINITY, ORBIFOLD,
 from stackychow.stackyfan import StackyFan
 
 SCHEMA = "stacky-chow/1"
+# the interpreter's default int digit limit, which _as_int relies on too
+MAX_DECIMAL_EXPONENT = 4300
 
 # CLI product name -> ProductKind, or for the twisted kinds its maker
 _KINDS = {"orbifold": ORBIFOLD, "virtual": VIRTUAL,
@@ -492,7 +495,12 @@ def cmd_hilbert(args, fan, doc_bundle, labels):
     pres = _with_domain(sr_ring(fan), args.coeff)
   maxdeg = Fraction(2 * fan.d + 2)
   if args.maxdeg is not None:
+    # Fraction("1e100000000") builds a 10^8-digit integer before any check
+    exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", args.maxdeg)
     try:
+      if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise CliError(3, "--maxdeg: %r has a decimal exponent beyond %d"
+                       % (args.maxdeg, MAX_DECIMAL_EXPONENT))
       maxdeg = Fraction(args.maxdeg)
     except (ValueError, ZeroDivisionError):
       raise CliError(3, "--maxdeg: %r is not a rational" % args.maxdeg)

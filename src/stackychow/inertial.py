@@ -192,7 +192,7 @@ MINUS_INFINITY = ProductKind("minus_infinity")
 # -- traces and restrictions ---------------------------------------------------
 
 def q_vector(fan: StackyFan, v: BoxElement):
-  """The cached coefficient vector of vbar on the rays, zero off sigma_min."""
+  """The coefficient vector of vbar on the rays, zero off sigma_min."""
   return fan.box_lookup(v.v).q
 
 
@@ -260,17 +260,14 @@ def _pair(fan, v1, v2):
 def b_plus(fan: StackyFan, v1, v2):
   """0-based ray indices where the two q-vectors sum to 1 or more."""
   a, b = _pair(fan, v1, v2)
-  den = fan.box_denominator
-  return tuple(i for i, (x, y) in enumerate(zip(fan.phases(a), fan.phases(b)))
-               if x + y >= den)
+  return tuple(i for i, (x, y) in enumerate(zip(a.p, b.p)) if x + y >= a.den)
 
 
 def b_minus(fan: StackyFan, v1, v2):
   """0-based ray indices where both q-entries are nonzero but sum below 1."""
   a, b = _pair(fan, v1, v2)
-  den = fan.box_denominator
-  return tuple(i for i, (x, y) in enumerate(zip(fan.phases(a), fan.phases(b)))
-               if x and y and x + y < den)
+  return tuple(i for i, (x, y) in enumerate(zip(a.p, b.p))
+               if x and y and x + y < a.den)
 
 
 def v_plus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
@@ -301,8 +298,8 @@ def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
   if not fan.has_common_cone(sorted(set(a.sigma_min) | set(b.sigma_min))):
     return None, None
   target = fan.box_add(a, b)
-  den = fan.box_denominator
-  pairs = list(zip(fan.phases(a), fan.phases(b)))
+  den = a.den
+  pairs = list(zip(a.p, b.p))
   exps = [int(x + y >= den) for x, y in pairs]
   minus = [bool(x and y and x + y <= den) for x, y in pairs]
   if kind.name == "plus_infinity":
@@ -321,10 +318,8 @@ def twist(fan: StackyFan, kind: ProductKind, v1, v2) -> Poly:
     raise ValueError("asymptotic products have no twist class")
   a, b = _pair(fan, v1, v2)
   _, exps = star_exponents(fan, kind, a, b)
-  den = fan.box_denominator
   return character_data(fan).tilde_monomial(
-      tuple(e - (x + y == den)
-            for e, x, y in zip(exps, fan.phases(a), fan.phases(b))))
+      tuple(e - (x + y == a.den) for e, x, y in zip(exps, a.p, b.p)))
 
 
 def star_product(fan: StackyFan, kind: ProductKind, v1, v2):

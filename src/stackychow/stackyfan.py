@@ -28,23 +28,29 @@ from stackychow.lattice import (
 @dataclass(frozen=True)
 class BoxElement:
   """An element v of N whose free part lies in the half-open parallelepiped
-  of its minimal cone.  q is the full-length coefficient vector of vbar on
-  the rays; it is nonzero exactly on the rays of sigma_min."""
+  of its minimal cone.  p holds the phase numerators of vbar on the rays over
+  den, q_i = p_i / den; they are nonzero exactly on the rays of sigma_min.
+  The elements of one box share den."""
 
   v: tuple
-  q: tuple
+  p: tuple
+  den: int
   sigma_min: tuple
 
   @property
+  def q(self):
+    return tuple(Fraction(c, self.den) for c in self.p)
+
+  @property
   def age(self):
-    return sum(self.q, Fraction(0))
+    return Fraction(sum(self.p), self.den)
 
   @property
   def is_identity(self):
     return all(c == 0 for c in self.v)
 
   def sort_key(self):
-    return (self.sigma_min, self.q, self.v)
+    return (self.sigma_min, self.p, self.v)
 
   def __repr__(self):
     return "BoxElement(v=%r)" % (self.v,)
@@ -95,9 +101,8 @@ class StackyFan:
     self._validation = None
     self._box = None
     self._box_by_v = None
-    self._den = None
-    self._phases = None
     self._double = None
+    self._characters = None  # CharacterData, set by charring.character_data
 
   @property
   def n(self):
@@ -276,85 +281,70 @@ class StackyFan:
 
   # -- box -------------------------------------------------------------------
 
-  def box_of_cone(self, cone):
-    """Box elements of one cone: parallelepiped points crossed with torsion."""
-    cone = tuple(sorted(cone))
-    cols = [self.free(i) for i in cone]
-    k = len(cols)
-    free_points = []
-    if k == 0:
-      free_points.append(((0,) * self.d, ()))
-    else:
-      mat = IntMatrix([[cols[j][i] for j in range(k)] for i in range(self.d)])
-      snf = smith_normal_form(mat)
-      diag = snf.diagonal
-      if len(diag) < k or any(dj == 0 for dj in diag):
-        raise ValueError("cone %s: rays are linearly dependent (not simplicial)"
-                         % _cone_str(cone))
-      reps = [()]
-      for dj in diag:
-        reps = [r + (x,) for r in reps for x in range(dj)]
-      for rep in reps:
-        y = tuple(rep) + (0,) * (self.d - k)
-        x = snf.u_inv.mul_vec(y)
-        qq = solve_rational(cols, x)
-        qfrac = tuple(frac(c) for c in qq)
-        point = tuple(
-            sum((qi * ci for qi, ci in zip(qfrac, (col[i] for col in cols))),
-                Fraction(0)) for i in range(self.d))
-        assert all(p.denominator == 1 for p in point)
-        free_points.append((tuple(int(p) for p in point), qfrac))
+  def _smith(self, cone):
+    """Diagonal d_1 | ... | d_k and column transform V of the Smith form
+    U B V = diag(d) of the cone's d x k ray matrix B."""
+    if not cone:
+      return (), None
+    mat = IntMatrix([[self.free(i)[j] for i in cone] for j in range(self.d)])
+    snf = smith_normal_form(mat)
+    diag = snf.diagonal
+    if len(diag) < len(cone) or any(dj == 0 for dj in diag):
+      raise ValueError("cone %s: rays are linearly dependent (not simplicial)"
+                       % _cone_str(cone))
+    return diag, snf.v
+
+  def _cone_box(self, cone, diag, vmat, den):
+    """Box elements of a cone over den, a multiple of its exponent d_k.
+
+    The parallelepiped point of y in prod [0, d_j) has phases q = V (y_j /
+    d_j), reduced mod 1; its numerators over den are V (y_j den / d_j) mod
+    den, and its free part is B p / den.  Distinct y are distinct points."""
+    reps = [(0,) * len(cone)]
+    for j, dj in enumerate(diag):
+      col = [row[j] * (den // dj) for row in vmat.entries]
+      reps = [tuple(a + y * c for a, c in zip(r, col))
+              for r in reps for y in range(dj)]
     out = []
-    seen = set()
-    for point, qfrac in free_points:
-      if point in seen:
-        continue
-      seen.add(point)
-      qfull = [Fraction(0)] * self.n
-      for i, qi in zip(cone, qfrac):
-        qfull[i] = qi
-      sigma = tuple(i for i in cone if qfull[i] > 0)
+    for rep in reps:
+      rep = [c % den for c in rep]
+      point = tuple(sum(self.free(i)[j] * c for i, c in zip(cone, rep)) // den
+                    for j in range(self.d))
+      p = [0] * self.n
+      for i, c in zip(cone, rep):
+        p[i] = c
+      sigma = tuple(i for i, c in zip(cone, rep) if c)
       for tors in _torsion_tuples(self.torsion):
-        v = point + tors
-        out.append(BoxElement(v, tuple(qfull), sigma))
+        out.append(BoxElement(point + tors, tuple(p), den, sigma))
     return out
+
+  def box_of_cone(self, cone):
+    """Box elements of one cone: parallelepiped points crossed with torsion,
+    with phases over the cone's exponent."""
+    cone = tuple(sorted(cone))
+    diag, vmat = self._smith(cone)
+    return self._cone_box(cone, diag, vmat, diag[-1] if diag else 1)
 
   def box(self):
     """All box elements, identity first, then sorted by (cone, q, torsion).
 
-    Also fixes the box denominator D, the lcm of every q denominator, and
-    each element's phase numerators over it (see phases)."""
+    Their phases share one denominator D, the lcm of the max cones'
+    exponents: an element's order is the lcm of its q denominators."""
     if self._box is None:
       self.require_valid()
+      cones = self.max_cones or ((),)
+      smiths = [self._smith(cone) for cone in cones]
+      den = lcm(*(diag[-1] for diag, _ in smiths if diag))
       by_v = {}
-      for cone in self.max_cones:
-        for el in self.box_of_cone(cone):
+      for cone, (diag, vmat) in zip(cones, smiths):
+        for el in self._cone_box(cone, diag, vmat, den):
           by_v.setdefault(el.v, el)
-      if not self.max_cones:
-        for tors in _torsion_tuples(self.torsion):
-          v = (0,) * self.d + tors
-          by_v.setdefault(v, BoxElement(v, (Fraction(0),) * self.n, ()))
       els = sorted(by_v.values(), key=BoxElement.sort_key)
       identity = [e for e in els if e.is_identity]
       rest = [e for e in els if not e.is_identity]
-      self._den = lcm(*(c.denominator for e in els for c in e.q))
-      self._phases = {
-          e.v: tuple(c.numerator * (self._den // c.denominator) for c in e.q)
-          for e in els}
       self._box = tuple(identity + rest)
       self._box_by_v = {e.v: k for k, e in enumerate(self._box)}
     return self._box
-
-  @property
-  def box_denominator(self):
-    """D: every box phase q_i is an integer over D."""
-    self.box()
-    return self._den
-
-  def phases(self, el: BoxElement):
-    """The phase numerators of a box element over D: q_i = phases[i] / D."""
-    self.box()
-    return self._phases[el.v]
 
   def box_lookup(self, v):
     """The box element of an element of N; a canonical tuple (a key of the
@@ -379,15 +369,14 @@ class StackyFan:
     union = sorted(set(v1.sigma_min) | set(v2.sigma_min))
     if not self.has_common_cone(union):
       raise ValueError("no common cone")
-    self.box()
-    den, phases = self._den, self._phases
-    p1, p2 = phases[v1.v], phases[v2.v]
+    a, b = self.box_lookup(v1.v), self.box_lookup(v2.v)
+    den = a.den
     total = list(map(add, v1.v, v2.v))
-    for x, y, ray in zip(p1, p2, self.rays):
+    for x, y, ray in zip(a.p, b.p, self.rays):
       if x + y >= den:
         total = list(map(sub, total, ray))
     out = self.box_lookup(tuple(total))
-    assert phases[out.v] == tuple((x + y) % den for x, y in zip(p1, p2))
+    assert out.p == tuple((x + y) % den for x, y in zip(a.p, b.p))
     return out
 
   def box_inverse(self, v: BoxElement):
@@ -403,13 +392,14 @@ class StackyFan:
   # -- group correspondence ----------------------------------------------------
 
   def group_element(self, v: BoxElement):
+    """s_l = ((-sum_i p_i t_il) mod D + v_l D) / (D m_l), t_il the torsion
+    coordinates of the rays."""
+    den = v.den
     s = []
     for l, m in enumerate(self.torsion):
-      drift = frac(-sum((qi * self.tors(i)[l] for i, qi in enumerate(v.q)),
-                        Fraction(0)))
-      p = v.v[self.d + l]
-      s.append((drift + p) / m)
-    return GroupElement(tuple(v.q), tuple(s))
+      drift = -sum(c * self.tors(i)[l] for i, c in enumerate(v.p)) % den
+      s.append(Fraction(drift + v.v[self.d + l] * den, den * m))
+    return GroupElement(v.q, tuple(s))
 
   def box_from_group(self, g: GroupElement):
     q = tuple(Fraction(c) for c in g.gamma_phases)

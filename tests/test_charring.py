@@ -1,9 +1,11 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import valid_fans
+from stackychow import charring
 from stackychow.charring import (
     character_data,
     linear_ideal,
@@ -39,6 +41,17 @@ def test_p654_character_groups(p654):
   assert cd.f == IntMatrix.identity(3)
   assert [cd.x_rig.reduced_coords(t)[1] for t in cd.x] == [(6,), (5,), (4,)]
   assert cd.tilde_x == cd.x
+
+
+def test_character_data_lives_on_its_fan():
+  gc.collect()
+  before = len(charring._character_cache)
+  for k in range(50):
+    fan = weighted_projective_fan((6 + k, 4))
+    assert character_data(fan) is character_data(fan)
+    del fan
+  gc.collect()
+  assert len(charring._character_cache) <= before
 
 
 def test_invariant_factor_mismatch():

@@ -307,6 +307,12 @@ def test_hilbert_table(docs, capsys):
   code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg", "1e400")
   assert code == 3 and "limit of 1000000 table rows" in err and out == ""
   assert time.perf_counter() - start < 1
+  # a huge decimal exponent is refused before Fraction builds the integer
+  for maxdeg in ("1e100000000", "1e-100000000"):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg", maxdeg)
+    assert code == 3 and "--maxdeg: " in err and out == ""
+    assert time.perf_counter() - start < 1
   assert run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "0")[
       "pieces"] == [{"degree": "0", "free_rank": 1, "torsion": [],
                      "text": "Z"}]

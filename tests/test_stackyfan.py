@@ -265,20 +265,24 @@ def test_affine_fan_minimal_cone_outside():
 
 # -- randomized invariants -----------------------------------------------------
 
-def brute_parallelepiped_count(cols, d):
-  if not cols:
-    return 1
-  lo = [sum(min(0, c[i]) for c in cols) for i in range(d)]
-  hi = [sum(max(0, c[i]) for c in cols) for i in range(d)]
-  count = 0
+def brute_parallelepiped(fan, cone):
+  """{(point, full-length q)} over the lattice points B q with q in [0, 1)^k,
+  found by solving at every point of the bounding box."""
+  cols = [fan.free(i) for i in cone]
+  lo = [sum(min(0, c[j]) for c in cols) for j in range(fan.d)]
+  hi = [sum(max(0, c[j]) for c in cols) for j in range(fan.d)]
   points = [()]
-  for i in range(d):
-    points = [p + (x,) for p in points for x in range(lo[i], hi[i] + 1)]
+  for j in range(fan.d):
+    points = [p + (x,) for p in points for x in range(lo[j], hi[j] + 1)]
+  out = set()
   for p in points:
-    q = solve_rational(cols, p)
+    q = solve_rational(cols, p) if cols else ()
     if q is not None and all(0 <= x < 1 for x in q):
-      count += 1
-  return count
+      full = [F(0)] * fan.n
+      for i, x in zip(cone, q):
+        full[i] = x
+      out.add((p, tuple(full)))
+  return out
 
 
 @settings(max_examples=40, deadline=None,
@@ -289,10 +293,18 @@ def test_box_of_cone_size_matches_brute_force(fan):
   tors_order = 1
   for m in fan.torsion:
     tors_order *= m
+  reference = {}
   for cone in fan.max_cones:
-    cols = [fan.free(i) for i in cone]
-    expected = brute_parallelepiped_count(cols, fan.d) * tors_order
-    assert len(fan.box_of_cone(cone)) == expected
+    expected = brute_parallelepiped(fan, cone)
+    box = fan.box_of_cone(cone)
+    assert len(box) == len(expected) * tors_order
+    assert {(e.v[:fan.d], e.q) for e in box} == expected
+    for e in box:
+      assert e.sigma_min == tuple(i for i, c in enumerate(e.q) if c)
+    reference.update(expected)
+  for e in fan.box():
+    assert e.q == reference[e.v[:fan.d]]
+    assert e.sigma_min == tuple(i for i, c in enumerate(e.q) if c)
 
 
 @settings(max_examples=40, deadline=None,
