@@ -558,10 +558,11 @@ class Elimination:
 def eliminate(pres):
   """Shrink a presentation by a linear change of variables and substitutions.
 
-  Step one rewrites the variables spanned by the linear-form generators in a
-  Smith basis of the quotient lattice; unit coordinates disappear, surviving
-  coordinates become fresh variables t (or t1, t2, ...), torsion coordinates
-  keep a relation d*t_j.  Step two repeatedly substitutes P for w whenever
+  Step one rewrites the variables spanned by the linear-form generators
+  (over Q each cleared of denominators first) in a Smith basis of the
+  quotient lattice; unit coordinates disappear, surviving coordinates
+  become fresh variables t (or t1, t2, ...), torsion coordinates keep a
+  relation d*t_j.  Step two repeatedly substitutes P for w whenever
   some generator reads +/-(w - P) with w absent from P, scanning variables in
   ascending order and restarting after every hit.
   """
@@ -581,7 +582,9 @@ def eliminate(pres):
       row = [0] * len(involved)
       for i in gens[k].vars_occurring():
         row[pos[i]] = gens[k].coeff_of_variable(i)
-      rel_rows.append(row)
+      # over Q a row may hold fractions; clearing them keeps the ideal
+      den = lcm(*(c.denominator for c in row))
+      rel_rows.append(row if den == 1 else [int(c * den) for c in row])
     grp = AbGroup(len(involved), rel_rows)
     surviving = [j for j, d in enumerate(grp.diagonal) if d != 1]
     tnames = ["t"] if len(surviving) == 1 else [
@@ -700,6 +703,13 @@ MAX_TABLE_ROWS = 10 ** 6
 def hilbert_table(pres, maxdeg):
   """The graded pieces in every occurring degree up to maxdeg.
 
+  The pieces are computed on eliminate(pres).presentation, which has the
+  same piece in every degree over Z and over Q but much narrower monomial
+  bases.  The original presentation keeps the row limit, the degree grid
+  (removing a variable can remove its degree from the grid, and no row may
+  disappear), the zero window and the refusals, which run before any
+  elimination.
+
   Once the piece of every occurring degree in a window [z, z + m) is zero,
   m the largest variable degree, every higher piece is zero too: dividing a
   monomial above the window by one variable at a time lands inside it.
@@ -709,13 +719,16 @@ def hilbert_table(pres, maxdeg):
   if floor(maxdeg * pres.scale) + 1 > MAX_TABLE_ROWS:
     raise ValueError("the degree bound could give more than the limit of "
                      "%d table rows" % MAX_TABLE_ROWS)
+  degrees = occurring_degrees(pres.degrees, maxdeg)
+  pres._require_graded()
+  ring = eliminate(pres).presentation
   window = max(pres.degrees, default=0)
   table, zero_from = [], None
-  for d in occurring_degrees(pres.degrees, maxdeg):
+  for d in degrees:
     if zero_from is not None and d >= zero_from + window:
       table.append(GradedPieceReport(d, 0, (), pres.domain))
       continue
-    piece = pres.graded_piece(d)
+    piece = ring.graded_piece(d)
     if piece.free_rank or piece.torsion:
       zero_from = None
     elif zero_from is None:

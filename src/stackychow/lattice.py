@@ -14,13 +14,25 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 
+def _int_row(row):
+  """A matrix row as a tuple of ints; a non-integral entry is refused, not
+  truncated."""
+  row = tuple(row)
+  if all(type(a) is int for a in row):
+    return row
+  out = tuple(map(int, row))
+  if out != row:
+    raise ValueError("non-integral matrix entry in the row %r" % (row,))
+  return out
+
+
 class IntMatrix:
   """Immutable integer matrix, row-major."""
 
   __slots__ = ("rows", "cols", "entries")
 
   def __init__(self, entries):
-    rows = tuple(tuple(int(a) for a in row) for row in entries)
+    rows = tuple(map(_int_row, entries))
     if rows:
       width = len(rows[0])
       if any(len(r) != width for r in rows):

@@ -255,20 +255,58 @@ def test_graded_piece_order_independent(seed, nvars, ngens):
     assert (a.free_rank, a.torsion) == (b.free_rank, b.torsion)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(2, 3))
-def test_eliminate_preserves_pieces(seed, nvars):
+def _elimination_case(seed, nvars, domain):
+  """A random graded presentation for eliminate: a linear form over the
+  variables of x1's degree (Fraction coefficients over Q), maybe a bare
+  substitution x_k - c*m, and a random form; degrees are mixed."""
   rng = random.Random(seed)
+  degrees = [rng.choice([1, 1, 2, Fraction(1, 2)]) for _ in range(nvars)]
   names = ["x%d" % (i + 1) for i in range(nvars)]
-  gens = [Poly.linear([rng.randint(-3, 3) for _ in range(nvars)])]
-  gens += [_random_homogeneous(rng, nvars, 2)]
+  coeffs = list(range(-3, 4))
+  if domain == "q":
+    coeffs += [Fraction(1, 2), Fraction(-2, 3)]
+  gens = [Poly.linear([rng.choice(coeffs) if d == degrees[0] else 0
+                       for d in degrees])]
+  k = rng.randrange(nvars)
+  # monomials of x_k's degree without x_k: give x_k a degree too large
+  others = [d if i != k else 1000 for i, d in enumerate(degrees)]
+  ms = monomials_of_degree(others, degrees[k])
+  if ms and rng.random() < 0.5:
+    unit = tuple(int(i == k) for i in range(nvars))
+    gens.append(Poly(nvars, {unit: 1, rng.choice(ms): rng.choice(coeffs)}))
+  ms = monomials_of_degree(degrees, rng.choice(
+      occurring_degrees(degrees, 2)[1:]))
+  gens.append(Poly(nvars, {m: rng.choice(coeffs) for m in ms}))
   gens = [g for g in gens if not g.is_zero()]
-  pres = RingPresentation(names, [1] * nvars, gens, ["box"] * len(gens), "z")
+  return RingPresentation(names, degrees, gens, ["box"] * len(gens), domain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from("zq"))
+def test_eliminate_preserves_pieces(seed, nvars, domain):
+  pres = _elimination_case(seed, nvars, domain)
   res = eliminate(pres)
-  for d in range(4):
+  for d in occurring_degrees(pres.degrees, 3):
     a = pres.graded_piece(d)
     b = res.presentation.graded_piece(d)
     assert (a.free_rank, a.torsion) == (b.free_rank, b.torsion)
+
+
+def test_eliminate_clears_linear_denominators_over_q():
+  # Q[x] / (x/2) is Q: the relation must not be truncated to 0
+  half = Poly.linear([Fraction(1, 2)])
+  pres = RingPresentation(["x"], [1], [half], None, "q")
+  res = eliminate(pres)
+  assert res.presentation.names == ()
+  assert res.substitutions == {"x": Poly.zero(0)}
+  assert [p.describe() for p in hilbert_table(pres, 2)] == ["Q", "0", "0"]
+  # a torsion-free mixture: Q[x, y] / (x/2 - 2y/3) is Q[t]
+  mixed = Poly.linear([Fraction(1, 2), Fraction(-2, 3)])
+  pres = RingPresentation(["x", "y"], [1, 1], [mixed], None, "q")
+  res = eliminate(pres)
+  assert res.presentation.names == ("t",)
+  assert res.presentation.generators == ()
+  assert [p.describe() for p in hilbert_table(pres, 2)] == ["Q"] * 3
 
 
 def _original_images(res, names):
@@ -280,15 +318,10 @@ def _original_images(res, names):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(2, 3))
-def test_eliminate_substitutions_land_in_ideal(seed, nvars):
-  # the presentations of test_eliminate_preserves_pieces
-  rng = random.Random(seed)
-  names = ["x%d" % (i + 1) for i in range(nvars)]
-  gens = [Poly.linear([rng.randint(-3, 3) for _ in range(nvars)])]
-  gens += [_random_homogeneous(rng, nvars, 2)]
-  gens = [g for g in gens if not g.is_zero()]
-  pres = RingPresentation(names, [1] * nvars, gens, ["box"] * len(gens), "z")
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from("zq"))
+def test_eliminate_substitutions_land_in_ideal(seed, nvars, domain):
+  pres = _elimination_case(seed, nvars, domain)
+  names, gens = pres.names, pres.generators
   res = eliminate(pres)
   out = res.presentation
   nn = len(out.names)
@@ -486,14 +519,22 @@ def test_integer_grading_matches_fraction_reference(seed, nvars, domain):
                    for d in occurring_degrees(degrees, maxdeg)]
 
 
-def test_hilbert_table_stops_past_a_zero_window():
+def test_hilbert_table_stops_past_a_zero_window(monkeypatch):
   # Z[x, y] / (x^2, y^2), deg x = 1, deg y = 2: zero from degree 4 on
+  asked = []
+  piece = RingPresentation.graded_piece
+
+  def recording(self, deg):
+    asked.append(deg)
+    return piece(self, deg)
+
+  monkeypatch.setattr(RingPresentation, "graded_piece", recording)
   x2, y2 = P(2, {(2, 0): 1}), P(2, {(0, 2): 1})
   pres = RingPresentation(["x", "y"], [1, 2], [x2, y2], None, "z")
   table = hilbert_table(pres, 9)
   assert [p.describe() for p in table] == ["Z", "Z", "Z", "Z"] + ["0"] * 6
-  # the window is [4, 6); no reducer is built above it
-  assert sorted(pres._reducers) == list(range(6))
+  # the window is [4, 6); no piece is computed above it
+  assert asked == list(range(6))
 
 
 def test_hilbert_table_row_limit(monkeypatch):
@@ -503,3 +544,16 @@ def test_hilbert_table_row_limit(monkeypatch):
   assert len(hilbert_table(pres, Fraction(5, 2))) == 6
   with pytest.raises(ValueError, match="limit of 6 table rows"):
     hilbert_table(pres, 3)
+
+
+def test_hilbert_table_refuses_before_eliminating(monkeypatch):
+  def eliminated(pres):
+    raise AssertionError("eliminate ran on a refused presentation")
+
+  monkeypatch.setattr(gradedpoly, "eliminate", eliminated)
+  mixed = RingPresentation(["x"], [1], [P(1, {(1,): 1, (0,): 1})], None, "q")
+  with pytest.raises(ValueError, match="presentation is not graded"):
+    hilbert_table(mixed, 2)
+  weightless = RingPresentation(["x", "w"], [1, 0], [], None, "q")
+  with pytest.raises(ValueError, match="nonpositive variable degree"):
+    hilbert_table(weightless, 2)

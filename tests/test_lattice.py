@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackychow.lattice import (
@@ -21,6 +22,18 @@ def test_snf_diagonal_small():
   snf = smith_normal_form(m)
   assert snf.diagonal == (1, 1)
   assert snf.u.mul(m).mul(snf.v) == snf.d
+
+
+def test_int_matrix_refuses_non_integral_entries():
+  # int() alone would truncate 1/2 to 0 and 2.7 to 2
+  for bad in (Fraction(1, 2), 2.7):
+    with pytest.raises(ValueError, match="non-integral matrix entry"):
+      IntMatrix([[1, 0], [bad, 3]])
+  m = IntMatrix([[Fraction(4, 2), True], [3.0, -1]])
+  assert m.entries == ((2, 1), (3, -1))
+  assert all(type(a) is int for row in m.entries for a in row)
+  with pytest.raises(ValueError, match="non-integral"):
+    AbGroup(2, [[Fraction(1, 2), 1]])
 
 
 def test_coker_rank_one_quotient():
