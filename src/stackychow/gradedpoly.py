@@ -226,42 +226,36 @@ class Poly:
     return tuple(v)
 
   def map_vars(self, new_nvars, images):
-    """Substitute images[i] (a Poly in the new ring) for variable i."""
+    """Substitute images[i] for variable i: an int moves the exponent to
+    that variable of the new ring, a Poly in the new ring is expanded
+    through its powers, each computed once per call."""
     if len(images) != self.nvars:
       raise ValueError("one image per variable required")
-    # fast path: pure reindexing
-    idx = []
-    for img in images:
-      if len(img.terms) == 1:
-        (e, c), = img.terms.items()
-        if c == 1 and sum(e) == 1:
-          idx.append(e.index(1))
-          continue
-      idx = None
-      break
-    if idx is not None:
-      terms = {}
-      for e, c in self.terms.items():
-        ne = [0] * new_nvars
-        for i, k in enumerate(e):
-          ne[idx[i]] += k
-        ne = tuple(ne)
-        terms[ne] = terms.get(ne, 0) + c
-      return Poly._trusted(new_nvars, terms)
-    powers = [None] * self.nvars
-    one = (0,) * new_nvars
+    powers = {}
     out = {}
     for e, c in self.terms.items():
-      term = {one: c}
+      ne = [0] * new_nvars
+      term = None
       for i, k in enumerate(e):
-        if k:
-          if powers[i] is None:
-            if images[i].nvars != new_nvars:
-              raise ValueError("polynomials in different rings")
-            powers[i] = Powers(images[i])
-          term = _mul_terms(term, powers[i][k])
-      for ne, v in term.items():
-        out[ne] = out.get(ne, 0) + v
+        if not k:
+          continue
+        img = images[i]
+        if type(img) is int:
+          ne[img] += k
+          continue
+        p = powers.get(i)
+        if p is None:
+          if img.nvars != new_nvars:
+            raise ValueError("polynomials in different rings")
+          p = powers[i] = Powers(img)
+        term = p[k] if term is None else _mul_terms(term, p[k])
+      ne = tuple(ne)
+      if term is None:
+        out[ne] = out.get(ne, 0) + c
+        continue
+      for te, v in term.items():
+        te = tuple(map(add, te, ne))
+        out[te] = out.get(te, 0) + c * v
     return Poly._trusted(new_nvars, out)
 
   def substitute(self, i, powers):
@@ -515,9 +509,6 @@ class RingPresentation:
   def contains(self, poly):
     return self.reduce(poly).is_zero()
 
-  def var(self, name):
-    return Poly.variable(len(self.names), self.names.index(name))
-
   def __repr__(self):
     return "RingPresentation(vars=%r, %d generators, domain=%s)" % (
         list(self.names), len(self.generators), self.domain)
@@ -553,6 +544,7 @@ def ideal_equal_up_to(p1, p2, maxdeg):
 class Elimination:
   presentation: RingPresentation
   substitutions: dict  # eliminated variable name -> Poly in the new variables
+  images: list  # per original variable: its substitution, or its new index
 
 
 def eliminate(pres):
@@ -592,7 +584,7 @@ def eliminate(pres):
     # new variable order: walk the old order, splice the t-block where the
     # first involved variable sat
     new_names, new_degrees = [], []
-    old_to_new = {}
+    images = [None] * len(names)  # kept variables move to an index
     tbase = 0
     for i in range(len(names)):
       if i == involved[0]:
@@ -602,24 +594,19 @@ def eliminate(pres):
           new_degrees.append(common_deg)
       if i in pos:
         continue
-      old_to_new[i] = len(new_names)
+      images[i] = len(new_names)
       new_names.append(names[i])
       new_degrees.append(degrees[i])
     nn = len(new_names)
-    images = []
-    for i in range(len(names)):
-      if i in pos:
-        u = grp.u
-        terms = {}
-        for sk, j in enumerate(surviving):
-          c = u[j, pos[i]]
-          if c:
-            exp = [0] * nn
-            exp[tbase + sk] = 1
-            terms[tuple(exp)] = c
-        images.append(Poly(nn, terms))
-      else:
-        images.append(Poly.variable(nn, old_to_new[i]))
+    for i in involved:
+      terms = {}
+      for sk, j in enumerate(surviving):
+        c = grp.u[j, pos[i]]
+        if c:
+          exp = [0] * nn
+          exp[tbase + sk] = 1
+          terms[tuple(exp)] = c
+      images[i] = subs[names[i]] = Poly(nn, terms)
     new_gens, new_tags = [], []
     for sk, j in enumerate(surviving):
       d = grp.diagonal[j]
@@ -631,8 +618,6 @@ def eliminate(pres):
         continue
       new_gens.append(g.map_vars(nn, images))
       new_tags.append(t)
-    for i in involved:
-      subs[names[i]] = images[i]
     names, degrees, gens, tags = new_names, new_degrees, new_gens, new_tags
 
   # step two: bare substitutions w := P.  The ring keeps all its variables
@@ -681,8 +666,10 @@ def eliminate(pres):
     seen.add(g)
     out_gens.append(g)
     out_tags.append(t)
+  index = {name: i for i, name in enumerate(names)}
   return Elimination(
-      RingPresentation(names, degrees, out_gens, out_tags, pres.domain), subs)
+      RingPresentation(names, degrees, out_gens, out_tags, pres.domain), subs,
+      [subs[name] if name in subs else index[name] for name in pres.names])
 
 
 def _first_bare_variable(g):
@@ -707,13 +694,14 @@ def hilbert_table(pres, maxdeg):
   same piece in every degree over Z and over Q but much narrower monomial
   bases.  The original presentation keeps the row limit, the degree grid
   (removing a variable can remove its degree from the grid, and no row may
-  disappear), the zero window and the refusals, which run before any
-  elimination.
+  disappear) and the refusals, which run before any elimination.
 
   Once the piece of every occurring degree in a window [z, z + m) is zero,
-  m the largest variable degree, every higher piece is zero too: dividing a
-  monomial above the window by one variable at a time lands inside it.
-  Those pieces are reported without building their reducers.
+  m the largest variable degree of the eliminated ring, every higher piece
+  is zero too: dividing a monomial above the window by one variable at a
+  time lands inside it, and every degree that ring reaches is on the
+  original grid.  Those pieces are reported without building their
+  reducers.
   """
   maxdeg = Fraction(maxdeg)
   if floor(maxdeg * pres.scale) + 1 > MAX_TABLE_ROWS:
@@ -722,7 +710,7 @@ def hilbert_table(pres, maxdeg):
   degrees = occurring_degrees(pres.degrees, maxdeg)
   pres._require_graded()
   ring = eliminate(pres).presentation
-  window = max(pres.degrees, default=0)
+  window = max(ring.degrees, default=0)
   table, zero_from = [], None
   for d in degrees:
     if zero_from is not None and d >= zero_from + window:

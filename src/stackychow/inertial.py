@@ -335,15 +335,19 @@ def star_product(fan: StackyFan, kind: ProductKind, v1, v2):
 
 def _embed(poly, total):
   """Reindex an x-polynomial into the combined x+w ring."""
-  return poly.map_vars(total, [Poly.variable(total, i)
-                               for i in range(poly.nvars)])
+  return poly.map_vars(total, range(poly.nvars))
 
 
-def _w_monomial(n, k, indices):
+def _w_exponent(n, k, indices):
+  """The exponent vector of the product of w_i over 1-based sector indices."""
   exp = [0] * (n + k)
   for i in indices:
     exp[n + i - 1] += 1
-  return Poly(n + k, {tuple(exp): 1})
+  return tuple(exp)
+
+
+def _w_monomial(n, k, indices):
+  return Poly(n + k, {_w_exponent(n, k, indices): 1})
 
 
 def _nonidentity_pairs(fan):
@@ -377,7 +381,8 @@ def br_ideal(fan: StackyFan, kind: ProductKind):
     if not coeff.is_zero():
       tail = _embed(coeff, n + k)
       if not target.is_identity:
-        tail = tail * Poly.variable(n + k, n + fan.box_index(target) - 1)
+        tail = tail.mul_monomial(
+            _w_exponent(n, k, (fan.box_index(target),)))
       gen = gen - tail
     out.append(gen)
   return out
@@ -422,9 +427,9 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
     gens.append(_embed(g, total))
     tags.append("stanley_reisner")
   for j, v in enumerate(els[1:]):
-    wvar = Poly.variable(total, n + j)
+    wexp = _w_exponent(n, k, (j + 1,))
     for g in sector_ideal(fan, v):
-      gens.append(_embed(g, total) * wvar)
+      gens.append(_embed(g, total).mul_monomial(wexp))
       tags.append("sector")
   for g in cr_ideal(fan):
     gens.append(g)
@@ -442,10 +447,10 @@ class StarCalculator:
 
   A class is a sector index with an x-coefficient; products land in a single
   sector, and normal forms reduce the coefficient modulo that sector's
-  x-ideal (linear + nonface + annihilator).  Coefficients stay exponent
-  vectors (see star_exponents) and are expanded only for a reduction.
-  Sector rings are handled in eliminated variables to keep the graded
-  pieces small."""
+  x-ideal (linear + annihilator, which holds the nonface relations).
+  Coefficients stay exponent vectors (see star_exponents) and are expanded
+  only for a reduction.  Sector rings are handled in eliminated variables
+  to keep the graded pieces small."""
 
   def __init__(self, fan: StackyFan, kind: ProductKind, domain=None):
     fan.require_valid()
@@ -476,35 +481,29 @@ class StarCalculator:
     return self.cd.tilde_monomial(exps)
 
   def _sector_elim(self, i):
-    """Sector i's x-ring after eliminate, with the images of x1..xn in it.
-    The ring depends only on the sector's minimal cone, so it is built once
-    per cone."""
+    """Sector i's x-ring after eliminate.  The ring depends only on the
+    sector's minimal cone, so it is built once per cone.  Its nonface rows
+    cover the Stanley-Reisner rows: a nonface T holds a minimal nonface S
+    of the star, disjoint from the cone, and tilde_x^T is a multiple of
+    tilde_x^S."""
     cone = self.els[i].sigma_min
     if cone not in self._sector:
       fan = self.fan
-      names = ["x%d" % (t + 1) for t in range(fan.n)]
       lin = linear_ideal(fan)
-      sr = sr_ideal(fan, self.cd)
       sec = sector_ideal(fan, self.els[i])
-      elim = eliminate(RingPresentation(
-          names, [Fraction(1)] * fan.n, lin + sr + sec,
-          ("linear",) * len(lin) + ("stanley_reisner",) * len(sr)
-          + ("sector",) * len(sec),
+      self._sector[cone] = eliminate(RingPresentation(
+          ["x%d" % (t + 1) for t in range(fan.n)], [Fraction(1)] * fan.n,
+          lin + sec, ("linear",) * len(lin) + ("sector",) * len(sec),
           self.domain))
-      pres = elim.presentation
-      nn = len(pres.names)
-      images = [elim.substitutions[name] if name in elim.substitutions
-                else Poly.variable(nn, pres.names.index(name))
-                for name in names]
-      self._sector[cone] = (pres, images)
     return self._sector[cone]
 
   def reduces_to_zero(self, i, coeff):
     """Does the x-coefficient die in sector i's quotient ring?"""
     if coeff.is_zero():
       return True
-    pres, images = self._sector_elim(i)
-    return pres.contains(coeff.map_vars(len(pres.names), images))
+    elim = self._sector_elim(i)
+    pres = elim.presentation
+    return pres.contains(coeff.map_vars(len(pres.names), elim.images))
 
   def triple(self, i, j, l, left):
     """Target and exponent vector (None when zero) of one bracketing of a

@@ -325,9 +325,14 @@ def test_eliminate_substitutions_land_in_ideal(seed, nvars, domain):
   res = eliminate(pres)
   out = res.presentation
   nn = len(out.names)
-  images = _original_images(res, names)
+  # a kept variable's image is its new index
+  for name, got, want in zip(names, res.images, _original_images(res, names)):
+    if name in res.substitutions:
+      assert got == want
+    else:
+      assert type(got) is int and Poly.variable(nn, got) == want
   for g in gens:
-    mapped = g.map_vars(nn, images)
+    mapped = g.map_vars(nn, res.images)
     assert mapped.homogeneous_degree(out.degrees) is not None
     assert out.contains(mapped)
     # and so do its multiples up to degree 3
@@ -382,20 +387,25 @@ def _random_poly(rng, nvars, nterms, maxexp):
   return Poly(nvars, terms)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 4),
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 6),
        st.booleans())
 def test_map_vars_matches_naive_expansion(seed, nvars, new_nvars, reindex):
   rng = random.Random(seed)
   poly = _random_poly(rng, nvars, rng.randint(0, 5), 3)
   images = []
   for _ in range(nvars):
-    if reindex or rng.random() < 0.5:
+    draw = 0 if reindex else rng.randrange(3)
+    if draw == 0:
+      images.append(rng.randrange(new_nvars))
+    elif draw == 1:
       images.append(Poly.variable(new_nvars, rng.randrange(new_nvars)))
     else:
       images.append(_random_poly(rng, new_nvars, rng.randint(0, 3), 2))
+  polys = [Poly.variable(new_nvars, img) if type(img) is int else img
+           for img in images]
   assert poly.map_vars(new_nvars, images) == _naive_expand(poly, new_nvars,
-                                                           images)
+                                                           polys)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from stackychow import inertial
 from stackychow.charring import character_data
-from stackychow.gradedpoly import Poly
+from stackychow.gradedpoly import (
+    Poly,
+    RingPresentation,
+    eliminate,
+    hilbert_table,
+    occurring_degrees,
+)
 from stackychow.inertial import (
     MINUS_INFINITY,
     ORBIFOLD,
@@ -455,7 +461,7 @@ def x_poly(fan, factors):
   out = Poly.constant(fan.n, 1)
   for i, power in factors:
     out = out * tilde(fan, i, power=power)
-  return out.map_vars(n + k, [Poly.variable(n + k, i) for i in range(n)])
+  return out.map_vars(n + k, range(n))
 
 
 def test_cr_ideal_p654(p654):
@@ -623,6 +629,28 @@ def test_presentation_orbifold_graded_piece(p654):
   assert piece.free_rank == 2 and not piece.torsion
   empty = pres.graded_piece(F(1, 4))
   assert empty.free_rank == 0 and not empty.torsion
+
+
+def test_hilbert_window_comes_from_the_eliminated_ring(monkeypatch):
+  # P(7,9,11) orbifold over Q: the original degrees reach 19/11, the
+  # eliminated ring's only 1, so the zero window closes sooner
+  pres = inertial_presentation(weighted_projective_fan((7, 9, 11)), ORBIFOLD,
+                               domain="q")
+  asked = []
+  piece = RingPresentation.graded_piece
+  monkeypatch.setattr(RingPresentation, "graded_piece",
+                      lambda self, deg: asked.append(deg) or piece(self, deg))
+  table = hilbert_table(pres, 6)
+  monkeypatch.undo()
+  # 192 with the window of the original degrees
+  assert len(asked) <= 136
+  # unwindowed to 7/2, past the 136 computed rows; the rows above are zero
+  ring = eliminate(pres).presentation
+  top = F(7, 2)
+  assert [p for p in table if p.degree <= top] == [
+      ring.graded_piece(d) for d in occurring_degrees(pres.degrees, top)]
+  assert len(table) == len(occurring_degrees(pres.degrees, 6))
+  assert all(p.describe() == "0" for p in table if p.degree > top)
 
 
 # -- associativity and stabilization --------------------------------------------
