@@ -367,6 +367,7 @@ def _resolve_sector(names, token):
 
 
 def _emit(args, doc, text):
+  """Write doc as JSON, or text for --format text (None is fine for JSON)."""
   if args.format == "text":
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
   else:
@@ -393,8 +394,8 @@ def _finish_presentation(args, pres, metadata):
     metadata["eliminated"] = {
         name: _terms_json(poly)
         for name, poly in sorted(elim.substitutions.items())}
-  return _emit(args, print_presentation_document(pres, metadata),
-               _presentation_text(pres))
+  text = _presentation_text(pres) if args.format == "text" else None
+  return _emit(args, print_presentation_document(pres, metadata), text)
 
 
 # -- commands --------------------------------------------------------------------

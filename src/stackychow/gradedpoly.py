@@ -547,16 +547,29 @@ class Elimination:
   images: list  # per original variable: its substitution, or its new index
 
 
+def _fresh_names(count, taken):
+  """t, or t1..t<count>, under the first prefix t, t_, t__, ... that makes
+  every name new."""
+  prefix = "t"
+  while True:
+    names = [prefix] if count == 1 else [
+        "%s%d" % (prefix, k + 1) for k in range(count)]
+    if taken.isdisjoint(names):
+      return names
+    prefix += "_"
+
+
 def eliminate(pres):
   """Shrink a presentation by a linear change of variables and substitutions.
 
   Step one rewrites the variables spanned by the linear-form generators
   (over Q each cleared of denominators first) in a Smith basis of the
   quotient lattice; unit coordinates disappear, surviving coordinates
-  become fresh variables t (or t1, t2, ...), torsion coordinates keep a
-  relation d*t_j.  Step two repeatedly substitutes P for w whenever
-  some generator reads +/-(w - P) with w absent from P, scanning variables in
-  ascending order and restarting after every hit.
+  become fresh variables t (or t1, t2, ...; t_, t_1, ... when a name of the
+  ring is taken), torsion coordinates keep a relation d*t_j.  Step two
+  repeatedly substitutes P for w whenever some generator reads +/-(w - P)
+  with w absent from P, scanning variables in ascending order and
+  restarting after every hit.
   """
   names = list(pres.names)
   degrees = list(pres.degrees)
@@ -579,8 +592,7 @@ def eliminate(pres):
       rel_rows.append(row if den == 1 else [int(c * den) for c in row])
     grp = AbGroup(len(involved), rel_rows)
     surviving = [j for j, d in enumerate(grp.diagonal) if d != 1]
-    tnames = ["t"] if len(surviving) == 1 else [
-        "t%d" % (k + 1) for k in range(len(surviving))]
+    tnames = _fresh_names(len(surviving), set(names))
     # new variable order: walk the old order, splice the t-block where the
     # first involved variable sat
     new_names, new_degrees = [], []

@@ -267,6 +267,14 @@ class _Echelon:
   def contains(self, vec):
     return all(x == 0 for x in self.reduce(vec))
 
+  def reduced_rows(self):
+    """The basis rows, each reduced at the pivot columns of the others (over
+    Q it is zero there: a reduced row echelon form up to row scaling)."""
+    done = []
+    for j, p in reversed(self._pivots):
+      done.insert(0, (j, tuple(_residue(list(p), done, self._step)[0])))
+    return tuple(r for _, r in done)
+
   @property
   def rank(self):
     return len(self._pivots)
@@ -470,19 +478,6 @@ def solve_rational(columns, b):
   if any(res[:m]):
     return None
   return tuple(-Fraction(x) for x in res[m:])
-
-
-def solve_rational_nonneg(columns, b):
-  """Unique rational solution with all coordinates >= 0, else None.
-
-  pre: columns linearly independent over Q (raises ValueError otherwise).
-  """
-  q = solve_rational(columns, b)
-  if q is None:
-    return None
-  if any(x < 0 for x in q):
-    return None
-  return q
 
 
 def rational_rank(rows):

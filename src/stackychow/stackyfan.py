@@ -16,12 +16,11 @@ from operator import add, sub
 
 from stackychow.lattice import (
     IntMatrix,
+    QReducer,
+    ZReducer,
     frac,
     rational_rank,
     smith_normal_form,
-    solve_integer,
-    solve_rational,
-    solve_rational_nonneg,
 )
 
 
@@ -99,6 +98,7 @@ class StackyFan:
       if len(b) != width:
         raise ValueError("ray of wrong length")
     self._validation = None
+    self._functionals = {}  # max cone -> (equalities, inequalities)
     self._box = None
     self._box_by_v = None
     self._double = None
@@ -152,12 +152,12 @@ class StackyFan:
                         % (i + 1, c, m))
       if all(c == 0 for c in self.free(i)):
         errors.append("ray %d: free part is zero" % (i + 1,))
+    # positively parallel means b_i = c * b_j with c > 0, so the sign of the
+    # direction matters: opposite rays are fine
+    prims = [_primitive(self.free(i)) for i in range(self.n)]
     for i in range(self.n):
       for j in range(i + 1, self.n):
-        bi, bj = self.free(i), self.free(j)
-        # positively parallel means b_i = c * b_j with c > 0, so the sign of
-        # the direction matters: opposite rays are fine
-        if any(c != 0 for c in bi) and _direction(bi) == _direction(bj):
+        if any(prims[i]) and prims[i] == prims[j]:
           errors.append("rays %d and %d are positively parallel"
                         % (i + 1, j + 1))
     used = {i for cone in self.max_cones for i in cone}
@@ -173,27 +173,23 @@ class StackyFan:
       if i not in used:
         errors.append("ray %d is not used by any maximal cone" % (i + 1,))
     for cone in self.max_cones:
-      vecs = [self.free(i) for i in cone]
-      if rational_rank(vecs) != len(vecs):
-        errors.append("cone %s: rays are linearly dependent (not simplicial)"
-                      % _cone_str(cone))
+      try:
+        self._cone_functionals(cone)
+      except ValueError as exc:
+        errors.append(str(exc))
     if rational_rank([self.free(i) for i in range(self.n)]) != self.d:
       errors.append("Sigma does not span N_R")
     if self.r:
       # the hypothesis is containment N_tors <= <b_1..b_n> inside N, which is
       # strictly stronger than the torsion parts generating N_tors: each
       # torsion generator must be hit with zero free part
-      cols = [list(self.rays[i]) for i in range(self.n)]
-      cols += [[m if j == self.d + l else 0 for j in range(self.d + self.r)]
-               for l, m in enumerate(self.torsion)]
-      mat = IntMatrix([[col[j] for col in cols]
-                       for j in range(self.d + self.r)])
-      for l in range(self.r):
-        target = [0] * (self.d + self.r)
-        target[self.d + l] = 1
-        if solve_integer(mat, target) is None:
-          errors.append("b_i do not generate N_tors")
-          break
+      width = self.d + self.r
+      units = [tuple(int(j == self.d + l) for j in range(width))
+               for l in range(self.r)]
+      span = ZReducer(list(self.rays) + [
+          tuple(m * c for c in e) for m, e in zip(self.torsion, units)], width)
+      if not all(span.contains(e) for e in units):
+        errors.append("b_i do not generate N_tors")
     if not errors:
       errors.extend(self._fan_axiom_errors())
     self._validation = tuple(errors)
@@ -215,32 +211,40 @@ class StackyFan:
     return errors
 
   def _cone_functionals(self, cone):
-    """Linear functionals describing cone(b_i : i in cone) inside Q^d.
+    """Primitive integer functionals describing cone(b_i : i in cone) in Q^d.
 
-    Returns (equalities, inequalities): x lies in the cone iff every
-    equality vanishes on x and every inequality is >= 0 on x.
+    Returns (equalities, inequalities), built once per cone: x lies in the
+    cone iff every equality vanishes on x and every inequality is >= 0 on
+    x.  There is one inequality per ray, in cone order; on the span of the
+    cone it is a positive multiple of that ray's coordinate.
     """
-    cols = [self.free(i) for i in cone]
-    k = len(cols)
-    basis = list(cols)
-    eye = [tuple(1 if i == j else 0 for i in range(self.d))
-           for j in range(self.d)]
-    # complete to a basis of Q^d with standard vectors
-    for e in eye:
-      if rational_rank(basis + [e]) > len(basis):
-        basis.append(e)
-    # row j of the inverse of the basis matrix is the j-th dual functional
-    inv = list(zip(*(solve_rational(basis, e) for e in eye)))
-    return inv[k:], inv[:k]
+    out = self._functionals.get(cone)
+    if out is None:
+      # row c is (f(b_i) for i in cone | f) for f the c-th coordinate; the
+      # reduced basis has a row (a e_j | f_j) per ray, f_j(b_i) = a delta_ij
+      # with a > 0, and rows (0 | f) for the f vanishing on every ray
+      k = len(cone)
+      rows = QReducer([tuple(self.free(i)[c] for i in cone)
+                       + tuple(int(c == j) for j in range(self.d))
+                       for c in range(self.d)], k + self.d).reduced_rows()
+      if sum(1 for r in rows if any(r[:k])) < k:
+        raise ValueError("cone %s: rays are linearly dependent (not "
+                         "simplicial)" % _cone_str(cone))
+      out = ([_primitive(r[k:]) for r in rows[k:]],
+             [_primitive(r[k:]) for r in rows[:k]])
+      self._functionals[cone] = out
+    return out
 
   def _intersection_is_common_face(self, s, t):
-    common = sorted(set(s) & set(t))
-    gens = [tuple(Fraction(c) for c in self.free(i)) for i in s]
+    """Fourier-Motzkin cuts the rays of s down to generators of the
+    intersection with cone t.  It is the face on the common rays when no
+    generator has a positive s-coordinate on a ray of s outside t."""
+    gens = [_primitive(self.free(i)) for i in s]
     eqs, ineqs = self._cone_functionals(t)
     for f, is_eq in [(f, True) for f in eqs] + [(f, False) for f in ineqs]:
       pos, neg, zero = [], [], []
       for g in gens:
-        val = sum(a * b for a, b in zip(f, g))
+        val = _dot(f, g)
         (zero if val == 0 else pos if val > 0 else neg).append((g, val))
       new = [g for g, _ in zero]
       if not is_eq:
@@ -248,31 +252,25 @@ class StackyFan:
       for gp, vp in pos:
         for gn, vn in neg:
           combo = tuple(vp * a - vn * b for a, b in zip(gn, gp))
-          if any(c != 0 for c in combo):
+          if any(combo):
             new.append(combo)
-      gens = [tuple(Fraction(c) for c in _direction(g)) for g in new]
-      gens = list(dict.fromkeys(gens))
-    cols = [self.free(i) for i in common]
-    for g in gens:
-      if not common:
-        if any(c != 0 for c in g):
-          return False
-      elif solve_rational_nonneg(cols, g) is None:
-        return False
-    return True
+      gens = list(dict.fromkeys(map(_primitive, new)))
+    outside = [f for i, f in zip(s, self._cone_functionals(s)[1])
+               if i not in t]
+    return not any(_dot(f, g) for f in outside for g in gens)
 
   # -- cones -----------------------------------------------------------------
 
   def minimal_cone(self, vbar):
     """Ray set of the smallest cone containing vbar, or None if outside."""
-    vbar = tuple(Fraction(c) for c in vbar)
     if all(c == 0 for c in vbar):
       return ()
     for cone in self.max_cones:
-      cols = [self.free(i) for i in cone]
-      q = solve_rational_nonneg(cols, vbar)
-      if q is not None:
-        return tuple(i for i, c in zip(cone, q) if c > 0)
+      eqs, ineqs = self._cone_functionals(cone)
+      if not any(_dot(f, vbar) for f in eqs):
+        vals = [_dot(f, vbar) for f in ineqs]
+        if all(v >= 0 for v in vals):
+          return tuple(i for i, v in zip(cone, vals) if v > 0)
     return None
 
   def has_common_cone(self, ray_set):
@@ -449,19 +447,14 @@ def _cone_str(cone):
   return "{" + ",".join(str(i + 1) for i in cone) + "}"
 
 
-def _direction(vec):
-  """Scale a rational vector by a positive constant to a primitive integer
-  vector.  It never flips signs, so it identifies the ray through the vector
-  rather than the line."""
-  fracs = [Fraction(x) for x in vec]
-  denom = 1
-  for x in fracs:
-    denom = denom * x.denominator // gcd(denom, x.denominator)
-  ints = [int(x * denom) for x in fracs]
-  g = 0
-  for x in ints:
-    g = gcd(g, x)
-  return tuple(x // g for x in ints) if g else tuple(ints)
+def _primitive(vec):
+  """An integer vector divided by the gcd of its entries, signs kept."""
+  g = gcd(*vec)
+  return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+
+
+def _dot(f, x):
+  return sum(a * b for a, b in zip(f, x))
 
 
 def _torsion_tuples(torsion):

@@ -16,7 +16,7 @@ from stackychow.cli import (CliError, PRODUCT_NAMES, main, parse_fan_document,
 from stackychow.gradedpoly import monomials_of_degree
 from stackychow.inertial import Bundle
 from stackychow.lattice import AbGroup
-from stackychow.stackyfan import weighted_projective_fan
+from stackychow.stackyfan import StackyFan, weighted_projective_fan
 from tests.conftest import valid_fans
 
 P64_DOC = {
@@ -419,6 +419,12 @@ PINNED = {
     "p654-hilbert-q": ("p654", ["hilbert", "--product", "orbifold", "--coeff",
                                 "q"],
         "1e749d8c8c7fb6b38bc36f4ff84524a05d2abe4fb9cedb7b941a176fa2b7178e"),
+    # the text form, which only --format text builds
+    "p654-virtual-text": ("p654", ["inertial", "--product", "virtual",
+                                   "--format", "text"],
+        "9b828af5ad68e22f07e5d96a53048a5c8df484896a9269982706e6f9e1afa7ff"),
+    "p654-chow-text": ("p654", ["chow", "--simplify", "--format", "text"],
+        "c9995c6e16b4fa240baf67e18c32bb5ba61ad75619ff5eed67197a8f6ff451aa"),
 }
 
 
@@ -428,6 +434,41 @@ def test_simplify_output_pinned(docs, capsys, name):
   code, out, err = run(capsys, argv[0], docs[doc], *argv[1:])
   assert code == 0, err
   assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_output_builds_no_text(docs, capsys, monkeypatch):
+  def refuse(pres):
+    raise AssertionError("text form built for JSON output")
+
+  monkeypatch.setattr(cli, "_presentation_text", refuse)
+  run_json(capsys, "inertial", docs["p654"], "--simplify")
+  run_json(capsys, "chow", docs["p654"])
+
+
+def test_sector_labels_named_like_fresh_variables(tmp_path, capsys):
+  # eliminate names the surviving coordinates t, or t1, t2, ...; a sector
+  # label that takes such a name moves them to t_, or t_1, t_2, ... (on the
+  # rank-2 fan the second step then substitutes t_1 away)
+  p2 = StackyFan(2, (), ((2, 0), (0, 1), (-1, 0), (0, -1)),
+                 ((0, 1), (1, 2), (2, 3), (0, 3)))
+  for fan, label, fresh in ((weighted_projective_fan((2, 3, 5, 7)), "t",
+                             ["t_"]), (p2, "t1", ["t_2"])):
+    paths = []
+    for labels in ({1: label}, None):
+      p = tmp_path / ("%s-%s.json" % (label, labels is None))
+      p.write_text(json.dumps(print_fan_document(fan, labels=labels)))
+      paths.append(str(p))
+    labelled, plain = paths
+    run_json(capsys, "inertial", labelled)
+    doc = run_json(capsys, "inertial", labelled, "--simplify")
+    names = [v["name"] for v in doc["variables"]]
+    assert names[:len(fresh)] == fresh and label in names
+    assert len(set(names)) == len(names)
+    assert not set(names) & set(doc["metadata"]["eliminated"])
+    hilbert = ["hilbert", "--product", "orbifold", "--coeff", "q",
+               "--maxdeg", "1"]
+    assert (run_json(capsys, hilbert[0], labelled, *hilbert[1:])
+            == run_json(capsys, hilbert[0], plain, *hilbert[1:]))
 
 
 def test_oversized_coefficient_refused(docs, capsys):

@@ -13,7 +13,6 @@ from stackychow.lattice import (
     smith_normal_form,
     solve_integer,
     solve_rational,
-    solve_rational_nonneg,
 )
 
 
@@ -88,19 +87,6 @@ def test_solve_integer():
   sol2 = solve_integer(a2, (7,))
   assert sol2 is not None
   assert sum(c * x for c, x in zip((1, 2, 3), sol2)) == 7
-
-
-def test_solve_rational_nonneg():
-  cols = [(2, 0), (0, 4)]
-  assert solve_rational_nonneg(cols, (1, 1)) == (Fraction(1, 2), Fraction(1, 4))
-  assert solve_rational_nonneg(cols, (-1, 1)) is None
-  assert solve_rational_nonneg([(2,)], (1,)) == (Fraction(1, 2),)
-  assert solve_rational_nonneg([(2, 3)], (1, 1)) is None  # off the line
-  try:
-    solve_rational_nonneg([(1, 0), (2, 0)], (1, 0))
-    assert False
-  except ValueError:
-    pass
 
 
 def test_frac():
@@ -248,6 +234,27 @@ echelon_matrices = st.integers(2, 5).flatmap(
     lambda specs: [[0] * j + [a] + tail[j + 1:]
                    for j, (used, a, tail) in enumerate(specs) if used]
 ).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_matrices, small_fraction_matrices))
+def test_reduced_rows(rows):
+  # the same row span and pivots as the echelon basis, each row reduced at
+  # the other pivot columns: zero there over Q, in [0, pivot) over Z
+  width = len(rows[0])
+  for cls in (QReducer, ZReducer):
+    if cls is ZReducer and any(type(x) is not int for r in rows for x in r):
+      continue
+    red = cls(rows, width)
+    out = red.reduced_rows()
+    pivots = _pivots(red)
+    assert [j for j, _ in pivots] == [j for j, _ in _pivots(cls(out, width))]
+    assert all(red.contains(r) for r in out)
+    assert all(cls(out, width).contains(r) for r in red.rows)
+    for r, (j, _) in zip(out, pivots):
+      for k, p in pivots:
+        if k != j:
+          assert r[k] == 0 if cls is QReducer else 0 <= r[k] < p
 
 
 @settings(max_examples=150, deadline=None)

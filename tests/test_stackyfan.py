@@ -1,10 +1,19 @@
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import valid_fans
-from stackychow.lattice import AbGroup, solve_rational
+from stackychow import lattice, stackyfan
+from stackychow.lattice import (
+    AbGroup,
+    IntMatrix,
+    rational_rank,
+    solve_integer,
+    solve_rational,
+)
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
 
 F = Fraction
@@ -337,3 +346,239 @@ def test_box_add_group_laws(fan):
   for a in lookup.values():
     for b in lookup.values():
       assert fan.box_add(a, b) == fan.box_add(b, a)
+
+
+# -- the Fraction reference for validation and minimal cones -------------------
+#
+# An independent reference that shares no linear algebra with the integer
+# functionals of StackyFan: Fourier-Motzkin on Fraction vectors, a
+# nonnegative rational solve for each generator of an intersection and for
+# each minimal-cone query, and one Smith form per torsion generator.
+
+def nonneg_solution(columns, b):
+  """The rational solution of sum_j q_j col_j = b if every q_j >= 0, else
+  None; raises ValueError when the columns are dependent."""
+  q = solve_rational(columns, b)
+  if q is None or any(x < 0 for x in q):
+    return None
+  return q
+
+
+def direction(vec):
+  """A rational vector scaled by a positive constant to a primitive integer
+  vector."""
+  fracs = [F(x) for x in vec]
+  denom = 1
+  for x in fracs:
+    denom = denom * x.denominator // gcd(denom, x.denominator)
+  ints = [int(x * denom) for x in fracs]
+  g = 0
+  for x in ints:
+    g = gcd(g, x)
+  return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+def reference_functionals(fan, cone):
+  """(equalities, inequalities) of the cone: the rows of the inverse of its
+  ray matrix completed to a basis of Q^d with standard vectors."""
+  cols = [fan.free(i) for i in cone]
+  basis = list(cols)
+  eye = [tuple(int(i == j) for i in range(fan.d)) for j in range(fan.d)]
+  for e in eye:
+    if rational_rank(basis + [e]) > len(basis):
+      basis.append(e)
+  inv = list(zip(*(solve_rational(basis, e) for e in eye)))
+  return inv[len(cols):], inv[:len(cols)]
+
+
+def reference_common_face(fan, s, t):
+  common = sorted(set(s) & set(t))
+  gens = [tuple(F(c) for c in fan.free(i)) for i in s]
+  eqs, ineqs = reference_functionals(fan, t)
+  for f, is_eq in [(f, True) for f in eqs] + [(f, False) for f in ineqs]:
+    pos, neg, zero = [], [], []
+    for g in gens:
+      val = sum(a * b for a, b in zip(f, g))
+      (zero if val == 0 else pos if val > 0 else neg).append((g, val))
+    new = [g for g, _ in zero]
+    if not is_eq:
+      new += [g for g, _ in pos]
+    for gp, vp in pos:
+      for gn, vn in neg:
+        combo = tuple(vp * a - vn * b for a, b in zip(gn, gp))
+        if any(c != 0 for c in combo):
+          new.append(combo)
+    gens = list(dict.fromkeys(tuple(F(c) for c in direction(g)) for g in new))
+  cols = [fan.free(i) for i in common]
+  for g in gens:
+    if not common:
+      if any(c != 0 for c in g):
+        return False
+    elif nonneg_solution(cols, g) is None:
+      return False
+  return True
+
+
+def reference_minimal_cone(fan, vbar):
+  vbar = tuple(F(c) for c in vbar)
+  if all(c == 0 for c in vbar):
+    return ()
+  for cone in fan.max_cones:
+    q = nonneg_solution([fan.free(i) for i in cone], vbar)
+    if q is not None:
+      return tuple(i for i, c in zip(cone, q) if c > 0)
+  return None
+
+
+def reference_validate(fan):
+  errors = []
+  for m in fan.torsion:
+    if m < 2:
+      errors.append("torsion order %d is smaller than 2" % m)
+  for i, b in enumerate(fan.rays):
+    for c, m in zip(fan.tors(i), fan.torsion):
+      if not 0 <= c < m:
+        errors.append("ray %d: torsion coordinate %d out of range [0, %d)"
+                      % (i + 1, c, m))
+    if all(c == 0 for c in fan.free(i)):
+      errors.append("ray %d: free part is zero" % (i + 1,))
+  for i in range(fan.n):
+    for j in range(i + 1, fan.n):
+      bi, bj = fan.free(i), fan.free(j)
+      if any(c != 0 for c in bi) and direction(bi) == direction(bj):
+        errors.append("rays %d and %d are positively parallel"
+                      % (i + 1, j + 1))
+  name = stackyfan._cone_str
+  for cone in fan.max_cones:
+    for i in cone:
+      if not 0 <= i < fan.n:
+        errors.append("cone %s: unknown ray index %d" % (name(cone), i + 1))
+  if any(not 0 <= i < fan.n for cone in fan.max_cones for i in cone):
+    return tuple(errors)
+  used = {i for cone in fan.max_cones for i in cone}
+  for i in range(fan.n):
+    if i not in used:
+      errors.append("ray %d is not used by any maximal cone" % (i + 1,))
+  for cone in fan.max_cones:
+    vecs = [fan.free(i) for i in cone]
+    if rational_rank(vecs) != len(vecs):
+      errors.append("cone %s: rays are linearly dependent (not simplicial)"
+                    % name(cone))
+  if rational_rank([fan.free(i) for i in range(fan.n)]) != fan.d:
+    errors.append("Sigma does not span N_R")
+  if fan.r:
+    width = fan.d + fan.r
+    cols = [list(b) for b in fan.rays]
+    cols += [[m if j == fan.d + l else 0 for j in range(width)]
+             for l, m in enumerate(fan.torsion)]
+    mat = IntMatrix([[col[j] for col in cols] for j in range(width)])
+    for l in range(fan.r):
+      target = [int(j == fan.d + l) for j in range(width)]
+      if solve_integer(mat, target) is None:
+        errors.append("b_i do not generate N_tors")
+        break
+  if not errors:
+    cones = fan.max_cones
+    for a in range(len(cones)):
+      for b in range(a + 1, len(cones)):
+        if not reference_common_face(fan, cones[a], cones[b]):
+          errors.append("cones %s and %s: intersection is not a common face"
+                        % (name(cones[a]), name(cones[b])))
+  return tuple(errors)
+
+
+def outcome(fn, *args):
+  """fn(*args), or the name of the exception it raised."""
+  try:
+    return fn(*args)
+  except ValueError as exc:
+    return type(exc).__name__
+
+
+def test_reference_nonneg_solution():
+  cols = [(2, 0), (0, 4)]
+  assert nonneg_solution(cols, (1, 1)) == (F(1, 2), F(1, 4))
+  assert nonneg_solution(cols, (-1, 1)) is None
+  assert nonneg_solution([(2,)], (1,)) == (F(1, 2),)
+  assert nonneg_solution([(2, 3)], (1, 1)) is None  # off the line
+  with pytest.raises(ValueError):
+    nonneg_solution([(1, 0), (2, 0)], (1, 0))
+
+
+def test_reference_agrees_on_the_fixed_fans(p64, p654):
+  for fan in (p64, p654, weighted_projective_fan((2, 3, 5, 7))):
+    assert reference_validate(fan) == fan.validate() == ()
+  assert reference_minimal_cone(p654, (2, 3)) == p654.minimal_cone((2, 3))
+  bad = StackyFan(2, (), ((1, 0), (0, 1), (1, 1), (1, -1)), ((0, 1), (2, 3)))
+  assert reference_validate(bad) == bad.validate()
+
+
+def _primitive_directions(d):
+  return [v for v in product((-1, 0, 1), repeat=d) if any(v)]
+
+
+@st.composite
+def fan_documents(draw):
+  """Small stacky fans of rank 1 to 3, valid or not.  Free parts are
+  distinct primitive directions scaled by 1 or 2, or arbitrary small
+  vectors (zero and parallel rays); cones are sets of d rays (overlapping
+  cones) or arbitrary index lists (unknown, unused and dependent rays);
+  torsion coordinates may reach m, and the rays need not generate N_tors."""
+  d = draw(st.integers(1, 3))
+  torsion = draw(st.sampled_from([(), (), (2,), (3,), (2, 2), (1,)]))
+  if draw(st.booleans()):
+    pool = _primitive_directions(d)
+    frees = [tuple(draw(st.integers(1, 2)) * c for c in v) for v in draw(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))]
+  else:
+    frees = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1,
+                          max_size=5))
+  n = len(frees)
+  top = draw(st.sampled_from([0, 0, 1]))  # 1 lets a coordinate reach m
+  rays = [f + tuple(draw(st.integers(0, m - 1 + top)) for m in torsion)
+          for f in frees]
+  if n >= d and draw(st.booleans()):
+    cones = draw(st.lists(st.sampled_from(list(combinations(range(n), d))),
+                          min_size=1, max_size=6, unique=True))
+  else:
+    cones = draw(st.lists(st.lists(st.integers(0, n), min_size=1,
+                                   max_size=d + 1), min_size=1, max_size=4))
+  return StackyFan(d, torsion, rays, cones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fan_documents(), st.lists(st.lists(st.integers(-3, 3), min_size=3,
+                                          max_size=3), max_size=6))
+def test_validation_and_minimal_cone_match_the_reference(fan, points):
+  assert fan.validate() == reference_validate(fan)
+  if any(i >= fan.n for cone in fan.max_cones for i in cone):
+    return
+  simplicial = [c for c in fan.max_cones
+                if rational_rank([fan.free(i) for i in c]) == len(c)]
+  for s in simplicial:
+    for t in simplicial:
+      if all(any(fan.free(i)) for i in s):
+        assert (fan._intersection_is_common_face(s, t)
+                == reference_common_face(fan, s, t))
+  probes = [tuple(p[:fan.d]) for p in points]
+  probes += [fan.free(i) for i in range(fan.n)]
+  probes += [tuple(a + b for a, b in zip(fan.free(i), fan.free(j)))
+             for i in range(fan.n) for j in range(i)]
+  for p in probes:
+    assert (outcome(fan.minimal_cone, p)
+            == outcome(reference_minimal_cone, fan, p))
+
+
+def test_validate_makes_no_smith_form_call(monkeypatch):
+  fans = [StackyFan(1, (2,), ((2, 1), (-3, 0)), ((0,), (1,))),
+          StackyFan(1, (2,), ((1, 1),), ((0,),)),
+          weighted_projective_fan((6, 4)), weighted_projective_fan((2, 4, 6))]
+
+  def refuse(*args):
+    raise AssertionError("Smith form during validation")
+
+  monkeypatch.setattr(stackyfan, "smith_normal_form", refuse)
+  monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+  assert all(fan.r for fan in fans)
+  assert [fan.validate() for fan in fans] == [
+      (), ("b_i do not generate N_tors",), (), ()]
