@@ -2,9 +2,10 @@
 
 Exit codes: 1 for a malformed document, 2 for a fan failing the stacky-fan
 hypotheses, 3 for a semantically invalid request against a well-formed fan.
-JSON output is byte-stable: sorted keys, two-space indent, one trailing
-newline.  All lattice integers are serialized as decimal strings so values
-never pass through floating point or fixed-width readers.
+JSON output is byte-stable: exactly json.dumps(doc, sort_keys=True,
+indent=2) and one trailing newline, ASCII only.  All lattice integers are
+serialized as decimal strings so values never pass through floating point
+or fixed-width readers.
 """
 
 import argparse
@@ -34,6 +35,9 @@ _KINDS = {"orbifold": ORBIFOLD, "virtual": VIRTUAL,
 PRODUCT_NAMES = tuple(_KINDS)
 
 _FAN_KEYS = {"schema", "rank", "torsion", "b", "max_cones", "bundle", "labels"}
+
+# the C string escaper json.dumps uses with its default ensure_ascii=True
+_escape = json.encoder.encode_basestring_ascii
 
 
 class CliError(Exception):
@@ -366,12 +370,57 @@ def _resolve_sector(names, token):
                     "or a box index 0..%d" % (token, k, k))
 
 
+def _write_json(obj, out, indent):
+  """Append obj to the list out in chunks that join to
+  json.dumps(obj, sort_keys=True, indent=2); indent is the newline and
+  spaces that start a line at obj's depth.  Only str, int, bool, None,
+  list and dict with str keys are written; anything else is a TypeError."""
+  if isinstance(obj, str):
+    out.append(_escape(obj))
+  elif obj is None:
+    out.append("null")
+  elif obj is True:
+    out.append("true")
+  elif obj is False:
+    out.append("false")
+  elif isinstance(obj, int):
+    out.append(int.__repr__(obj))
+  elif isinstance(obj, list):
+    if not obj:
+      out.append("[]")
+      return
+    inner = indent + "  "
+    sep = "[" + inner
+    for item in obj:
+      out.append(sep)
+      _write_json(item, out, inner)
+      sep = "," + inner
+    out.append(indent + "]")
+  elif isinstance(obj, dict):
+    if not obj:
+      out.append("{}")
+      return
+    inner = indent + "  "
+    sep = "{" + inner
+    for key in sorted(obj):
+      out.append(sep + _escape(key) + ": ")
+      _write_json(obj[key], out, inner)
+      sep = "," + inner
+    out.append(indent + "}")
+  else:
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(obj).__name__)
+
+
 def _emit(args, doc, text):
   """Write doc as JSON, or text for --format text (None is fine for JSON)."""
   if args.format == "text":
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
   else:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out = []
+    _write_json(doc, out, "\n")
+    out.append("\n")
+    sys.stdout.write("".join(out))
   return 0
 
 

@@ -3,8 +3,8 @@
 Everything here works over Z or Q with arbitrary precision (Python ints and
 fractions.Fraction); no floating point anywhere.  The Smith form tracks its
 unimodular transforms so callers can change bases, lift representatives and
-solve integral systems exactly.  Row spans over Z and Q, and rational
-systems, go through one integer row-echelon kernel (`_echelon`).
+solve integral systems exactly.  Row spans over Z and Q go through one
+integer row-echelon kernel (`_echelon`).
 """
 
 from __future__ import annotations
@@ -456,28 +456,6 @@ def solve_integer(a: IntMatrix, b):
         return None
       y[i] = c[i] // d
   return snf.v.mul_vec(y)
-
-
-def solve_rational(columns, b):
-  """Solve sum_j q_j * col_j = b over Q for linearly independent columns.
-
-  columns: list of equal-length rational vectors.  Returns the unique
-  coefficient tuple, or None if b is outside the column span.  Raises
-  ValueError when the columns are dependent.
-
-  (b, 0) reduces modulo the rows (col_j, e_j) to (0, -q) exactly when
-  b = sum_j q_j col_j; a pivot in the e-block is a dependency.
-  """
-  m, k = len(b), len(columns)
-  eye = [(0,) * j + (1,) + (0,) * (k - j - 1) for j in range(k)]
-  pivots = _echelon([tuple(c) + e for c, e in zip(columns, eye)],
-                    QReducer._clear, QReducer._step)
-  if any(j >= m for j, _ in pivots):
-    raise ValueError("columns not linearly independent")
-  res = _reduce(tuple(b) + (0,) * k, pivots, QReducer._step)
-  if any(res[:m]):
-    return None
-  return tuple(-Fraction(x) for x in res[m:])
 
 
 def rational_rank(rows):

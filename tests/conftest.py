@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hypothesis import assume, strategies as st
@@ -56,3 +58,30 @@ def valid_fans(draw, max_box=30):
   assume(not fan.validate())
   assume(len(fan.box()) <= max_box)
   return fan
+
+
+def solve_rational(columns, b):
+  """Solve sum_j q_j * col_j = b over Q for linearly independent columns.
+
+  The test oracle for rational solves: Gauss-Jordan elimination on the
+  Fraction matrix [columns | b], sharing no code with stackychow.lattice.
+  Returns the unique coefficient tuple, or None if b is outside the column
+  span; raises ValueError when the columns are dependent.
+  """
+  m, k = len(b), len(columns)
+  rows = [[Fraction(c[i]) for c in columns] + [Fraction(b[i])]
+          for i in range(m)]
+  for j in range(k):
+    p = next((i for i in range(j, m) if rows[i][j]), None)
+    if p is None:
+      raise ValueError("columns not linearly independent")
+    rows[j], rows[p] = rows[p], rows[j]
+    pivot = rows[j][j]
+    rows[j] = [x / pivot for x in rows[j]]
+    for i in range(m):
+      if i != j and rows[i][j]:
+        f = rows[i][j]
+        rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+  if any(rows[i][k] for i in range(k, m)):
+    return None
+  return tuple(rows[j][k] for j in range(k))

@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stackychow import charring, cli, inertial
 from stackychow.charring import sr_ring
-from stackychow.cli import (CliError, PRODUCT_NAMES, main, parse_fan_document,
-                            parse_presentation_document, print_fan_document,
-                            print_presentation_document)
+from stackychow.cli import (CliError, PRODUCT_NAMES, SCHEMA, main,
+                            parse_fan_document, parse_presentation_document,
+                            print_fan_document, print_presentation_document)
 from stackychow.gradedpoly import monomials_of_degree
 from stackychow.inertial import Bundle
 from stackychow.lattice import AbGroup
@@ -291,8 +291,8 @@ def test_check_assoc(docs, capsys):
     assert doc["associative"] is True and doc["witnesses"] == []
 
 
-def test_check_assoc_reports_first_witness(docs, capsys, monkeypatch):
-  # one more power of the first ray on one sector pair breaks associativity
+def _break_associativity(monkeypatch):
+  """One more power of the first ray on the sector pair (1, 2)."""
   real = inertial.star_exponents
 
   def star_exponents(fan, kind, v1, v2):
@@ -301,6 +301,10 @@ def test_check_assoc_reports_first_witness(docs, capsys, monkeypatch):
       exps = (exps[0] + 1,) + exps[1:]
     return target, exps
   monkeypatch.setattr(inertial, "star_exponents", star_exponents)
+
+
+def test_check_assoc_reports_first_witness(docs, capsys, monkeypatch):
+  _break_associativity(monkeypatch)
   doc = run_json(capsys, "check-assoc", docs["p654"])
   assert doc["associative"] is False and doc["witnesses"]
   code, out, err = run(capsys, "check-assoc", docs["p654"], "--format", "text")
@@ -443,6 +447,85 @@ def test_json_output_builds_no_text(docs, capsys, monkeypatch):
   monkeypatch.setattr(cli, "_presentation_text", refuse)
   run_json(capsys, "inertial", docs["p654"], "--simplify")
   run_json(capsys, "chow", docs["p654"])
+
+
+# -- the JSON writer --------------------------------------------------------------
+
+def _written(value):
+  out = []
+  cli._write_json(value, out, "\n")
+  return "".join(out)
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII letters, an astral
+# character and both halves of a surrogate pair, each on its own
+_AWKWARD = st.sampled_from(['"', "\\", "/", "\x00", "\n", "\t", "\x1f",
+                            "\x7f", "é", "ω", " ", "\U0001f600",
+                            "\ud800", "\udfff"])
+_JSON_TEXT = st.lists(_AWKWARD | st.characters(blacklist_categories=()),
+                      max_size=8).map("".join)
+_JSON_SCALARS = (st.none() | st.booleans() | _JSON_TEXT
+                 | st.integers(-10 ** 30, 10 ** 30)
+                 | st.sampled_from([0, -1, 2 ** 63, -2 ** 64, 10 ** 4000,
+                                    -10 ** 4000]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+  assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_layout():
+  for value in ([], {}, [[]], {"": {}}, [{}, [[], {"a": []}]], True, None):
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=2)
+  assert _written({"b": [1, "ω\""], "a": -3}) == (
+      '{\n  "a": -3,\n  "b": [\n    1,\n    "\\u03c9\\""\n  ]\n}')
+
+
+def test_emit_raises_type_error_on_a_fraction(capsys):
+  args = cli.build_parser().parse_args(["validate", "x.json"])
+  doc = {"schema": SCHEMA, "degree": Fraction(1, 2)}
+  with pytest.raises(TypeError):
+    json.dumps(doc, sort_keys=True, indent=2)
+  with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+    cli._emit(args, doc, None)
+  # documents hold no floats, tuples or non-string keys; json.dumps would
+  # write them, the writer refuses them
+  for doc in ([1.5], (1, 2), {1: "one"}):
+    with pytest.raises(TypeError):
+      cli._emit(args, doc, None)
+  assert capsys.readouterr().out == ""
+
+
+# a label outside ASCII with a quote in it names sector 1 (w2 in P654_DOC)
+_ODD_LABEL = 'ω"2'
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["box"], ["chow", "--simplify"],
+    ["inertial", "--product", "v-plus", "--simplify"],
+    ["multiply", "--product", "orbifold", _ODD_LABEL, "w1"],
+    ["check-assoc"], ["hilbert", "--maxdeg", "2"]])
+def test_cli_output_is_json_dumps_indent_2(tmp_path, capsys, monkeypatch,
+                                          argv):
+  p = tmp_path / "odd.json"
+  p.write_text(json.dumps({**P654_DOC, "labels": {**P654_DOC["labels"],
+                                                  "1": _ODD_LABEL}}))
+  if argv[0] == "check-assoc":
+    # so that the witnesses carry sector labels
+    _break_associativity(monkeypatch)
+  code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+  assert code == 0, err
+  assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+  assert out.isascii()
+  if argv[0] not in ("validate", "hilbert"):
+    assert json.dumps(_ODD_LABEL) in out
 
 
 def test_sector_labels_named_like_fresh_variables(tmp_path, capsys):

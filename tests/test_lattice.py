@@ -12,8 +12,8 @@ from stackychow.lattice import (
     frac,
     smith_normal_form,
     solve_integer,
-    solve_rational,
 )
+from tests.conftest import solve_rational
 
 
 def test_snf_diagonal_small():
@@ -320,6 +320,9 @@ def test_qreducer_residue(rows, data):
   diff = [a - b for a, b in zip(v, res)]
   assert _q_rank(list(rows) + [diff]) == red.rank
 
+
+# solve_rational is the Fraction oracle of tests/conftest.py, which the box
+# and reference checks of test_stackyfan.py rely on; these two tests check it
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(small_matrices, small_fraction_matrices), st.data())

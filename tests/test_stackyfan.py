@@ -5,14 +5,13 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import valid_fans
+from conftest import solve_rational, valid_fans
 from stackychow import lattice, stackyfan
 from stackychow.lattice import (
     AbGroup,
     IntMatrix,
     rational_rank,
     solve_integer,
-    solve_rational,
 )
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
 
