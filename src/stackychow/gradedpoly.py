@@ -219,12 +219,6 @@ class Poly:
       return None
     return degs.pop()
 
-  def vector(self, basis_index):
-    v = [0] * len(basis_index)
-    for e, c in self.terms.items():
-      v[basis_index[e]] = c
-    return tuple(v)
-
   def map_vars(self, new_nvars, images):
     """Substitute images[i] for variable i: an int moves the exponent to
     that variable of the new ring, a Poly in the new ring is expanded
@@ -403,7 +397,7 @@ class RingPresentation:
     # (e . ideg) / scale, scale the lcm of the degree denominators
     self.scale = lcm(*(d.denominator for d in degrees))
     self.ideg = tuple(int(d * self.scale) for d in degrees)
-    self._reducers = {}  # Fraction degree -> (basis, reducer)
+    self._reducers = {}  # Fraction degree -> reducer
     self._bases = {}     # integer degree -> monomial basis
     self._gen_degrees = None
     self._gen_idegs = None
@@ -449,45 +443,39 @@ class RingPresentation:
                                                    Fraction(t, self.scale))
     return basis
 
-  def _degree_rows(self, t, basis_index):
+  def _degree_rows(self, t):
     """Every nonzero generator times every monomial landing in integer
-    degree t, as dense rows over basis_index (graded presentations only)."""
-    width = len(basis_index)
+    degree t, as term dicts (graded presentations only)."""
     rows = []
     for g, tg in zip(self.generators, self._gen_idegs):
       if not g.terms or tg > t:
         continue
       terms = tuple(g.terms.items())
       for m in self._basis(t - tg):
-        row = [0] * width
-        for e, c in terms:
-          row[basis_index[tuple(map(add, e, m))]] = c
-        rows.append(row)
+        rows.append({tuple(map(add, e, m)): c for e, c in terms})
     return rows
 
   def reducer(self, deg):
+    """The echelon reducer of degree deg; its columns are the monomials of
+    that degree, in ascending lexicographic order."""
     deg = Fraction(deg)
-    if deg not in self._reducers:
+    red = self._reducers.get(deg)
+    if red is None:
       self._require_graded()
-      basis = self.basis(deg)
-      basis_index = {e: k for k, e in enumerate(basis)}
+      width = len(self.basis(deg))
       # off the grid of multiples of 1/scale the basis is empty
-      rows = (self._degree_rows(int(deg * self.scale), basis_index)
-              if basis else [])
-      if self.domain == "z":
-        red = ZReducer(rows, len(basis))
-      else:
-        red = QReducer(rows, len(basis))
-      self._reducers[deg] = (basis, red)
-    return self._reducers[deg]
+      rows = self._degree_rows(int(deg * self.scale)) if width else []
+      cls = ZReducer if self.domain == "z" else QReducer
+      red = self._reducers[deg] = cls(rows, width)
+    return red
 
   def graded_piece(self, deg):
     deg = Fraction(deg)
-    basis, red = self.reducer(deg)
+    red = self.reducer(deg)
     if self.domain == "z":
       free_rank, torsion = red.invariants()
       return GradedPieceReport(deg, free_rank, torsion, self.domain)
-    return GradedPieceReport(deg, len(basis) - red.rank, (), self.domain)
+    return GradedPieceReport(deg, red.width - red.rank, (), self.domain)
 
   def reduce(self, poly):
     """Canonical normal form of a polynomial modulo the (graded) ideal."""
@@ -499,11 +487,7 @@ class RingPresentation:
       parts.setdefault(sum(map(mul, e, ideg)), {})[e] = c
     out = {}
     for t, part in sorted(parts.items()):
-      basis, red = self.reducer(Fraction(t, self.scale))
-      vec = [part.get(e, 0) for e in basis]
-      for e, c in zip(basis, red.reduce(vec)):
-        if c:
-          out[e] = c
+      out.update(self.reducer(Fraction(t, self.scale)).reduce(part))
     return Poly._trusted(poly.nvars, out)
 
   def contains(self, poly):
@@ -522,21 +506,27 @@ class EqualityWitness:
 
 
 def ideal_equal_up_to(p1, p2, maxdeg):
-  """Degreewise ideal comparison up to maxdeg.  Returns (bool, witness)."""
+  """Degreewise ideal comparison up to maxdeg.  Returns (bool, witness).
+
+  The ideals agree in every degree up to maxdeg exactly when each generator
+  of degree <= maxdeg of either one lies in the other.  The witness is the
+  first generator that does not, by (degree, side)."""
   if p1.names != p2.names or p1.degrees != p2.degrees:
     raise ValueError("mismatched variables")
   if p1.domain != p2.domain:
     raise ValueError("mismatched coefficient domains")
-  n = len(p1.names)
-  for deg in occurring_degrees(p1.degrees, maxdeg):
-    basis, red1 = p1.reducer(deg)
-    _, red2 = p2.reducer(deg)
-    for rows, other, where in ((red1.rows, red2, "first_only"),
-                               (red2.rows, red1, "second_only")):
-      for row in rows:
-        if not other.contains(row):
-          witness = Poly(n, dict(zip(basis, row)))
-          return False, EqualityWitness(deg, witness, where)
+  p1._require_graded()
+  p2._require_graded()
+  maxdeg = Fraction(maxdeg)
+  sides = ((p1, p2, "first_only"), (p2, p1, "second_only"))
+  checks = sorted((deg, s, k) for s, (pres, _, _) in enumerate(sides)
+                  for k, deg in enumerate(pres.generator_degrees())
+                  if deg <= maxdeg)
+  for deg, s, k in checks:
+    pres, other, where = sides[s]
+    g = pres.generators[k]
+    if not other.contains(g):
+      return False, EqualityWitness(deg, g, where)
   return True, None
 
 

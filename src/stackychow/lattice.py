@@ -4,13 +4,14 @@ Everything here works over Z or Q with arbitrary precision (Python ints and
 fractions.Fraction); no floating point anywhere.  The Smith form tracks its
 unimodular transforms so callers can change bases, lift representatives and
 solve integral systems exactly.  Row spans over Z and Q go through one
-integer row-echelon kernel (`_echelon`).
+integer row-echelon kernel (`_echelon`) on sparse rows keyed by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import floor, gcd, lcm
 
 
@@ -250,6 +251,10 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
 class _Echelon:
   """Echelon basis of the span of some rows, over Z (ZReducer) or Q (QReducer).
 
+  Rows and vectors are dicts {column: nonzero value}, a sequence read as
+  {k: x}.  Columns are keys of one ordered type (ints, or exponent tuples
+  in lexicographic order), and a row leads at its least column.
+
   The two domains differ only in `_clear`, which cancels the leading entry
   of a row being inserted against the pivot row of its column, and in
   `_step`, the residue of a vector at one pivot column; see `_echelon`.
@@ -258,26 +263,34 @@ class _Echelon:
 
   def __init__(self, rows, width):
     self.width = width
-    self._pivots = _echelon(rows, self._clear, self._step)
-    self.rows = tuple(r for _, r in self._pivots)
+    self._piv = _echelon(rows, self._clear, self._step)
+    self.rows = tuple(self._piv.values())
 
   def reduce(self, vec):
-    return _reduce(vec, self._pivots, self._step)
+    """The residue of vec as a dict {column: nonzero value}.
+
+    At every pivot column it is zero (Q) or in [0, pivot) (Z), which makes
+    it unique in its coset: it does not depend on which echelon basis is
+    kept."""
+    v, den = _integral(vec)
+    v, scale = _residue(v, self._piv, self._step)
+    scale *= den
+    return v if scale == 1 else {k: Fraction(x) / scale for k, x in v.items()}
 
   def contains(self, vec):
-    return all(x == 0 for x in self.reduce(vec))
+    return not _residue(_integral(vec)[0], self._piv, self._step)[0]
 
   def reduced_rows(self):
     """The basis rows, each reduced at the pivot columns of the others (over
     Q it is zero there: a reduced row echelon form up to row scaling)."""
-    done = []
-    for j, p in reversed(self._pivots):
-      done.insert(0, (j, tuple(_residue(list(p), done, self._step)[0])))
-    return tuple(r for _, r in done)
+    done = {}
+    for j, p in reversed(self._piv.items()):
+      done[j] = _residue(p, done, self._step, j)[0]
+    return tuple(done[j] for j in self._piv)
 
   @property
   def rank(self):
-    return len(self._pivots)
+    return len(self._piv)
 
 
 class ZReducer(_Echelon):
@@ -288,19 +301,17 @@ class ZReducer(_Echelon):
 
     A pivot 1 eliminates its column.  Each other row is reduced at the
     later unit-pivot columns (a stored row is reduced only at the pivots
-    inserted before it), which zeroes it on every unit-pivot column; those
-    columns are dropped, and the Smith form runs on what is left.
+    inserted before it), which zeroes it on every unit-pivot column.  The
+    Smith form runs on the columns these rows touch; every other column
+    without a unit pivot is free.
     """
-    units = [(j, p) for j, p in self._pivots if p[j] == 1]
-    unit_cols = {j for j, _ in units}
-    keep = [k for k in range(self.width) if k not in unit_cols]
-    rest = []
-    for j, p in self._pivots:
-      if p[j] != 1:
-        r = _residue(p, [(u, q) for u, q in units if u > j], self._step)[0]
-        rest.append([r[k] for k in keep])
-    grp = AbGroup(len(keep), rest)
-    return grp.free_rank, grp.invariant_factors
+    units = {j: p for j, p in self._piv.items() if p[j] == 1}
+    rest = [_residue(p, units, self._step, j)[0]
+            for j, p in self._piv.items() if p[j] != 1]
+    cols = sorted({k for r in rest for k in r})
+    grp = AbGroup(len(cols), [[r.get(k, 0) for k in cols] for r in rest])
+    return (self.width - len(units) - len(cols) + grp.free_rank,
+            grp.invariant_factors)
 
   @staticmethod
   def _clear(p, r, j):
@@ -309,9 +320,7 @@ class ZReducer(_Echelon):
     if c % a == 0:
       return p, ZReducer._step(r, p, j)[0]
     g, s, t = _xgcd(a, c)
-    a, c = a // g, c // g
-    return ([s * x + t * y for x, y in zip(p, r)],
-            [a * y - c * x for x, y in zip(p, r)])
+    return _combine(s, p, t, r), _combine(a // g, r, -(c // g), p)
 
   @staticmethod
   def _step(v, p, k):
@@ -319,7 +328,7 @@ class ZReducer(_Echelon):
     q = v[k] // p[k]
     if not q:
       return v, 1
-    return [x - q * y for x, y in zip(v, p)], 1
+    return _combine(1, v, -q, p), 1
 
 
 class QReducer(_Echelon):
@@ -336,15 +345,15 @@ class QReducer(_Echelon):
     a, c = p[k], v[k]
     g = gcd(a, c)
     a, c = a // g, c // g
-    v = [a * x - c * y for x, y in zip(v, p)]
-    h = gcd(*v)
+    v = _combine(a, v, -c, p)
+    h = gcd(*v.values())
     if h > 1:
-      return [x // h for x in v], Fraction(a, h)
+      return {k: x // h for k, x in v.items()}, Fraction(a, h)
     return v, a
 
 
 def _echelon(rows, clear, step):
-  """Sorted (pivot column, row) pairs of an echelon basis of the row span.
+  """{pivot column: row} of an echelon basis of the row span, in column order.
 
   The basis rows are integer rows with positive pivots; rational rows have
   their denominators cleared on entry.  Rows are inserted one at a time:
@@ -356,67 +365,63 @@ def _echelon(rows, clear, step):
   piv = {}
   for row in rows:
     r = _integral(row)[0]
-    j = _lead(r, 0)
-    while j is not None:
+    while r:
+      j = min(r)
       p = piv.get(j)
       if p is None:
-        piv[j] = _tidy(r if r[j] > 0 else [-x for x in r], j, piv, step)
+        if r[j] < 0:
+          r = {k: -x for k, x in r.items()}
+        piv[j] = _residue(r, piv, step, j)[0]
         break
       new_p, r = clear(p, r, j)
       if new_p is not p:
-        piv[j] = _tidy(new_p, j, piv, step)
-      j = _lead(r, j + 1)
-  return [(j, tuple(piv[j])) for j in sorted(piv)]
+        piv[j] = _residue(new_p, piv, step, j)[0]
+  return {j: piv[j] for j in sorted(piv)}
 
 
-def _tidy(row, j, piv, step):
-  """row, pivot at column j, reduced at the later pivot columns of piv."""
-  return _residue(row, [(k, piv[k]) for k in sorted(piv) if k > j], step)[0]
-
-
-def _residue(v, pivots, step):
-  """v reduced at each (column, pivot row) in turn, and the factor the
-  result is scaled by (1 over Z)."""
-  scale = 1
-  for k, p in pivots:
-    if v[k]:
-      v, m = step(v, p, k)
-      scale *= m
+def _residue(v, piv, step, after=None):
+  """v reduced at each pivot column of piv (past `after`, if given) where
+  it is nonzero, in ascending column order, and the factor the result is
+  scaled by (1 over Z).  A step at column k changes v only at the columns
+  of its pivot row, all past k, so those are the columns to look at next."""
+  todo = [k for k in v if k in piv and (after is None or k > after)]
+  heapify(todo)
+  scale, last = 1, None
+  while todo:
+    k = heappop(todo)
+    if k == last or k not in v:
+      continue
+    last = k
+    v, m = step(v, piv[k], k)
+    scale *= m
+    for c in piv[k]:
+      if c > k and c in piv:
+        heappush(todo, c)
   return v, scale
 
 
-def _reduce(vec, pivots, step):
-  """The residue of vec modulo the echelon basis `pivots`.
-
-  At every pivot column it is zero (Q) or in [0, pivot) (Z), which makes
-  it unique in its coset: it does not depend on which echelon basis is kept.
-  """
-  v, den = _integral(vec)
-  v, scale = _residue(v, pivots, step)
-  scale *= den
-  if scale == 1:
-    return tuple(v)
-  return tuple(Fraction(x) / scale for x in v)
+def _combine(a, u, b, w):
+  """a*u + b*w for dict rows, with the zero entries dropped."""
+  out = {k: a * x for k, x in u.items()} if a else {}
+  for k, y in w.items():
+    x = out.get(k, 0) + b * y
+    if x:
+      out[k] = x
+    else:
+      out.pop(k, None)
+  return out
 
 
 def _integral(row):
-  """(m * row as a list of ints, m) for the least m > 0 clearing the
-  denominators of row."""
+  """(m * row as a dict {column: nonzero int}, m) for the least m > 0
+  clearing the denominators of row."""
+  if not isinstance(row, dict):
+    row = dict(enumerate(row))
   den = 1
-  for x in row:
+  for x in row.values():
     if type(x) is not int:
       den = lcm(den, Fraction(x).denominator)
-  if den == 1:
-    return [int(x) for x in row], 1
-  return [int(x * den) for x in row], den
-
-
-def _lead(row, start):
-  """The first column >= start where row is nonzero, or None."""
-  for k in range(start, len(row)):
-    if row[k]:
-      return k
-  return None
+  return {k: int(x * den) for k, x in row.items() if x}, den
 
 
 def _xgcd(a, b):

@@ -227,11 +227,12 @@ class StackyFan:
       rows = QReducer([tuple(self.free(i)[c] for i in cone)
                        + tuple(int(c == j) for j in range(self.d))
                        for c in range(self.d)], k + self.d).reduced_rows()
-      if sum(1 for r in rows if any(r[:k])) < k:
+      if sum(1 for r in rows if min(r) < k) < k:
         raise ValueError("cone %s: rays are linearly dependent (not "
                          "simplicial)" % _cone_str(cone))
-      out = ([_primitive(r[k:]) for r in rows[k:]],
-             [_primitive(r[k:]) for r in rows[:k]])
+      f = [_primitive([r.get(c, 0) for c in range(k, k + self.d)])
+           for r in rows]
+      out = (f[k:], f[:k])
       self._functionals[cone] = out
     return out
 

@@ -85,3 +85,11 @@ def solve_rational(columns, b):
   if any(rows[i][k] for i in range(k, m)):
     return None
   return tuple(rows[j][k] for j in range(k))
+
+
+def dense(row, width):
+  """A reducer row or residue {column index: value} as a dense tuple."""
+  out = [0] * width
+  for k, x in row.items():
+    out[k] = x
+  return tuple(out)

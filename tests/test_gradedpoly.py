@@ -20,6 +20,7 @@ from stackychow.gradedpoly import (
     occurring_degrees,
 )
 from stackychow.lattice import AbGroup, QReducer, ZReducer
+from tests.conftest import dense
 
 
 def P(nvars, terms):
@@ -478,14 +479,16 @@ def _fraction_piece(pres, deg):
   Z the Smith form of all those rows."""
   basis = monomials_of_degree(pres.degrees, deg)
   index = {e: k for k, e in enumerate(basis)}
-  rows = [g.mul_monomial(m).vector(index) for g in pres.generators
+  rows = [dense({index[e]: c for e, c in g.mul_monomial(m).terms.items()},
+                len(basis)) for g in pres.generators
           if not g.is_zero()
           for m in monomials_of_degree(
               pres.degrees, deg - g.homogeneous_degree(pres.degrees))]
   if pres.domain == "q":
     return GradedPieceReport(deg, len(basis) - QReducer(rows, len(basis)).rank,
                              (), "q")
-  grp = AbGroup(len(basis), ZReducer(rows, len(basis)).rows)
+  grp = AbGroup(len(basis), [dense(r, len(basis))
+                             for r in ZReducer(rows, len(basis)).rows])
   return GradedPieceReport(deg, grp.free_rank, grp.invariant_factors, "z")
 
 
