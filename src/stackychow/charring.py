@@ -5,22 +5,22 @@ torsion orders, and the rigidified one, from the free parts of the rays
 alone.  They are abstractly isomorphic whenever the fan hypotheses hold; a
 fixed isomorphism turns the full-group classes (tilde x) into integer
 combinations of the rigidified classes (x), recorded as the n x n matrix f.
-The Chow ring of the stack is the polynomial ring on the x classes modulo
-the linear relations of the rays and the non-face monomials in tilde x.
+Without torsion both groups are the same and f is the identity, so the groups
+are built only for torsion fans.  The Chow ring of the stack is the
+polynomial ring on the x classes modulo the linear relations of the rays and
+the non-face monomials in tilde x.
 """
 
 from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, prod
 
 from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.lattice import (
-    AbGroup,
     IntMatrix,
-    QReducer,
     coker,
     smith_normal_form,
     solve_integer,
@@ -33,129 +33,21 @@ MAX_EXPANSION_TERMS = 10 ** 6
 
 
 class CharacterData:
-  """Both character groups, the generator classes, and the change matrix f.
+  """The change matrix f of a valid fan and the expansions it gives.
 
-  x_full: classes tilde_x_i of the generators e_i hat; x_rig: classes x_i.
-  psi is the canonical-basis isomorphism x_full -> x_rig; f satisfies
-  psi(tilde_x[i]) = sum_k f[k,i] * x[k] with det f != 0.
+  tilde_x_i = sum_k f[k,i] * x_k with det f != 0; f is the identity on a
+  fan without torsion.
   """
 
   def __init__(self, fan: StackyFan):
-    self.fan = fan
-    n, d, r = fan.n, fan.d, fan.r
-    aug_rows = [[fan.rays[i][j] for i in range(n)] + [0] * r
-                for j in range(d)]
-    for l, m in enumerate(fan.torsion):
-      aug_rows.append([fan.rays[i][d + l] for i in range(n)] +
-                      [m if k == l else 0 for k in range(r)])
-    self.x_full = coker(IntMatrix(aug_rows)) if aug_rows else AbGroup(n + r)
-    rig_rows = [[fan.free(i)[j] for i in range(n)] for j in range(d)]
-    self.x_rig = coker(IntMatrix(rig_rows)) if rig_rows else AbGroup(n)
-    if (self.x_full.invariant_factors != self.x_rig.invariant_factors
-        or self.x_full.free_rank != self.x_rig.free_rank):
-      raise ValueError("invariant-factor mismatch")
-    gens_full = self.x_full.generators()
-    self.tilde_x = tuple(gens_full[i] for i in range(n))
-    self.x = tuple(self.x_rig.generators())
-    self._psi_sign = 1
-    if r == 0:
-      self.f = IntMatrix.identity(n)
-    else:
-      if self.x_rig.free_rank == 1:
-        probe = self.psi(self.iota_star(self.x[0]))
-        _, pf = self.x_rig.reduced_coords(probe)
-        _, xf = self.x_rig.reduced_coords(self.x[0])
-        # normalize the sign of psi on a rank-one free part so the composite
-        # endomorphism acts by a positive integer
-        if xf and pf and (pf[0] < 0) != (xf[0] < 0):
-          self._psi_sign = -1
-      self.f = self._associated_matrix()
-    self._check()
-    self._term_counts = [len(self.tilde_poly(i).terms) for i in range(n)]
+    fan.require_valid()
+    self.f = IntMatrix.identity(fan.n) if fan.r == 0 else _change_matrix(fan)
+    self._term_counts = [len(self.tilde_poly(i).terms) for i in range(fan.n)]
     self._powers = {}
-
-  def iota_star(self, el):
-    """The map [m] -> [(m, 0)] from the rigidified group to the full one."""
-    rep = el.rep()
-    return self.x_full.element(tuple(rep) + (0,) * self.fan.r)
-
-  def psi(self, el):
-    """Canonical-basis isomorphism: matches reduced coordinates."""
-    t, f = self.x_full.reduced_coords(el)
-    f = tuple(self._psi_sign * c for c in f)
-    return self.x_rig.from_reduced(t, f)
-
-  def _associated_matrix(self):
-    n = self.fan.n
-    lam = _independent_rows(self.x_rig.relations.entries)
-    # column i is any preimage in Z^n of psi(iota_star(x_i)), reduced modulo
-    # the relation lattice; lam is a basis of that lattice, so the reduced
-    # column is the one representative in the half-open nearest-plane box,
-    # whichever preimage it starts from
-    cols = [_babai_reduce(self.psi(self.iota_star(self.x[i])).rep(), lam)
-            for i in range(n)]
-    f0 = IntMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
-    if not lam or f0.det() != 0:
-      return f0
-    # a preimage choice can be singular; correcting by relation-lattice
-    # columns shifts the action on the lattice by e*k*identity, which is
-    # nonsingular for all but finitely many k
-    lmat = IntMatrix(lam)
-    diag = smith_normal_form(lmat).diagonal
-    e = 1
-    for dj in diag:
-      if dj:
-        e *= dj
-    a_rows = []
-    for j in range(len(lam)):
-      target = [e if i == j else 0 for i in range(len(lam))]
-      sol = solve_integer(lmat, target)
-      assert sol is not None  # e kills the quotient by the column span
-      a_rows.append(sol)
-    corr = [[sum(lam[j][u] * a_rows[j][v] for j in range(len(lam)))
-             for v in range(n)] for u in range(n)]
-    for k in range(1, n + 2):
-      cand = IntMatrix([[f0[u, v] + k * corr[u][v] for v in range(n)]
-                        for u in range(n)])
-      if cand.det() != 0:
-        return cand
-    raise AssertionError("no nonsingular associated matrix found")
-
-  def _check(self):
-    n = self.fan.n
-    for i in range(n):
-      assert self.iota_star(self.x[i]) == self.tilde_x[i]
-      total = self.x_rig.zero()
-      for k in range(n):
-        total = total + self.x[k].scale(self.f[k, i])
-      assert total == self.psi(self.iota_star(self.x[i]))
-    if n:
-      assert self.f.det() != 0
-    assert self._injective_endo()
-
-  def _injective_endo(self):
-    grp = self.x_rig
-    phi = lambda el: self.psi(self.iota_star(el))
-    k = grp.free_rank
-    nt = len(grp.invariant_factors)
-    if k:
-      cols = []
-      for j in range(k):
-        e = tuple(1 if i == j else 0 for i in range(k))
-        _, f = grp.reduced_coords(phi(grp.from_reduced((0,) * nt, e)))
-        cols.append(f)
-      if IntMatrix([[cols[j][i] for j in range(k)]
-                    for i in range(k)]).det() == 0:
-        return False
-    for t in product(*(range(m) for m in grp.invariant_factors)):
-      el = grp.from_reduced(t, (0,) * k)
-      if phi(el).is_zero() and any(t):
-        return False
-    return True
 
   def tilde_poly(self, i):
     """tilde_x_i as a degree-one polynomial in the x variables."""
-    return Poly.linear([self.f[k, i] for k in range(self.fan.n)])
+    return Poly.linear(self.f.col(i))
 
   def tilde_monomial(self, exps):
     """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
@@ -163,10 +55,12 @@ class CharacterData:
     when the product could have more than MAX_EXPANSION_TERMS terms or its
     expansion could take more coefficient products than that: the sum, over
     the factors, of the term bounds of the partial product and the factor."""
-    n = self.fan.n
+    n = self.f.rows
     factors = [(e, comb(e + t - 1, t - 1))
                for e, t in zip(exps, self._term_counts) if e]
-    bound = min(prod(f for _, f in factors), comb(sum(exps) + n - 1, n - 1))
+    # n = 0 has the one monomial 1
+    bound = min(prod(f for _, f in factors),
+                comb(sum(exps) + n - 1, n - 1) if n else 1)
     partial, degree, work = 1, 0, 0
     for e, f in factors:
       work += partial * f
@@ -255,15 +149,54 @@ def sr_ring(fan: StackyFan) -> RingPresentation:
   return RingPresentation(names, [1] * fan.n, gens, tags, domain="z")
 
 
-def _independent_rows(rows):
-  out = []
-  for row in rows:
-    if not any(row):
-      continue
-    if out and QReducer(out, len(row)).contains(row):
-      continue
-    out.append(list(row))
-  return out
+def _change_matrix(fan: StackyFan) -> IntMatrix:
+  """f of a valid torsion fan.
+
+  The isomorphism reads the reduced (torsion, free) coordinates of tilde_x_i
+  in the full group as an element of the rigidified one.  Column i is a
+  preimage of it in Z^n, reduced modulo the relation lattice: lam, the d
+  rigidified rows, is a basis of it (a valid fan spans N_R), so the reduced
+  column is the one representative in the half-open nearest-plane box,
+  whichever preimage it starts from.
+  """
+  n, d, r = fan.n, fan.d, fan.r
+  lam = [[fan.free(i)[j] for i in range(n)] for j in range(d)]
+  aug = [row + [0] * r for row in lam]
+  for l, m in enumerate(fan.torsion):
+    aug.append([fan.tors(i)[l] for i in range(n)] +
+               [m if k == l else 0 for k in range(r)])
+  full, rig = coker(IntMatrix(aug)), coker(IntMatrix(lam))
+  if (full.invariant_factors != rig.invariant_factors
+      or full.free_rank != rig.free_rank):
+    raise ValueError("invariant-factor mismatch")
+  cols = [_babai_reduce(rig.from_reduced(*full.reduced_coords(g)).rep(), lam)
+          for g in full.generators()[:n]]
+  f0 = IntMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
+  if f0.det() != 0:
+    return f0
+  # a preimage choice can be singular; correcting by relation-lattice
+  # columns shifts the action on the lattice by e*k*identity, which is
+  # nonsingular for all but finitely many k
+  lmat = IntMatrix(lam)
+  diag = smith_normal_form(lmat).diagonal
+  e = 1
+  for dj in diag:
+    if dj:
+      e *= dj
+  a_rows = []
+  for j in range(len(lam)):
+    target = [e if i == j else 0 for i in range(len(lam))]
+    sol = solve_integer(lmat, target)
+    assert sol is not None  # e kills the quotient by the column span
+    a_rows.append(sol)
+  corr = [[sum(lam[j][u] * a_rows[j][v] for j in range(len(lam)))
+           for v in range(n)] for u in range(n)]
+  for k in range(1, n + 2):
+    cand = IntMatrix([[f0[u, v] + k * corr[u][v] for v in range(n)]
+                      for u in range(n)])
+    if cand.det() != 0:
+      return cand
+  raise AssertionError("no nonsingular associated matrix found")
 
 
 def _babai_reduce(vec, basis_rows):

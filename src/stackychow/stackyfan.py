@@ -275,8 +275,10 @@ class StackyFan:
     return None
 
   def has_common_cone(self, ray_set):
+    """Whether one max cone holds every ray of ray_set; the empty set lies
+    in the zero cone, also on a fan with no max cones."""
     ray_set = set(ray_set)
-    return any(ray_set <= set(cone) for cone in self.max_cones)
+    return not ray_set or any(ray_set <= set(cone) for cone in self.max_cones)
 
   # -- box -------------------------------------------------------------------
 

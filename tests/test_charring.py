@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import valid_fans
 from stackychow import charring
 from stackychow.charring import (
+    CharacterData,
     character_data,
     linear_ideal,
     minimal_nonfaces,
@@ -15,32 +16,25 @@ from stackychow.charring import (
     sr_ring,
 )
 from stackychow.gradedpoly import Poly, hilbert_table
-from stackychow.lattice import IntMatrix
+from stackychow.lattice import IntMatrix, ZReducer
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
 
 F = Fraction
 
 
 def test_p64_character_groups(p64):
-  cd = character_data(p64)
-  assert cd.x_full.free_rank == 1 and cd.x_full.invariant_factors == ()
-  assert cd.x_rig.free_rank == 1 and cd.x_rig.invariant_factors == ()
-  assert [cd.x_full.reduced_coords(t)[1] for t in cd.tilde_x] == [(6,), (4,)]
-  assert [cd.x_rig.reduced_coords(t)[1] for t in cd.x] == [(3,), (2,)]
-  assert cd.f == IntMatrix([[2, 0], [0, 2]])
+  assert character_data(p64).f == IntMatrix([[2, 0], [0, 2]])
 
 
-def test_p64_iota_star_sends_x_to_tilde(p64):
-  cd = character_data(p64)
-  for i in range(2):
-    assert cd.iota_star(cd.x[i]) == cd.tilde_x[i]
+def test_no_smith_form_without_torsion(monkeypatch):
+  def refuse(*args):
+    raise AssertionError("character group built for a torsion-free fan")
 
-
-def test_p654_character_groups(p654):
-  cd = character_data(p654)
-  assert cd.f == IntMatrix.identity(3)
-  assert [cd.x_rig.reduced_coords(t)[1] for t in cd.x] == [(6,), (5,), (4,)]
-  assert cd.tilde_x == cd.x
+  monkeypatch.setattr(charring, "coker", refuse)
+  monkeypatch.setattr(charring, "smith_normal_form", refuse)
+  for weights in ((6, 5, 4), (2, 3, 5, 7)):
+    cd = CharacterData(weighted_projective_fan(weights))
+    assert cd.f == IntMatrix.identity(len(weights))
 
 
 def test_character_data_lives_on_its_fan():
@@ -55,9 +49,13 @@ def test_character_data_lives_on_its_fan():
 
 
 def test_invariant_factor_mismatch():
+  # invalid (the rays miss N_tors), so character_data refuses it before
+  # any group is built; the change matrix itself refuses the mismatch
   fan = StackyFan(1, (2,), ((2, 0), (-3, 0)), ((0,), (1,)))
-  with pytest.raises(ValueError, match="invariant-factor mismatch"):
+  with pytest.raises(ValueError, match="b_i do not generate N_tors"):
     character_data(fan)
+  with pytest.raises(ValueError, match="invariant-factor mismatch"):
+    charring._change_matrix(fan)
 
 
 def test_linear_ideal(p64, p654):
@@ -153,12 +151,20 @@ def test_minimal_nonfaces_are_minimal(fan):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
-@given(valid_fans())
+@given(valid_fans().filter(lambda fan: fan.r))
 def test_character_data_consistency(fan):
-  cd = character_data(fan)
-  for i in range(fan.n):
-    assert cd.iota_star(cd.x[i]) == cd.tilde_x[i]
-  if fan.r == 0:
-    assert cd.f == IntMatrix.identity(fan.n)
-  else:
-    assert cd.f.det() != 0
+  # tilde_x_i = sum_k f[k,i] x_k must carry each relation of the full group
+  # to a relation of the rigidified one: a ray relation into the span of
+  # the rigidified rows, a torsion relation into that span plus m_l Z^n
+  f, n = character_data(fan).f, fan.n
+  assert f.det() != 0
+  lam = [[fan.free(i)[j] for i in range(n)] for j in range(fan.d)]
+  image = lambda coeffs: [sum(f[k, i] * coeffs[i] for i in range(n))
+                          for k in range(n)]
+  span = ZReducer(lam, n)
+  for row in lam:
+    assert span.contains(image(row))
+  for l, m in enumerate(fan.torsion):
+    span = ZReducer(lam + [[m * int(k == i) for k in range(n)]
+                           for i in range(n)], n)
+    assert span.contains(image([fan.tors(i)[l] for i in range(n)]))

@@ -283,6 +283,18 @@ def test_multiply_twisted_coefficient(docs, capsys):
       {"coeff": "4", "powers": [[1, 2]]}]
 
 
+@pytest.mark.parametrize("max_cones", [[[]], []])
+def test_multiply_on_the_point(tmp_path, capsys, max_cones):
+  # rank 0, no rays: the only sector is the identity, with the zero cone
+  # listed or left out
+  p = tmp_path / "point.json"
+  p.write_text(json.dumps({"schema": "stacky-chow/1", "rank": 0,
+                           "torsion": [], "b": [], "max_cones": max_cones}))
+  doc = run_json(capsys, "multiply", str(p), "0", "0")
+  assert doc["target"] == "1" and not doc["zero"]
+  assert doc["coefficient"]["terms"] == [{"coeff": "1", "powers": []}]
+
+
 # -- checks and tables ----------------------------------------------------------
 
 def test_check_assoc(docs, capsys):
@@ -438,6 +450,15 @@ PINNED = {
         "9b828af5ad68e22f07e5d96a53048a5c8df484896a9269982706e6f9e1afa7ff"),
     "p654-chow-text": ("p654", ["chow", "--simplify", "--format", "text"],
         "c9995c6e16b4fa240baf67e18c32bb5ba61ad75619ff5eed67197a8f6ff451aa"),
+    # one per kind of change matrix f, recorded while f was computed through
+    # group elements: a free part of rank one, the singular-preimage
+    # correction and plain nearest-plane columns
+    "p64-chow": ("p64", ["chow"],
+        "ca207d034d5f769cf0d73970b0199c91b12b06e73f585e1f6119e4a3f31a4dc7"),
+    "torsion4-chow": ("torsion4", ["chow"],
+        "c4fe4537cfe4259fcec332183c5cdd076253517f60e033c96b0ae31a8bcfe82b"),
+    "torsion-chow-simplify": ("torsion_chow", ["chow", "--simplify"],
+        "52adbde00211cacd798c9b70346bbf1088c90108128ebb7d973e009d56e48ca0"),
 }
 
 
