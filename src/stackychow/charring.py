@@ -20,9 +20,9 @@ from math import comb, prod
 
 from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.lattice import (
+    AbGroup,
     IntMatrix,
-    coker,
-    smith_normal_form,
+    smith_normal_form,  # not called here; perfbench/spans.py patches it
     solve_integer,
 )
 from stackychow.stackyfan import StackyFan
@@ -152,12 +152,12 @@ def sr_ring(fan: StackyFan) -> RingPresentation:
 def _change_matrix(fan: StackyFan) -> IntMatrix:
   """f of a valid torsion fan.
 
-  The isomorphism reads the reduced (torsion, free) coordinates of tilde_x_i
-  in the full group as an element of the rigidified one.  Column i is a
-  preimage of it in Z^n, reduced modulo the relation lattice: lam, the d
-  rigidified rows, is a basis of it (a valid fan spans N_R), so the reduced
-  column is the one representative in the half-open nearest-plane box,
-  whichever preimage it starts from.
+  The isomorphism reads the canonical (torsion, free) coordinates of
+  tilde_x_i in the full group, column i of its u, as coordinates in the
+  rigidified one.  Column i is their lift to Z^n, reduced modulo the
+  relation lattice: lam, the d rigidified rows, is a basis of it (a valid
+  fan spans N_R), so the reduced column is the one representative in the
+  half-open nearest-plane box, whichever preimage it starts from.
   """
   n, d, r = fan.n, fan.d, fan.r
   lam = [[fan.free(i)[j] for i in range(n)] for j in range(d)]
@@ -165,24 +165,20 @@ def _change_matrix(fan: StackyFan) -> IntMatrix:
   for l, m in enumerate(fan.torsion):
     aug.append([fan.tors(i)[l] for i in range(n)] +
                [m if k == l else 0 for k in range(r)])
-  full, rig = coker(IntMatrix(aug)), coker(IntMatrix(lam))
+  full, rig = AbGroup(n + r, aug), AbGroup(n, lam)
   if (full.invariant_factors != rig.invariant_factors
       or full.free_rank != rig.free_rank):
     raise ValueError("invariant-factor mismatch")
-  cols = [_babai_reduce(rig.from_reduced(*full.reduced_coords(g)).rep(), lam)
-          for g in full.generators()[:n]]
+  cols = [_babai_reduce(rig.lift(*full.coords(i)), lam) for i in range(n)]
   f0 = IntMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
   if f0.det() != 0:
     return f0
   # a preimage choice can be singular; correcting by relation-lattice
   # columns shifts the action on the lattice by e*k*identity, which is
-  # nonsingular for all but finitely many k
+  # nonsingular for all but finitely many k.  e, the product of the Smith
+  # invariants of lam (those of its transpose), kills Z^d modulo its columns
   lmat = IntMatrix(lam)
-  diag = smith_normal_form(lmat).diagonal
-  e = 1
-  for dj in diag:
-    if dj:
-      e *= dj
+  e = prod(rig.invariant_factors)
   a_rows = []
   for j in range(len(lam)):
     target = [e if i == j else 0 for i in range(len(lam))]

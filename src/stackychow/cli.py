@@ -358,11 +358,13 @@ def _resolve_sector(names, token):
   if token in names:
     return names.index(token) + 1
   k = len(names)
-  if token.startswith("w") and token[1:].isdigit():
+  # str.isdigit alone also accepts superscripts, which int() refuses, and
+  # the digits of other scripts, which it reads
+  if token.startswith("w") and token[1:].isascii() and token[1:].isdigit():
     idx = int(token[1:])
     if 1 <= idx <= k:
       return idx
-  if token.isdigit():
+  if token.isascii() and token.isdigit():
     idx = int(token)
     if 0 <= idx <= k:
       return idx

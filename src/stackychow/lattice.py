@@ -471,31 +471,29 @@ def rational_rank(rows):
 
 
 class AbGroup:
-  """Finitely generated abelian group presented as Z^n modulo a row span."""
+  """Z^ngens modulo the span of some integer rows, as the Smith form of the
+  rows taken as columns.
 
-  def __init__(self, ngens, relations=None):
-    self.ngens = int(ngens)
-    if relations is None:
-      relations = IntMatrix([])
-    if not isinstance(relations, IntMatrix):
-      relations = IntMatrix(relations)
-    if relations.rows and relations.cols != self.ngens:
+  `u` carries generator coordinates x to canonical ones c = u * x, in which
+  the group is the product of the Z / diagonal[j] (Z where the entry is
+  0); `u_inv` carries them back.  Each row of u on a free coordinate is
+  made positive-leading, so canonical coordinates come out with a
+  deterministic sign.
+  """
+
+  def __init__(self, ngens, relations=()):
+    relations = IntMatrix(relations)
+    if relations.rows and relations.cols != ngens:
       raise ValueError("relation width does not match generator count")
-    self.relations = relations
-    s = relations.transpose() if relations.rows else IntMatrix([[ ] for _ in range(self.ngens)])
-    # SNF of the n x k matrix whose columns are the relations.
     if relations.rows:
-      snf = smith_normal_form(s)
+      snf = smith_normal_form(relations.transpose())
       u = [list(r) for r in snf.u.entries]
       ui = [list(r) for r in snf.u_inv.entries]
-      k = min(self.ngens, relations.rows)
-      diag = [snf.d[i, i] if i < k else 0 for i in range(self.ngens)]
+      diag = snf.diagonal + (0,) * (ngens - len(snf.diagonal))
     else:
-      u = [[1 if i == j else 0 for j in range(self.ngens)] for i in range(self.ngens)]
-      ui = [[1 if i == j else 0 for j in range(self.ngens)] for i in range(self.ngens)]
-      diag = [0] * self.ngens
-    # sign-normalize rows acting on free coordinates so canonical classes of
-    # standard generators come out with a deterministic, positive-leading sign
+      u = [[int(i == j) for j in range(ngens)] for i in range(ngens)]
+      ui = [row[:] for row in u]
+      diag = (0,) * ngens
     for j, d in enumerate(diag):
       if d == 0:
         lead = next((x for x in u[j] if x != 0), None)
@@ -503,156 +501,30 @@ class AbGroup:
           u[j] = [-x for x in u[j]]
           for r in ui:
             r[j] = -r[j]
-    self._u = IntMatrix(u)
-    self._u_inv = IntMatrix(ui)
-    self.diagonal = tuple(diag)
+    self.u = IntMatrix(u)
+    self.u_inv = IntMatrix(ui)
+    self.diagonal = diag
     self.invariant_factors = tuple(d for d in diag if d > 1)
-    self.free_rank = sum(1 for d in diag if d == 0)
-    self.torsion_positions = tuple(j for j, d in enumerate(diag) if d > 1)
-    self.free_positions = tuple(j for j, d in enumerate(diag) if d == 0)
-    self._key = (self.ngens, self.relations.entries)
-
-  def __eq__(self, other):
-    return isinstance(other, AbGroup) and self._key == other._key
-
-  def __hash__(self):
-    return hash(self._key)
+    self.free_rank = diag.count(0)
 
   def __repr__(self):
     parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.invariant_factors]
     return "AbGroup(%s)" % (" + ".join(parts) if parts else "0",)
 
-  @property
-  def u(self):
-    """Change of basis to canonical coordinates: c = u * x."""
-    return self._u
+  def coords(self, j):
+    """(torsion, free) canonical coordinates of generator j: column j of u,
+    each torsion entry reduced modulo its invariant factor."""
+    col = self.u.col(j)
+    return (tuple(c % d for c, d in zip(col, self.diagonal) if d > 1),
+            tuple(c for c, d in zip(col, self.diagonal) if d == 0))
 
-  @property
-  def u_inv(self):
-    return self._u_inv
-
-  # -- elements ------------------------------------------------------------
-
-  def _reduce(self, coords):
-    out = []
-    for c, d in zip(coords, self.diagonal):
-      if d == 0:
-        out.append(c)
-      elif d == 1:
-        out.append(0)
-      else:
-        out.append(c % d)
-    return tuple(out)
-
-  def element(self, coords):
-    """Canonical element from generator coordinates."""
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != self.ngens:
-      raise ValueError("coordinate length mismatch")
-    return AbElement(self, self._reduce(self._u.mul_vec(coords)))
-
-  def zero(self):
-    return AbElement(self, (0,) * self.ngens)
-
-  def generators(self):
-    eye = IntMatrix.identity(self.ngens)
-    return tuple(self.element(eye.row(i)) for i in range(self.ngens))
-
-  def from_canonical(self, coords):
-    return AbElement(self, self._reduce(tuple(coords)))
-
-  def order(self):
-    if self.free_rank:
-      raise ValueError("infinite group")
-    n = 1
-    for d in self.invariant_factors:
-      n *= d
-    return n
-
-  def enumerate_elements(self):
-    """All elements of a finite group, deterministic order."""
-    if self.free_rank:
-      raise ValueError("infinite group")
-    ranges = [range(d) if d > 1 else range(1) for d in self.diagonal]
-    out = []
-    def rec(i, acc):
-      if i == self.ngens:
-        out.append(AbElement(self, tuple(acc)))
-        return
-      for c in ranges[i]:
-        rec(i + 1, acc + [c])
-    rec(0, [])
-    return out
-
-  # -- reduced (torsion, free) views for isomorphism transport --------------
-
-  def reduced_coords(self, el):
-    t = tuple(el.coords[j] for j in self.torsion_positions)
-    f = tuple(el.coords[j] for j in self.free_positions)
-    return t, f
-
-  def from_reduced(self, torsion, free):
-    coords = [0] * self.ngens
-    for j, c in zip(self.torsion_positions, torsion):
-      coords[j] = c
-    for j, c in zip(self.free_positions, free):
-      coords[j] = c
-    return self.from_canonical(coords)
-
-
-class AbElement:
-  """Element in canonical coordinates (SNF basis, torsion residues reduced)."""
-
-  __slots__ = ("group", "coords")
-
-  def __init__(self, group, coords):
-    object.__setattr__(self, "group", group)
-    object.__setattr__(self, "coords", tuple(coords))
-
-  def __setattr__(self, name, value):
-    raise AttributeError("AbElement is immutable")
-
-  def rep(self):
-    """A representative in generator coordinates."""
-    return self.group._u_inv.mul_vec(self.coords)
-
-  def __add__(self, other):
-    self._chk(other)
-    return self.group.from_canonical(
-        tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-  def __sub__(self, other):
-    self._chk(other)
-    return self.group.from_canonical(
-        tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-  def __neg__(self):
-    return self.group.from_canonical(tuple(-a for a in self.coords))
-
-  def scale(self, k):
-    return self.group.from_canonical(tuple(k * a for a in self.coords))
-
-  def is_zero(self):
-    return all(c == 0 for c in self.coords)
-
-  def _chk(self, other):
-    if self.group is not other.group and self.group != other.group:
-      raise ValueError("elements of different groups")
-
-  def __eq__(self, other):
-    return (isinstance(other, AbElement) and self.group == other.group
-            and self.coords == other.coords)
-
-  def __hash__(self):
-    return hash((self.group._key, self.coords))
-
-  def __repr__(self):
-    return "AbElement(%r)" % (self.coords,)
-
-
-def coker(m: IntMatrix) -> AbGroup:
-  """Z^cols modulo the row span of m."""
-  return AbGroup(m.cols, m)
+  def lift(self, torsion, free):
+    """u_inv * c: generator coordinates of the class whose canonical
+    (torsion, free) coordinates are given."""
+    torsion, free = iter(torsion), iter(free)
+    return self.u_inv.mul_vec([next(torsion) if d > 1 else
+                               next(free) if d == 0 else 0
+                               for d in self.diagonal])
 
 
 def frac(x) -> Fraction:

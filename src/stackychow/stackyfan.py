@@ -15,6 +15,7 @@ from math import gcd, lcm
 from operator import add, sub
 
 from stackychow.lattice import (
+    AbGroup,
     IntMatrix,
     QReducer,
     ZReducer,
@@ -473,17 +474,12 @@ def weighted_projective_fan(weights):
   N is Z^k modulo the single relation given by the weights; the rays are the
   images of the standard basis vectors and every (k-1)-subset spans a cone.
   """
-  from stackychow.lattice import coker
-
   weights = [int(w) for w in weights]
   if len(weights) < 2 or any(w <= 0 for w in weights):
     raise ValueError("need at least two positive weights")
-  grp = coker(IntMatrix([weights]))
-  rays = []
-  for gen in grp.generators():
-    t, f = grp.reduced_coords(gen)
-    rays.append(tuple(f) + tuple(t))
-  torsion = grp.invariant_factors
   k = len(weights)
+  grp = AbGroup(k, [weights])
+  rays = [f + t for t, f in map(grp.coords, range(k))]
+  torsion = grp.invariant_factors
   cones = [tuple(j for j in range(k) if j != i) for i in range(k)]
   return StackyFan(grp.free_rank, torsion, rays, cones)

@@ -93,3 +93,10 @@ def dense(row, width):
   for k, x in row.items():
     out[k] = x
   return tuple(out)
+
+
+def canonical_class(grp, x):
+  """The class of x in an AbGroup: u * x with each coordinate reduced modulo
+  its diagonal entry (kept as is where the entry is 0, a free coordinate)."""
+  return tuple(c % d if d else c
+               for c, d in zip(grp.u.mul_vec(x), grp.diagonal))

@@ -1,11 +1,12 @@
 import gc
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import valid_fans
-from stackychow import charring
+from stackychow import charring, lattice
 from stackychow.charring import (
     CharacterData,
     character_data,
@@ -18,6 +19,7 @@ from stackychow.charring import (
 from stackychow.gradedpoly import Poly, hilbert_table
 from stackychow.lattice import IntMatrix, ZReducer
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
+from tests.test_acceptance import random_valid_fans
 
 F = Fraction
 
@@ -30,11 +32,11 @@ def test_no_smith_form_without_torsion(monkeypatch):
   def refuse(*args):
     raise AssertionError("character group built for a torsion-free fan")
 
-  monkeypatch.setattr(charring, "coker", refuse)
-  monkeypatch.setattr(charring, "smith_normal_form", refuse)
-  for weights in ((6, 5, 4), (2, 3, 5, 7)):
-    cd = CharacterData(weighted_projective_fan(weights))
-    assert cd.f == IntMatrix.identity(len(weights))
+  fans = [weighted_projective_fan(w) for w in ((6, 5, 4), (2, 3, 5, 7))]
+  monkeypatch.setattr(charring, "AbGroup", refuse)
+  monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+  for fan in fans:
+    assert CharacterData(fan).f == IntMatrix.identity(fan.n)
 
 
 def test_character_data_lives_on_its_fan():
@@ -168,3 +170,24 @@ def test_character_data_consistency(fan):
     span = ZReducer(lam + [[m * int(k == i) for k in range(n)]
                            for i in range(n)], n)
     assert span.contains(image([fan.tors(i)[l] for i in range(n)]))
+
+
+# sha256 of f on the torsion fans of two seeded suites, then of the rays and
+# f of weighted projective fans whose weights share factors; many of these
+# take the singular-correction branch of _change_matrix
+PINNED_F_DIGEST = (
+    "6b613b8fd024a0f90a1b5826a8262acea93e2203e8cbb6dca8b2b320720a89d1")
+
+
+def test_change_matrix_and_weighted_rays_pinned():
+  h = hashlib.sha256()
+  for seed in (20240816, 3):
+    for fan in random_valid_fans(25, seed):
+      if fan.r:
+        h.update(repr(character_data(fan).f.entries).encode())
+  for weights in ((2, 4, 6, 8), (6, 10, 15), (12, 18, 30), (4, 6, 10, 14),
+                  (6, 4), (4, 6, 9)):
+    fan = weighted_projective_fan(weights)
+    h.update(repr((fan.d, fan.torsion, fan.rays,
+                   character_data(fan).f.entries)).encode())
+  assert h.hexdigest() == PINNED_F_DIGEST

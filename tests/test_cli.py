@@ -273,6 +273,13 @@ def test_multiply_identity_and_bare_indices(docs, capsys):
   assert doc["factors"] == ["w8", "w8"]
 
 
+def test_multiply_refuses_non_ascii_digits(docs, capsys):
+  # '²' and '٣' are str.isdigit; neither is a box index nor a w<k> suffix
+  for token in ("\u00b2", "\u0663", "w\u0663"):
+    code, out, err = run(capsys, "multiply", docs["p654"], token, "0")
+    assert code == 3 and "unknown sector" in err and out == ""
+
+
 def test_multiply_twisted_coefficient(docs, capsys):
   # the age-1/2 sector squares into the pure-torsion sector with the ray
   # class doubled twice: once from the crossing, once from the twist

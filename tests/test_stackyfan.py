@@ -1,11 +1,11 @@
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import solve_rational, valid_fans
+from conftest import canonical_class, solve_rational, valid_fans
 from stackychow import lattice, stackyfan
 from stackychow.lattice import (
     AbGroup,
@@ -155,15 +155,16 @@ def test_p654_minimal_cone(p654):
 def test_p654_box_realizes_local_groups(p654):
   for cone in p654.max_cones:
     grp = AbGroup(2, [p654.rays[i] for i in cone])
+    assert grp.free_rank == 0
     box = p654.box_of_cone(cone)
-    classes = {grp.element(e.v) for e in box}
-    assert len(classes) == len(box) == grp.order()
+    classes = {canonical_class(grp, e.v) for e in box}
+    assert len(classes) == len(box) == prod(grp.invariant_factors)
     lookup = {e.v: e for e in box}
     for a in box:
       for b in box:
-        sums = grp.element(a.v) + grp.element(b.v)
         total = p654.box_add(lookup[a.v], lookup[b.v])
-        assert grp.element(total.v) == sums
+        assert canonical_class(grp, total.v) == canonical_class(
+            grp, [x + y for x, y in zip(a.v, b.v)])
 
 
 # -- canonical weighted projective fans ---------------------------------------
