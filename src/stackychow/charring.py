@@ -22,8 +22,7 @@ from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.lattice import (
     AbGroup,
     IntMatrix,
-    smith_normal_form,  # not called here; perfbench/spans.py patches it
-    solve_integer,
+    smith_normal_form,
 )
 from stackychow.stackyfan import StackyFan
 
@@ -177,12 +176,12 @@ def _change_matrix(fan: StackyFan) -> IntMatrix:
   # columns shifts the action on the lattice by e*k*identity, which is
   # nonsingular for all but finitely many k.  e, the product of the Smith
   # invariants of lam (those of its transpose), kills Z^d modulo its columns
-  lmat = IntMatrix(lam)
+  snf = smith_normal_form(IntMatrix(lam))
   e = prod(rig.invariant_factors)
   a_rows = []
   for j in range(len(lam)):
     target = [e if i == j else 0 for i in range(len(lam))]
-    sol = solve_integer(lmat, target)
+    sol = snf.solve(target)
     assert sol is not None  # e kills the quotient by the column span
     a_rows.append(sol)
   corr = [[sum(lam[j][u] * a_rows[j][v] for j in range(len(lam)))

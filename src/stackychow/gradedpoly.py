@@ -692,11 +692,15 @@ MAX_TABLE_ROWS = 10 ** 6
 def hilbert_table(pres, maxdeg):
   """The graded pieces in every occurring degree up to maxdeg.
 
-  The pieces are computed on eliminate(pres).presentation, which has the
-  same piece in every degree over Z and over Q but much narrower monomial
-  bases.  The original presentation keeps the row limit, the degree grid
-  (removing a variable can remove its degree from the grid, and no row may
-  disappear) and the refusals, which run before any elimination.
+  The pieces are computed on eliminate(low).presentation, low the
+  presentation of the generators of degree at most top, the largest degree
+  the table reports.  The variables have positive degrees, so a generator
+  of degree e adds rows only in degrees e and up: low has the same ideal as
+  pres in every degree up to top, hence the same pieces, and eliminating it
+  keeps them over Z and over Q while narrowing the monomial bases.  The
+  original presentation keeps the row limit, the degree grid (removing a
+  variable can remove its degree from the grid, and no row may disappear)
+  and the refusals, which run on every generator before any elimination.
 
   Once the piece of every occurring degree in a window [z, z + m) is zero,
   m the largest variable degree of the eliminated ring, every higher piece
@@ -711,7 +715,12 @@ def hilbert_table(pres, maxdeg):
                      "%d table rows" % MAX_TABLE_ROWS)
   degrees = occurring_degrees(pres.degrees, maxdeg)
   pres._require_graded()
-  ring = eliminate(pres).presentation
+  top = degrees[-1]
+  keep = [k for k, e in enumerate(pres.generator_degrees()) if e <= top]
+  low = RingPresentation(pres.names, pres.degrees,
+                         [pres.generators[k] for k in keep],
+                         [pres.tags[k] for k in keep], pres.domain)
+  ring = eliminate(low).presentation
   window = max(ring.degrees, default=0)
   table, zero_from = [], None
   for d in degrees:

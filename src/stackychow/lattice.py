@@ -134,6 +134,23 @@ class SnfDecomposition:
   def rank(self):
     return sum(1 for a in self.diagonal if a != 0)
 
+  def solve(self, b):
+    """One integer solution x of M*x = b, or None: the system becomes
+    D y = U b, and x = V y.  Solving for several b takes one Smith form."""
+    c = self.u.mul_vec(b)
+    y = [0] * self.d.cols
+    k = min(self.d.rows, self.d.cols)
+    for i in range(self.d.rows):
+      d = self.d[i, i] if i < k else 0
+      if d == 0:
+        if c[i] != 0:
+          return None
+      else:
+        if c[i] % d != 0:
+          return None
+        y[i] = c[i] // d
+    return self.v.mul_vec(y)
+
 
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
   """Smith normal form with tracked transforms.
@@ -440,27 +457,10 @@ def _xgcd(a, b):
 
 
 def solve_integer(a: IntMatrix, b):
-  """One integer solution x of a*x = b, or None.
-
-  Uses the Smith form: with U a V = D the system becomes D y = U b,
-  x = V y.
-  """
+  """One integer solution x of a*x = b, or None."""
   if len(b) != a.rows:
     raise ValueError("shape mismatch")
-  snf = smith_normal_form(a)
-  c = snf.u.mul_vec(b)
-  y = [0] * a.cols
-  k = min(a.rows, a.cols)
-  for i in range(a.rows):
-    d = snf.d[i, i] if i < k else 0
-    if d == 0:
-      if c[i] != 0:
-        return None
-    else:
-      if c[i] % d != 0:
-        return None
-      y[i] = c[i] // d
-  return snf.v.mul_vec(y)
+  return smith_normal_form(a).solve(b)
 
 
 def rational_rank(rows):

@@ -172,6 +172,28 @@ def test_character_data_consistency(fan):
     assert span.contains(image([fan.tors(i)[l] for i in range(n)]))
 
 
+def test_singular_correction_takes_one_smith_form(monkeypatch):
+  # both fans take the singular-correction branch: besides the full and
+  # the rigidified groups, one Smith form of the rigidified rows serves
+  # every target (P(2,4,6,8) took five, P(12,18,30) four)
+  fans = [weighted_projective_fan(w) for w in ((2, 4, 6, 8), (12, 18, 30))]
+  calls = []
+  snf = lattice.smith_normal_form
+
+  def counting(m):
+    calls.append((m.rows, m.cols))
+    return snf(m)
+
+  monkeypatch.setattr(lattice, "smith_normal_form", counting)
+  monkeypatch.setattr(charring, "smith_normal_form", counting)
+  for fan in fans:
+    calls.clear()
+    f = charring._change_matrix(fan)
+    assert f.det() != 0
+    assert len(calls) == 3
+    assert calls[-1] == (fan.d, fan.n)
+
+
 # sha256 of f on the torsion fans of two seeded suites, then of the rays and
 # f of weighted projective fans whose weights share factors; many of these
 # take the singular-correction branch of _change_matrix

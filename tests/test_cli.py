@@ -355,6 +355,18 @@ def test_hilbert_table(docs, capsys):
   # the age-zero sector introduces a degree-0 variable
   code, out, err = run(capsys, "hilbert", docs["p64"], "--product", "orbifold")
   assert code == 3 and "nonpositive variable degree" in err
+  # every mixed generator of the twisted ring has all its terms above
+  # degree 0, and the presentation is still refused
+  kind = inertial.ProductKind.v_plus(Bundle((1, 2, 3)))
+  pres = inertial.inertial_presentation(parse_fan_document(P654_DOC)[0], kind,
+                                        domain=kind.default_domain)
+  mixed = [g for g, e in zip(pres.generators, pres.generator_degrees())
+           if e is None]
+  assert mixed and all(sum(k * d for k, d in zip(t, pres.degrees)) > 0
+                       for g in mixed for t in g.terms)
+  code, out, err = run(capsys, "hilbert", docs["p654"], "--product", "v-plus",
+                       "--bundle", "1,2,3", "--maxdeg", "0")
+  assert code == 3 and "presentation is not graded" in err and out == ""
 
 
 def _raw_piece(pres, deg):
@@ -451,6 +463,15 @@ PINNED = {
     "p7911-hilbert-minus-inf": ("p7911", ["hilbert", "--product", "minus-inf",
                                           "--coeff", "q"],
         "7c0750196d7f6cf2dcdc641584df9d15ae12311429097104b114d3149a4053e2"),
+    # two capped jobs, recorded while hilbert_table eliminated every
+    # generator, including those above maxdeg
+    "p7911-hilbert-z-capped": ("p7911", ["hilbert", "--product", "orbifold",
+                                         "--coeff", "z", "--maxdeg", "3/2"],
+        "5ac3a0ecc66e334119dfde5b2667b77208e0af89bc2a1b18720686cba4140011"),
+    "p7911-hilbert-plus-inf-capped": ("p7911", ["hilbert", "--product",
+                                                "plus-inf", "--coeff", "q",
+                                                "--maxdeg", "1"],
+        "246ca100a0592b9b8e8603a8a8db4d27f2c4a3d1892c62d53f07ec9ef782201a"),
     # the text form, which only --format text builds
     "p654-virtual-text": ("p654", ["inertial", "--product", "virtual",
                                    "--format", "text"],

@@ -523,13 +523,49 @@ def test_integer_grading_matches_fraction_reference(seed, nvars, domain):
               Fraction(5, 2) + step / 3):
     assert pres.basis(deg) == monomials_of_degree(degrees, deg)
     assert pres.basis(deg) == monomials_of_degree(degrees, deg)
-  maxdeg = Fraction(rng.randint(0, 8), 2)
+  # sometimes below x1's degree, where the linear form below is dropped
+  maxdeg = rng.choice([Fraction(rng.randint(0, 8), 2), degrees[0] / 2])
+  gens.append(Poly.linear([rng.choice([-2, 1, 3]) if d == degrees[0] else 0
+                           for d in degrees]))
+  # generators above maxdeg, which hilbert_table leaves out of its ring
+  above = [d for d in occurring_degrees(degrees, maxdeg + 3) if d > maxdeg]
+  for _ in range(2):
+    ms = monomials_of_degree(degrees, rng.choice(above))
+    gens.append(Poly(nvars, {m: rng.choice([-1, 1, 2])
+                             for m in rng.sample(ms, min(len(ms), 3))}))
   graded = RingPresentation(names, degrees, gens, None, domain)
+  assert max(graded.generator_degrees()) > maxdeg
   table = hilbert_table(graded, maxdeg)
   assert table == [graded.graded_piece(d)
                    for d in occurring_degrees(degrees, maxdeg)]
   assert table == [_fraction_piece(graded, d)
                    for d in occurring_degrees(degrees, maxdeg)]
+
+
+def test_hilbert_table_below_the_linear_forms():
+  # Z[x, y, w] / (2x - 3y, w^2 - x, 5w^3), deg x = deg y = 1, deg w = 1/2:
+  # at maxdeg 1/2 every generator is left out, the linear form included
+  gens = [Poly.linear([2, -3, 0]), P(3, {(0, 0, 2): 1, (1, 0, 0): -1}),
+          P(3, {(0, 0, 3): 5})]
+  for domain in "zq":
+    pres = RingPresentation(["x", "y", "w"], [1, 1, Fraction(1, 2)], gens,
+                            None, domain)
+    for maxdeg in (0, Fraction(1, 2), 1, Fraction(3, 2), 3):
+      assert hilbert_table(pres, maxdeg) == [
+          pres.graded_piece(d) for d in occurring_degrees(pres.degrees,
+                                                          maxdeg)]
+    assert [p.describe() for p in hilbert_table(pres, Fraction(1, 2))] == [
+        domain.upper()] * 2
+
+
+def test_hilbert_table_refuses_mixed_generators_above_maxdeg():
+  # the only mixed generator, x^3 + y^2, has every term above maxdeg 1
+  x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+  pres = RingPresentation(["x", "y"], [1, 1], [x, x.pow(3) + y.pow(2)],
+                          None, "z")
+  assert pres.generator_degrees() == (1, None)
+  with pytest.raises(ValueError, match="presentation is not graded"):
+    hilbert_table(pres, 1)
 
 
 def test_hilbert_table_stops_past_a_zero_window(monkeypatch):

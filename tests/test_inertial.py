@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackychow import inertial
+from stackychow import gradedpoly, inertial
 from stackychow.charring import character_data
 from stackychow.gradedpoly import (
     Poly,
@@ -651,6 +651,27 @@ def test_hilbert_window_comes_from_the_eliminated_ring(monkeypatch):
       ring.graded_piece(d) for d in occurring_degrees(pres.degrees, top)]
   assert len(table) == len(occurring_degrees(pres.degrees, 6))
   assert all(p.describe() == "0" for p in table if p.degree > top)
+
+
+def test_hilbert_eliminates_only_generators_up_to_maxdeg(monkeypatch):
+  # P(13,17,19) orbifold over Z has 1,130 generators, 31 of degree <= 1
+  pres = inertial_presentation(weighted_projective_fan((13, 17, 19)),
+                               ORBIFOLD)
+  seen = []
+  real = gradedpoly.eliminate
+  monkeypatch.setattr(gradedpoly, "eliminate",
+                      lambda low: seen.append(low) or real(low))
+  table = hilbert_table(pres, 1)
+  monkeypatch.undo()
+  (low,) = seen
+  kept = [k for k, e in enumerate(pres.generator_degrees()) if e <= 1]
+  assert (len(kept), len(pres.generators)) == (31, 1130)
+  assert low.generators == tuple(pres.generators[k] for k in kept)
+  assert low.tags == tuple(pres.tags[k] for k in kept)
+  assert (low.names, low.degrees, low.domain) == (
+      pres.names, pres.degrees, pres.domain)
+  assert table == [eliminate(pres).presentation.graded_piece(d)
+                   for d in occurring_degrees(pres.degrees, 1)]
 
 
 # -- associativity and stabilization --------------------------------------------
