@@ -48,12 +48,11 @@ class CharacterData:
     """tilde_x_i as a degree-one polynomial in the x variables."""
     return Poly.linear(self.f.col(i))
 
-  def tilde_monomial(self, exps):
-    """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
-    cached per (i, exps[i]).  Raises ValueError, before expanding anything,
-    when the product could have more than MAX_EXPANSION_TERMS terms or its
-    expansion could take more coefficient products than that: the sum, over
-    the factors, of the term bounds of the partial product and the factor."""
+  def check_expansion(self, exps):
+    """Raise ValueError when prod_i tilde_x_i^exps[i] could expand to more
+    than MAX_EXPANSION_TERMS terms or take more coefficient products than
+    that: the sum, over the factors, of the term bounds of the partial
+    product and the factor."""
     n = self.f.rows
     factors = [(e, comb(e + t - 1, t - 1))
                for e, t in zip(exps, self._term_counts) if e]
@@ -72,6 +71,19 @@ class CharacterData:
               else "take %d coefficient products to expand" % work)
       raise ValueError("coefficient %s may %s, more than the limit of %d"
                        % (text, cost, MAX_EXPANSION_TERMS))
+
+  def may_refuse(self):
+    """Whether check_expansion can refuse some exponent vector.  When every
+    tilde class is one term, as on a fan without torsion, a product has one
+    term and takes one coefficient product per factor, at most n."""
+    return (any(t > 1 for t in self._term_counts)
+            or self.f.rows > MAX_EXPANSION_TERMS)
+
+  def tilde_monomial(self, exps):
+    """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
+    cached per (i, exps[i]), after check_expansion."""
+    self.check_expansion(exps)
+    n = self.f.rows
     out = Poly.constant(n, 1)
     for i, e in enumerate(exps):
       if e:

@@ -538,26 +538,39 @@ def cmd_check_assoc(args, fan, doc_bundle, labels):
   return _emit(args, doc, text)
 
 
+def _maxdeg(args, fan):
+  """The --maxdeg bound of a hilbert request, 2d + 2 by default."""
+  if args.maxdeg is None:
+    return Fraction(2 * fan.d + 2)
+  # Fraction("1e100000000") builds a 10^8-digit integer before any check
+  exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", args.maxdeg)
+  try:
+    if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
+      raise CliError(3, "--maxdeg: %r has a decimal exponent beyond %d"
+                     % (args.maxdeg, MAX_DECIMAL_EXPONENT))
+    maxdeg = Fraction(args.maxdeg)
+  except (ValueError, ZeroDivisionError):
+    raise CliError(3, "--maxdeg: %r is not a rational" % args.maxdeg)
+  if maxdeg < 0:
+    raise CliError(3, "--maxdeg: %r is negative" % args.maxdeg)
+  return maxdeg
+
+
 def cmd_hilbert(args, fan, doc_bundle, labels):
+  # the product and the presentation refuse before a bad --maxdeg does, so
+  # that presentation is built in full
+  try:
+    maxdeg, fault = _maxdeg(args, fan), None
+  except CliError as e:
+    maxdeg, fault = None, e
   if args.product:
     kind, domain = _product(args, doc_bundle)
     pres = inertial_presentation(fan, kind, labels=_sector_names(fan, labels),
-                                 domain=domain)
+                                 domain=domain, maxdeg=maxdeg)
   else:
     pres = _with_domain(sr_ring(fan), args.coeff)
-  maxdeg = Fraction(2 * fan.d + 2)
-  if args.maxdeg is not None:
-    # Fraction("1e100000000") builds a 10^8-digit integer before any check
-    exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", args.maxdeg)
-    try:
-      if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
-        raise CliError(3, "--maxdeg: %r has a decimal exponent beyond %d"
-                       % (args.maxdeg, MAX_DECIMAL_EXPONENT))
-      maxdeg = Fraction(args.maxdeg)
-    except (ValueError, ZeroDivisionError):
-      raise CliError(3, "--maxdeg: %r is not a rational" % args.maxdeg)
-    if maxdeg < 0:
-      raise CliError(3, "--maxdeg: %r is negative" % args.maxdeg)
+  if fault is not None:
+    raise fault
   rows = [{"degree": str(r.degree), "free_rank": r.free_rank,
            "torsion": [str(m) for m in r.torsion], "text": r.describe()}
           for r in hilbert_table(pres, maxdeg)]

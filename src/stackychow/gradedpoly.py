@@ -289,15 +289,19 @@ def monomial_degree(exp, degrees):
 
 
 def monomials_of_degree(degrees, target):
-  """All exponent tuples of the given degree, ascending lexicographic order."""
-  # Fraction(d) of a Fraction costs an ABC check; a basis miss pays it per
-  # variable
-  degrees = [d if type(d) is Fraction else Fraction(d) for d in degrees]
-  scale = lcm(*(d.denominator for d in degrees))
-  dd = [d.numerator * (scale // d.denominator) for d in degrees]
+  """All exponent tuples of the given degree, ascending lexicographic order.
+  All-int degrees and an int target are taken as they are; otherwise both
+  are scaled by the lcm of the degree denominators first."""
+  if type(target) is int and all(type(d) is int for d in degrees):
+    dd, t = degrees, target
+  else:
+    # Fraction(d) of a Fraction costs an ABC check
+    degrees = [d if type(d) is Fraction else Fraction(d) for d in degrees]
+    scale = lcm(*(d.denominator for d in degrees))
+    dd = [d.numerator * (scale // d.denominator) for d in degrees]
+    t = Fraction(target) * scale
   if any(x <= 0 for x in dd):
     raise ValueError("nonpositive variable degree")
-  t = Fraction(target) * scale
   if t < 0 or t.denominator != 1:
     return []
   t = int(t)
@@ -401,6 +405,7 @@ class RingPresentation:
     self._bases = {}     # integer degree -> monomial basis
     self._gen_degrees = None
     self._gen_idegs = None
+    self._graded = None
 
   def generator_degrees(self):
     """Per-generator homogeneous degree, None where a generator mixes degrees."""
@@ -417,7 +422,9 @@ class RingPresentation:
 
   @property
   def is_graded(self):
-    return all(d is not None for d in self.generator_degrees())
+    if self._graded is None:
+      self._graded = all(d is not None for d in self.generator_degrees())
+    return self._graded
 
   def nonhomogeneous_tags(self):
     return tuple(t for t, d in zip(self.tags, self.generator_degrees())
@@ -439,8 +446,7 @@ class RingPresentation:
     """The monomial basis in integer degree t, enumerated once."""
     basis = self._bases.get(t)
     if basis is None:
-      basis = self._bases[t] = monomials_of_degree(self.degrees,
-                                                   Fraction(t, self.scale))
+      basis = self._bases[t] = monomials_of_degree(self.ideg, t)
     return basis
 
   def _degree_rows(self, t):
@@ -701,6 +707,12 @@ def hilbert_table(pres, maxdeg):
   original presentation keeps the row limit, the degree grid (removing a
   variable can remove its degree from the grid, and no row may disappear)
   and the refusals, which run on every generator before any elimination.
+
+  pres may itself leave out generators above maxdeg: the inertial
+  presentation of an age-graded kind (orbifold, plus_infinity,
+  minus_infinity) built with the same maxdeg has no cone or box relation
+  above it, and its table is the same.  The twisted kinds build every
+  pair relation, so their mixed generators are still refused here.
 
   Once the piece of every occurring degree in a window [z, z + m) is zero,
   m the largest variable degree of the eliminated ring, every higher piece

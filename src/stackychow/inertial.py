@@ -11,6 +11,7 @@ inertial Chow ring for each product kind.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from operator import add
 
 from stackychow.charring import (
@@ -147,6 +148,13 @@ class ProductKind:
   @property
   def is_asymptotic(self):
     return self.name in ("plus_infinity", "minus_infinity")
+
+  @property
+  def age_graded(self):
+    """Whether every relation is homogeneous when each w has its sector's
+    age as degree: true for the kinds whose star coefficients carry no
+    bundle exponent."""
+    return self.name in ("orbifold", "plus_infinity", "minus_infinity")
 
   @property
   def default_domain(self):
@@ -347,33 +355,61 @@ def _w_exponent(n, k, indices):
 
 
 def _w_monomial(n, k, indices):
-  return Poly(n + k, {_w_exponent(n, k, indices): 1})
+  return Poly._trusted(n + k, {_w_exponent(n, k, indices): 1})
 
 
-def _nonidentity_pairs(fan):
+def _sector_pairs(fan, maxdeg=None):
+  """The nonidentity sector pairs i <= j in order, as (i, j, common):
+  common says whether the two share a cone, and is None for a pair whose
+  age sum is above maxdeg.  Ages are compared as phase numerators over the
+  box's shared denominator."""
   els = fan.box()
+  if maxdeg is not None:
+    top = floor(Fraction(maxdeg) * els[0].den)
+    sums = [sum(v.p) for v in els]
   out = []
   for i in range(1, len(els)):
     for j in range(i, len(els)):
+      if maxdeg is not None and sums[i] + sums[j] > top:
+        out.append((i, j, None))
+        continue
       union = sorted(set(els[i].sigma_min) | set(els[j].sigma_min))
       out.append((i, j, fan.has_common_cone(union)))
   return out
 
 
-def cr_ideal(fan: StackyFan):
-  """Monomials w_i w_j over the sector pairs sharing no cone."""
+def cr_ideal(fan: StackyFan, maxdeg=None, pairs=None):
+  """Monomials w_i w_j over the sector pairs sharing no cone, less those of
+  age sum above maxdeg; pairs, a _sector_pairs walk, replaces the walk."""
   n, k = fan.n, len(fan.box()) - 1
-  return [_w_monomial(n, k, (i, j))
-          for i, j, common in _nonidentity_pairs(fan) if not common]
+  if pairs is None:
+    pairs = _sector_pairs(fan, maxdeg)
+  return [_w_monomial(n, k, (i, j)) for i, j, common in pairs
+          if common is False]
 
 
-def br_ideal(fan: StackyFan, kind: ProductKind):
+def br_ideal(fan: StackyFan, kind: ProductKind, maxdeg=None, pairs=None):
   """One relation per unordered double-box sector pair: the pair monomial
-  minus the closed form of its star product.  Pair order is deterministic."""
+  minus the closed form of its star product.  Pair order is deterministic.
+
+  An age-graded kind leaves out the pairs of age sum above maxdeg, whose
+  relations have that degree; pairs, a _sector_pairs walk, replaces the
+  walk.  A left-out pair still refuses, in its turn, a coefficient that
+  tilde_monomial would refuse, so a bounded build fails where the full one
+  does, with the same message."""
   els = fan.box()
   n, k = fan.n, len(els) - 1
+  if pairs is None:
+    pairs = _sector_pairs(fan, maxdeg if kind.age_graded else None)
+  cd = character_data(fan)
+  check = cd.may_refuse()
   out = []
-  for i, j, common in _nonidentity_pairs(fan):
+  for i, j, common in pairs:
+    if common is None:
+      exps = star_exponents(fan, kind, els[i], els[j])[1] if check else None
+      if exps is not None:
+        cd.check_expansion(exps)
+      continue
     if not common:
       continue
     target, coeff = star_product(fan, kind, els[i], els[j])
@@ -400,14 +436,18 @@ def sector_labels(fan: StackyFan, labels=None):
 
 
 def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
-                          domain=None) -> RingPresentation:
+                          domain=None, maxdeg=None) -> RingPresentation:
   """Generators and relations for the inertial Chow ring of the given kind.
 
   Variables: one x per ray (degree 1) and one w per nonidentity sector with
   degree its age (0 for pure-torsion sectors, which blocks graded queries but
   not construction).  The ideal stacks the ray relations (linear), nonface
   relations (stanley_reisner), each sector annihilator times its w (sector),
-  the no-common-cone monomials (cone) and the product relations (box)."""
+  the no-common-cone monomials (cone) and the product relations (box).
+
+  For an age-graded kind, maxdeg leaves out the cone and box relations of
+  degree above it, which no graded piece up to maxdeg can see; the twisted
+  kinds, whose relations are not homogeneous in the ages, keep them all."""
   fan.require_valid()
   if domain is None:
     domain = kind.default_domain
@@ -431,10 +471,11 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
     for g in sector_ideal(fan, v):
       gens.append(_embed(g, total).mul_monomial(wexp))
       tags.append("sector")
-  for g in cr_ideal(fan):
+  pairs = _sector_pairs(fan, maxdeg if kind.age_graded else None)
+  for g in cr_ideal(fan, pairs=pairs):
     gens.append(g)
     tags.append("cone")
-  for g in br_ideal(fan, kind):
+  for g in br_ideal(fan, kind, pairs=pairs):
     gens.append(g)
     tags.append("box")
   return RingPresentation(names, degrees, gens, tags, domain)

@@ -28,6 +28,7 @@ from stackychow.inertial import (Bundle, KClass, MINUS_INFINITY, ORBIFOLD,
 from stackychow.stackyfan import (GroupElement, StackyFan,
                                   weighted_projective_fan)
 
+from tests.conftest import random_valid_fans
 from tests.test_inertial import P654_INDEX, p654_vplus_relations
 
 F = Fraction
@@ -48,53 +49,6 @@ def _p654():
 
 
 # -- seeded random fan suite ------------------------------------------------
-
-_DIRECTIONS = ((1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 1), (-1, 0),
-               (-1, -1), (0, -1), (1, -1))
-_TORSION_CHOICES = ((), (), (), (2,), (3,), (4,), (2, 2))
-
-
-def _random_candidate(rng):
-  torsion = rng.choice(_TORSION_CHOICES)
-  if rng.random() < 0.25:
-    nrays = 2 if torsion else rng.choice((1, 2))
-    rows = []
-    for i in range(nrays):
-      free = (1 if i == 0 else -1) * rng.randint(1, 4)
-      rows.append((free,) + tuple(rng.randrange(m) for m in torsion))
-    cones = tuple((i,) for i in range(nrays))
-    try:
-      return StackyFan(1, torsion, tuple(rows), cones)
-    except ValueError:
-      return None
-  k = rng.randint(2, 4)
-  start = rng.randrange(len(_DIRECTIONS))
-  rows = []
-  for j in range(k):
-    dx, dy = _DIRECTIONS[(start + j) % len(_DIRECTIONS)]
-    c = rng.randint(1, 3)
-    rows.append((c * dx, c * dy) + tuple(rng.randrange(m) for m in torsion))
-  cones = [(j, j + 1) for j in range(k - 1)]
-  if k >= 3 and rng.random() < 0.5:
-    cones.append((k - 1, 0))
-  try:
-    return StackyFan(2, torsion, tuple(rows), tuple(cones))
-  except ValueError:
-    return None
-
-
-def random_valid_fans(count, seed, max_box=30):
-  rng = random.Random(seed)
-  fans = []
-  while len(fans) < count:
-    fan = _random_candidate(rng)
-    if fan is None or fan.validate():
-      continue
-    if not 1 < len(fan.box()) <= max_box:
-      continue
-    fans.append(fan)
-  return fans
-
 
 @pytest.fixture(scope="module")
 def fan_suite():

@@ -369,6 +369,27 @@ def test_hilbert_table(docs, capsys):
   assert code == 3 and "presentation is not graded" in err and out == ""
 
 
+def test_hilbert_refuses_the_product_and_presentation_before_maxdeg(
+    docs, monkeypatch, capsys):
+  # the presentation is built before a bad --maxdeg is reported: a short
+  # bundle fails there, a bad bundle entry before it
+  assert run(capsys, "hilbert", docs["p654"], "--product", "v-plus",
+             "--bundle", "1,2", "--maxdeg", "x") == (
+      3, "", "stacky-chow: bundle has 2 coefficients but the fan has 3 "
+             "rays\n")
+  assert run(capsys, "hilbert", docs["p654"], "--product", "v-plus",
+             "--bundle", "1,-2,3", "--maxdeg", "-1") == (
+      3, "", "stacky-chow: --bundle: bundle coefficients must be "
+             "nonnegative\n")
+  # so is a coefficient over the expansion limit, whatever --maxdeg says
+  monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", 8)
+  for maxdeg in ("x", "1/2"):
+    assert run(capsys, "hilbert", docs["torsion4"], "--product", "orbifold",
+               "--maxdeg", maxdeg) == (
+        3, "", "stacky-chow: coefficient tilde_x1^1*tilde_x3^1 may expand to "
+               "10 terms, more than the limit of 8\n")
+
+
 def _raw_piece(pres, deg):
   """(free rank, torsion) of degree deg, by a Smith form of every generator
   times every monomial, with no echelon pass in between."""

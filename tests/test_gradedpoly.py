@@ -52,18 +52,43 @@ def test_poly_homogeneity():
   assert sorted(parts) == [1, 2]
 
 
-def test_monomials_of_degree():
+def test_monomials_of_degree(monkeypatch):
   ms = monomials_of_degree([1, 1], 2)
   assert ms == [(0, 2), (1, 1), (2, 0)]
   assert monomials_of_degree([2], 1) == []
   assert monomials_of_degree([Fraction(1, 2), 1], Fraction(3, 2)) == [
       (1, 1), (3, 0)]
   assert monomials_of_degree([1], 0) == [(0,)]
-  try:
-    monomials_of_degree([0, 1], 1)
-    assert False
-  except ValueError as e:
-    assert "nonpositive variable degree" in str(e)
+  for degrees in ([0, 1], (1, 0), [Fraction(1, 2), 0]):
+    with pytest.raises(ValueError, match="nonpositive variable degree"):
+      monomials_of_degree(degrees, 1)
+  # all-int degrees and an int target list what the Fraction path lists,
+  # without the lcm of the denominators
+  expected = {}
+  for degrees in ([1, 1], [2, 3], (3, 1, 2), [5, 5, 2, 7]):
+    for t in range(-1, 12):
+      expected[tuple(degrees), t] = monomials_of_degree(
+          [Fraction(d) for d in degrees], Fraction(t))
+  monkeypatch.setattr(gradedpoly, "lcm", None)
+  for (degrees, t), ms in expected.items():
+    assert monomials_of_degree(degrees, t) == ms
+  assert monomials_of_degree((2, 3), 1) == []
+  assert monomials_of_degree((2, 3), -2) == []
+  with pytest.raises(ValueError, match="nonpositive variable degree"):
+    monomials_of_degree((2, 0, 3), 4)
+  with pytest.raises(ValueError, match="nonpositive variable degree"):
+    monomials_of_degree((2, 0, 3), 1)
+
+
+def test_basis_enumerates_on_the_integer_grading(monkeypatch):
+  pres = RingPresentation(["a", "b"], [Fraction(1, 2), 1], [], domain="q")
+  seen = []
+  real = gradedpoly.monomials_of_degree
+  monkeypatch.setattr(gradedpoly, "monomials_of_degree",
+                      lambda d, t: seen.append((d, t)) or real(d, t))
+  assert pres.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
+  assert pres.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
+  assert seen == [((1, 2), 3)]
 
 
 def test_occurring_degrees():

@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackychow import gradedpoly, inertial
+from stackychow import charring, gradedpoly, inertial
 from stackychow.charring import character_data
 from stackychow.gradedpoly import (
     Poly,
@@ -43,7 +43,7 @@ from stackychow.inertial import (
 )
 from stackychow.stackyfan import GroupElement, StackyFan, weighted_projective_fan
 
-from tests.conftest import valid_fans
+from tests.conftest import random_valid_fans, valid_fans
 
 F = Fraction
 
@@ -672,6 +672,88 @@ def test_hilbert_eliminates_only_generators_up_to_maxdeg(monkeypatch):
       pres.names, pres.degrees, pres.domain)
   assert table == [eliminate(pres).presentation.graded_piece(d)
                    for d in occurring_degrees(pres.degrees, 1)]
+
+
+# -- pair relations up to maxdeg -----------------------------------------------
+
+# the seeded acceptance suite and weighted projective fans, built once
+_SUITE = []
+
+
+def _suite():
+  if not _SUITE:
+    _SUITE.extend(random_valid_fans(25, seed=20240816))
+    _SUITE.extend(weighted_projective_fan(w)
+                  for w in ((6, 5, 4), (7, 9, 11), (2, 3, 5, 7)))
+  return _SUITE
+
+
+AGE_GRADED = ((ORBIFOLD, "z"), (ORBIFOLD, "q"), (PLUS_INFINITY, "q"),
+              (MINUS_INFINITY, "q"))
+
+
+def _refusal(build):
+  """None when build() returns, else the message of its ValueError."""
+  try:
+    build()
+  except ValueError as e:
+    return str(e)
+  return None
+
+
+def test_age_graded_kinds():
+  kinds = [k for k in _all_kinds(3) if k.age_graded]
+  assert kinds == [ORBIFOLD, PLUS_INFINITY, MINUS_INFINITY]
+  # their relations are homogeneous in the ages, on every fan of the suite
+  assert all(inertial_presentation(fan, kind, domain="q").is_graded
+             for fan in _suite() for kind in kinds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pair_relations_up_to_maxdeg_keep_the_table(data):
+  fan = data.draw(st.sampled_from(_suite()))
+  kind, domain = data.draw(st.sampled_from(AGE_GRADED))
+  els = fan.box()
+  pair_degrees = sorted({a.age + b.age for a in els[1:] for b in els[1:]})
+  # a pair degree up to 2 (the largest is often above it) or just below one
+  maxdeg = data.draw(st.sampled_from(
+      [F(0)] + [d for d in pair_degrees if d <= 2]))
+  if data.draw(st.booleans()):
+    maxdeg = max(F(0), maxdeg - F(1, 2 * els[0].den))
+  full = inertial_presentation(fan, kind, domain=domain)
+  low = inertial_presentation(fan, kind, domain=domain, maxdeg=maxdeg)
+  # exactly the cone and box relations above maxdeg are left out
+  assert low.generators == tuple(
+      g for g, t, e in zip(full.generators, full.tags,
+                           full.generator_degrees())
+      if t not in ("cone", "box") or e <= maxdeg)
+  assert (low.names, low.degrees, low.domain) == (
+      full.names, full.degrees, full.domain)
+  table = _refusal(lambda: hilbert_table(full, maxdeg)) or hilbert_table(
+      full, maxdeg)
+  assert (_refusal(lambda: hilbert_table(low, maxdeg))
+          or hilbert_table(low, maxdeg)) == table
+
+
+def test_pair_relations_up_to_maxdeg_refuse_as_the_full_build(monkeypatch):
+  # left-out pairs still refuse a coefficient over the expansion limit, in
+  # their turn; br_ideal alone shows it, since the nonface monomials of the
+  # whole presentation often refuse first
+  torsion = [fan for fan in _suite() if fan.r]
+  refused = 0
+  for limit in (1, 2, 3, 4):
+    monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit)
+    for fan in torsion:
+      for kind in (ORBIFOLD, PLUS_INFINITY, MINUS_INFINITY):
+        whole = _refusal(lambda: inertial_presentation(fan, kind))
+        pairs = _refusal(lambda: br_ideal(fan, kind))
+        refused += pairs is not None
+        for maxdeg in (F(0), F(1, 2), F(1), F(3, 2)):
+          assert _refusal(lambda: inertial_presentation(
+              fan, kind, maxdeg=maxdeg)) == whole
+          assert _refusal(lambda: br_ideal(fan, kind, maxdeg=maxdeg)) == pairs
+  assert refused
 
 
 # -- associativity and stabilization --------------------------------------------
