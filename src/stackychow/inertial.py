@@ -358,19 +358,21 @@ def _w_monomial(n, k, indices):
   return Poly._trusted(n + k, {_w_exponent(n, k, indices): 1})
 
 
-def _sector_pairs(fan, maxdeg=None):
+def _sector_pairs(fan, kind=None, maxdeg=None):
   """The nonidentity sector pairs i <= j in order, as (i, j, common):
-  common says whether the two share a cone, and is None for a pair whose
-  age sum is above maxdeg.  Ages are compared as phase numerators over the
-  box's shared denominator."""
+  common says whether the two share a cone.  For an age-graded kind it is
+  None for a pair whose age sum is above maxdeg, compared as phase
+  numerators over the box's shared denominator; the twisted kinds, whose
+  relations are not homogeneous in the ages, keep every pair."""
   els = fan.box()
-  if maxdeg is not None:
+  bounded = maxdeg is not None and kind is not None and kind.age_graded
+  if bounded:
     top = floor(Fraction(maxdeg) * els[0].den)
     sums = [sum(v.p) for v in els]
   out = []
   for i in range(1, len(els)):
     for j in range(i, len(els)):
-      if maxdeg is not None and sums[i] + sums[j] > top:
+      if bounded and sums[i] + sums[j] > top:
         out.append((i, j, None))
         continue
       union = sorted(set(els[i].sigma_min) | set(els[j].sigma_min))
@@ -378,37 +380,41 @@ def _sector_pairs(fan, maxdeg=None):
   return out
 
 
-def cr_ideal(fan: StackyFan, maxdeg=None, pairs=None):
-  """Monomials w_i w_j over the sector pairs sharing no cone, less those of
-  age sum above maxdeg; pairs, a _sector_pairs walk, replaces the walk."""
+def cr_ideal(fan: StackyFan, _pairs=None):
+  """Monomials w_i w_j over the sector pairs sharing no cone; _pairs, the
+  walk inertial_presentation shares with br_ideal, leaves some out."""
   n, k = fan.n, len(fan.box()) - 1
-  if pairs is None:
-    pairs = _sector_pairs(fan, maxdeg)
-  return [_w_monomial(n, k, (i, j)) for i, j, common in pairs
+  if _pairs is None:
+    _pairs = _sector_pairs(fan)
+  return [_w_monomial(n, k, (i, j)) for i, j, common in _pairs
           if common is False]
 
 
-def br_ideal(fan: StackyFan, kind: ProductKind, maxdeg=None, pairs=None):
+def br_ideal(fan: StackyFan, kind: ProductKind, _pairs=None):
   """One relation per unordered double-box sector pair: the pair monomial
   minus the closed form of its star product.  Pair order is deterministic.
 
-  An age-graded kind leaves out the pairs of age sum above maxdeg, whose
-  relations have that degree; pairs, a _sector_pairs walk, replaces the
-  walk.  A left-out pair still refuses, in its turn, a coefficient that
-  tilde_monomial would refuse, so a bounded build fails where the full one
-  does, with the same message."""
+  _pairs, the walk inertial_presentation shares with cr_ideal, leaves out
+  the pairs whose common is None.  A left-out pair still refuses, in its
+  turn, a coefficient that tilde_monomial would refuse, so a bounded build
+  fails where the full one does, with the same message."""
   els = fan.box()
   n, k = fan.n, len(els) - 1
-  if pairs is None:
-    pairs = _sector_pairs(fan, maxdeg if kind.age_graded else None)
-  cd = character_data(fan)
-  check = cd.may_refuse()
+  if _pairs is None:
+    _pairs = _sector_pairs(fan)
+  # whether check_expansion can refuse; known at the first left-out pair
+  # with a coefficient, which builds the change matrix as star_product would
+  check = None
   out = []
-  for i, j, common in pairs:
+  for i, j, common in _pairs:
     if common is None:
-      exps = star_exponents(fan, kind, els[i], els[j])[1] if check else None
-      if exps is not None:
-        cd.check_expansion(exps)
+      if check is not False:
+        exps = star_exponents(fan, kind, els[i], els[j])[1]
+        if exps is not None:
+          cd = character_data(fan)
+          check = cd.may_refuse()
+          if check:
+            cd.check_expansion(exps)
       continue
     if not common:
       continue
@@ -471,11 +477,11 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
     for g in sector_ideal(fan, v):
       gens.append(_embed(g, total).mul_monomial(wexp))
       tags.append("sector")
-  pairs = _sector_pairs(fan, maxdeg if kind.age_graded else None)
-  for g in cr_ideal(fan, pairs=pairs):
+  pairs = _sector_pairs(fan, kind, maxdeg)
+  for g in cr_ideal(fan, _pairs=pairs):
     gens.append(g)
     tags.append("cone")
-  for g in br_ideal(fan, kind, pairs=pairs):
+  for g in br_ideal(fan, kind, _pairs=pairs):
     gens.append(g)
     tags.append("box")
   return RingPresentation(names, degrees, gens, tags, domain)

@@ -752,8 +752,41 @@ def test_pair_relations_up_to_maxdeg_refuse_as_the_full_build(monkeypatch):
         for maxdeg in (F(0), F(1, 2), F(1), F(3, 2)):
           assert _refusal(lambda: inertial_presentation(
               fan, kind, maxdeg=maxdeg)) == whole
-          assert _refusal(lambda: br_ideal(fan, kind, maxdeg=maxdeg)) == pairs
+          walk = inertial._sector_pairs(fan, kind, maxdeg)
+          assert _refusal(lambda: br_ideal(fan, kind, _pairs=walk)) == pairs
   assert refused
+
+
+def test_sector_pairs_bound_only_the_age_graded_kinds():
+  fan = weighted_projective_fan((6, 5, 4))
+  whole = inertial._sector_pairs(fan)
+  assert None not in [common for _, _, common in whole]
+  for kind in _all_kinds(3):
+    for maxdeg in (None, F(0), F(1)):
+      walk = inertial._sector_pairs(fan, kind, maxdeg)
+      assert [(i, j) for i, j, _ in walk] == [(i, j) for i, j, _ in whole]
+      if maxdeg is None or not kind.age_graded:
+        assert walk == whole
+      else:
+        assert any(common is None for _, _, common in walk)
+
+
+def test_br_ideal_builds_the_change_matrix_only_for_a_coefficient(
+    monkeypatch):
+  # an unbounded br_ideal asks for the character data only when some star
+  # product has a coefficient to expand, as star_product alone would
+  def refuse(fan):
+    raise ValueError("change matrix built")
+  monkeypatch.setattr(inertial, "character_data", refuse)
+  seen = set()
+  for fan in _suite():
+    for kind in (ORBIFOLD, PLUS_INFINITY, MINUS_INFINITY):
+      els = fan.box()
+      needs = any(star_exponents(fan, kind, els[i], els[j])[1] is not None
+                  for i, j, _ in inertial._sector_pairs(fan))
+      seen.add(needs)
+      assert (_refusal(lambda: br_ideal(fan, kind)) is not None) == needs
+  assert seen == {False, True}
 
 
 # -- associativity and stabilization --------------------------------------------
