@@ -52,6 +52,31 @@ def _schema_error(msg):
   return CliError(1, "schema error: " + msg)
 
 
+# -- numbers ---------------------------------------------------------------------
+
+def _ascii_number(text):
+  """Whether number text may go to int() or Fraction(), which also read the
+  digits of other scripts and underscores between digits."""
+  return text.isascii() and "_" not in text
+
+
+def _rational(value, field, error):
+  """Fraction(value), or raise error(message), the message naming the
+  field.  A decimal exponent beyond MAX_DECIMAL_EXPONENT is refused first:
+  Fraction("1e100000000") builds a 10^8-digit integer before any check."""
+  if isinstance(value, str):
+    exp = re.search(r"[eE]([-+]?[0-9]+)\s*\Z", value)
+    if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
+      raise error("%s: %r has a decimal exponent beyond %d"
+                  % (field, value, MAX_DECIMAL_EXPONENT))
+  try:
+    if not isinstance(value, str) or _ascii_number(value):
+      return Fraction(value)
+  except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+    pass
+  raise error("%s: %r is not a rational" % (field, value))
+
+
 # -- fan documents --------------------------------------------------------------
 
 def _as_int(value, field):
@@ -62,10 +87,12 @@ def _as_int(value, field):
     return value
   if isinstance(value, str):
     try:
-      return int(value, 10)
+      if _ascii_number(value):
+        return int(value, 10)
     except ValueError:
-      raise _schema_error("field %s: %r is not a decimal integer"
-                          % (field, value))
+      pass
+    raise _schema_error("field %s: %r is not a decimal integer"
+                        % (field, value))
   raise _schema_error("field %s: expected an integer or decimal string"
                       % field)
 
@@ -224,11 +251,7 @@ def _poly_from_terms(terms, nvars, field):
         raise _schema_error("field %s[%d].powers: powers must be positive"
                             % (field, t))
       exp[j - 1] += e
-    try:
-      c = Fraction(coeff)
-    except (ValueError, ZeroDivisionError):
-      raise _schema_error("field %s[%d].coeff: %r is not a rational"
-                          % (field, t, coeff))
+    c = _rational(coeff, "field %s[%d].coeff" % (field, t), _schema_error)
     out[tuple(exp)] = out.get(tuple(exp), 0) + c
   return Poly(nvars, out)
 
@@ -259,10 +282,8 @@ def parse_presentation_document(doc):
     if not isinstance(var, dict) or set(var) != {"name", "degree"}:
       raise _schema_error("field variables[%d]: expected name and degree" % i)
     names.append(var["name"])
-    try:
-      degrees.append(Fraction(var["degree"]))
-    except (ValueError, ZeroDivisionError, TypeError):
-      raise _schema_error("field variables[%d].degree: not a rational" % i)
+    degrees.append(_rational(var["degree"], "field variables[%d].degree" % i,
+                             _schema_error))
   gens, tags = [], []
   for i, gen in enumerate(_as_list(doc.get("generators"), "generators")):
     if not isinstance(gen, dict) or set(gen) != {"tag", "terms"}:
@@ -332,6 +353,9 @@ def _product(args, doc_bundle):
     bundle = doc_bundle
     if args.bundle:
       try:
+        if not _ascii_number(args.bundle):
+          raise ValueError("%r is not a list of decimal integers"
+                           % args.bundle)
         bundle = Bundle([int(c) for c in args.bundle.split(",")])
       except ValueError as e:
         raise CliError(3, "--bundle: %s" % e)
@@ -358,13 +382,13 @@ def _resolve_sector(names, token):
   if token in names:
     return names.index(token) + 1
   k = len(names)
-  # str.isdigit alone also accepts superscripts, which int() refuses, and
-  # the digits of other scripts, which it reads
-  if token.startswith("w") and token[1:].isascii() and token[1:].isdigit():
+  # str.isdigit alone also accepts superscripts, which int() refuses
+  if (token.startswith("w") and _ascii_number(token)
+      and token[1:].isdigit()):
     idx = int(token[1:])
     if 1 <= idx <= k:
       return idx
-  if token.isascii() and token.isdigit():
+  if _ascii_number(token) and token.isdigit():
     idx = int(token)
     if 0 <= idx <= k:
       return idx
@@ -542,15 +566,7 @@ def _maxdeg(args, fan):
   """The --maxdeg bound of a hilbert request, 2d + 2 by default."""
   if args.maxdeg is None:
     return Fraction(2 * fan.d + 2)
-  # Fraction("1e100000000") builds a 10^8-digit integer before any check
-  exp = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", args.maxdeg)
-  try:
-    if exp and abs(int(exp.group(1))) > MAX_DECIMAL_EXPONENT:
-      raise CliError(3, "--maxdeg: %r has a decimal exponent beyond %d"
-                     % (args.maxdeg, MAX_DECIMAL_EXPONENT))
-    maxdeg = Fraction(args.maxdeg)
-  except (ValueError, ZeroDivisionError):
-    raise CliError(3, "--maxdeg: %r is not a rational" % args.maxdeg)
+  maxdeg = _rational(args.maxdeg, "--maxdeg", lambda msg: CliError(3, msg))
   if maxdeg < 0:
     raise CliError(3, "--maxdeg: %r is negative" % args.maxdeg)
   return maxdeg

@@ -210,15 +210,6 @@ class Poly:
       parts.setdefault(d, {})[e] = c
     return {d: Poly._trusted(self.nvars, t) for d, t in sorted(parts.items())}
 
-  def homogeneous_degree(self, degrees):
-    """The common degree of all terms, None if mixed, 0 for the zero poly."""
-    degs = {monomial_degree(e, degrees) for e in self.terms}
-    if not degs:
-      return Fraction(0)
-    if len(degs) > 1:
-      return None
-    return degs.pop()
-
   def map_vars(self, new_nvars, images):
     """Substitute images[i] for variable i: an int moves the exponent to
     that variable of the new ring, a Poly in the new ring is expanded
@@ -288,23 +279,13 @@ def monomial_degree(exp, degrees):
   return sum((Fraction(d) * e for e, d in zip(exp, degrees)), Fraction(0))
 
 
-def monomials_of_degree(degrees, target):
-  """All exponent tuples of the given degree, ascending lexicographic order.
-  All-int degrees and an int target are taken as they are; otherwise both
-  are scaled by the lcm of the degree denominators first."""
-  if type(target) is int and all(type(d) is int for d in degrees):
-    dd, t = degrees, target
-  else:
-    # Fraction(d) of a Fraction costs an ABC check
-    degrees = [d if type(d) is Fraction else Fraction(d) for d in degrees]
-    scale = lcm(*(d.denominator for d in degrees))
-    dd = [d.numerator * (scale // d.denominator) for d in degrees]
-    t = Fraction(target) * scale
+def monomials_of_degree(dd, t):
+  """All exponent tuples of integer degree t under the integer variable
+  degrees dd, in ascending lexicographic order."""
   if any(x <= 0 for x in dd):
     raise ValueError("nonpositive variable degree")
-  if t < 0 or t.denominator != 1:
+  if t < 0:
     return []
-  t = int(t)
   n = len(dd)
   # a nonzero remainder left for variables i, i+1, ... must be a multiple
   # of g[i] and at least low[i]: their gcd and their least degree
@@ -426,10 +407,6 @@ class RingPresentation:
       self._graded = all(d is not None for d in self.generator_degrees())
     return self._graded
 
-  def nonhomogeneous_tags(self):
-    return tuple(t for t, d in zip(self.tags, self.generator_degrees())
-                 if d is None)
-
   def _require_graded(self):
     if not self.is_graded:
       raise ValueError("presentation is not graded")
@@ -438,9 +415,11 @@ class RingPresentation:
     """Exponent tuples of degree deg, ascending lexicographic order (empty
     off the grid of multiples of 1/scale)."""
     t = Fraction(deg) * self.scale
-    if t.denominator != 1:
-      return monomials_of_degree(self.degrees, deg)
-    return self._basis(int(t))
+    if t.denominator == 1:
+      return self._basis(int(t))
+    if any(x <= 0 for x in self.ideg):
+      raise ValueError("nonpositive variable degree")
+    return []
 
   def _basis(self, t):
     """The monomial basis in integer degree t, enumerated once."""

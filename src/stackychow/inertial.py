@@ -552,25 +552,11 @@ class StarCalculator:
     pres = elim.presentation
     return pres.contains(coeff.map_vars(len(pres.names), elim.images))
 
-  def triple(self, i, j, l, left):
-    """Target and exponent vector (None when zero) of one bracketing of a
-    sector triple: the two star exponent vectors add."""
-    t1, e1 = self.star(i, j) if left else self.star(j, l)
-    if e1 is None:
-      return None, None
-    t2, e2 = self.star(t1, l) if left else self.star(i, t1)
-    if e2 is None:
-      return None, None
-    return t2, tuple(map(add, e1, e2))
-
-  def associates(self, i, j, l):
-    """Do the two bracketings of sectors (i, j, l) agree in the quotient?
-    The verdict depends only on the two (target, exponent vector) pairs, so
-    each distinct comparison is reduced once."""
-    lt, le = self.triple(i, j, l, True)
-    rt, re = self.triple(i, j, l, False)
-    if le == re:
-      return True
+  def associates(self, lt, le, rt, re):
+    """Do the two bracketings of a sector triple agree in the quotient?
+    Each is given as its target and exponent vector, both None for a zero
+    product.  The verdict depends only on these, so each distinct
+    comparison is reduced once."""
     key = (lt, le, rt, re)
     verdict = self._verdicts.get(key)
     if verdict is None:
@@ -605,18 +591,18 @@ def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
       row_ij = None if e1 is None else rows[t1]
       row_j = rows[j]
       for l in range(i, k):
-        le = None
+        lt = le = None
         if row_ij is not None:
-          e2 = row_ij[l][1]
+          t2, e2 = row_ij[l]
           if e2 is not None:
-            le = tuple(map(add, e1, e2))
+            lt, le = t2, tuple(map(add, e1, e2))
         t3, e3 = row_j[l]
-        re = None
+        rt = re = None
         if e3 is not None:
-          e4 = row_i[t3][1]
+          t4, e4 = row_i[t3]
           if e4 is not None:
-            re = tuple(map(add, e3, e4))
-        if le != re and not calc.associates(i, j, l):
+            rt, re = t4, tuple(map(add, e3, e4))
+        if le != re and not calc.associates(lt, le, rt, re):
           out.update(((i, j, l), (l, j, i)))
   return sorted(out)
 

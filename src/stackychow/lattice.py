@@ -55,9 +55,6 @@ class IntMatrix:
     i, j = ij
     return self.entries[i][j]
 
-  def row(self, i):
-    return self.entries[i]
-
   def col(self, j):
     return tuple(r[j] for r in self.entries)
 
@@ -125,14 +122,6 @@ class SnfDecomposition:
   def diagonal(self):
     k = min(self.d.rows, self.d.cols)
     return tuple(self.d[i, i] for i in range(k))
-
-  @property
-  def invariant_factors(self):
-    return tuple(a for a in self.diagonal if a > 1)
-
-  @property
-  def rank(self):
-    return sum(1 for a in self.diagonal if a != 0)
 
   def solve(self, b):
     """One integer solution x of M*x = b, or None: the system becomes
@@ -454,13 +443,6 @@ def _xgcd(a, b):
   if old_r < 0:
     old_r, old_s, old_t = -old_r, -old_s, -old_t
   return old_r, old_s, old_t
-
-
-def solve_integer(a: IntMatrix, b):
-  """One integer solution x of a*x = b, or None."""
-  if len(b) != a.rows:
-    raise ValueError("shape mismatch")
-  return smith_normal_form(a).solve(b)
 
 
 def rational_rank(rows):

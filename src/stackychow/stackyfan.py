@@ -65,19 +65,6 @@ class GroupElement:
   s_phases: tuple
 
 
-@dataclass(frozen=True)
-class DoubleBox:
-  """Ordered pairs of box elements lying in a common cone, with that cone."""
-
-  pairs: tuple  # of (BoxElement, BoxElement, common cone ray tuple)
-
-  def __contains__(self, pair):
-    return any((a, b) == pair for a, b, _ in self.pairs)
-
-  def __len__(self):
-    return len(self.pairs)
-
-
 class StackyFan:
   """d free coordinates, torsion orders, distinguished ray points, max cones.
 
@@ -102,7 +89,6 @@ class StackyFan:
     self._functionals = {}  # max cone -> (equalities, inequalities)
     self._box = None
     self._box_by_v = None
-    self._double = None
     self._characters = None  # CharacterData, set by charring.character_data
 
   @property
@@ -126,15 +112,6 @@ class StackyFan:
       raise ValueError("element of wrong length")
     return v[:self.d] + tuple(
         c % m for c, m in zip(v[self.d:], self.torsion))
-
-  def add_elements(self, v1, v2):
-    return self.norm_element(tuple(a + b for a, b in zip(v1, v2)))
-
-  def neg_element(self, v):
-    return self.norm_element(tuple(-a for a in v))
-
-  def zero_element(self):
-    return (0,) * (self.d + self.r)
 
   # -- validation ------------------------------------------------------------
 
@@ -263,18 +240,6 @@ class StackyFan:
 
   # -- cones -----------------------------------------------------------------
 
-  def minimal_cone(self, vbar):
-    """Ray set of the smallest cone containing vbar, or None if outside."""
-    if all(c == 0 for c in vbar):
-      return ()
-    for cone in self.max_cones:
-      eqs, ineqs = self._cone_functionals(cone)
-      if not any(_dot(f, vbar) for f in eqs):
-        vals = [_dot(f, vbar) for f in ineqs]
-        if all(v >= 0 for v in vals):
-          return tuple(i for i, v in zip(cone, vals) if v > 0)
-    return None
-
   def has_common_cone(self, ray_set):
     """Whether one max cone holds every ray of ray_set; the empty set lies
     in the zero cone, also on a fan with no max cones."""
@@ -319,13 +284,6 @@ class StackyFan:
       for tors in _torsion_tuples(self.torsion):
         out.append(BoxElement(point + tors, tuple(p), den, sigma))
     return out
-
-  def box_of_cone(self, cone):
-    """Box elements of one cone: parallelepiped points crossed with torsion,
-    with phases over the cone's exponent."""
-    cone = tuple(sorted(cone))
-    diag, vmat = self._smith(cone)
-    return self._cone_box(cone, diag, vmat, diag[-1] if diag else 1)
 
   def box(self):
     """All box elements, identity first, then sorted by (cone, q, torsion).
@@ -381,16 +339,6 @@ class StackyFan:
     assert out.p == tuple((x + y) % den for x, y in zip(a.p, b.p))
     return out
 
-  def box_inverse(self, v: BoxElement):
-    """The box element v' of the same cone with box_add(v, v') = identity.
-
-    Not the lookup of -v: the inverse within Box(sigma(vbar)) is
-    sum(b_i for rays of sigma(vbar)) - v, which keeps the support."""
-    total = self.neg_element(v.v)
-    for i in v.sigma_min:
-      total = self.add_elements(total, self.rays[i])
-    return self.box_lookup(total)
-
   # -- group correspondence ----------------------------------------------------
 
   def group_element(self, v: BoxElement):
@@ -427,20 +375,6 @@ class StackyFan:
         raise ValueError("phase relations violated: bad s phase")
       tors.append(int(p))
     return self.box_lookup(tuple(vbar) + tuple(tors))
-
-  # -- double box --------------------------------------------------------------
-
-  def double_box(self):
-    if self._double is None:
-      els = self.box()
-      pairs = []
-      for a in els:
-        for b in els:
-          union = tuple(sorted(set(a.sigma_min) | set(b.sigma_min)))
-          if self.has_common_cone(union):
-            pairs.append((a, b, union))
-      self._double = DoubleBox(tuple(pairs))
-    return self._double
 
   def __repr__(self):
     return "StackyFan(d=%d, torsion=%r, n=%d, max_cones=%r)" % (

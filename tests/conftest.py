@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from hypothesis import assume, strategies as st
 
+from stackychow.gradedpoly import monomials_of_degree
 from stackychow.stackyfan import StackyFan
 
 
@@ -149,3 +151,53 @@ def canonical_class(grp, x):
   its diagonal entry (kept as is where the entry is 0, a free coordinate)."""
   return tuple(c % d if d else c
                for c, d in zip(grp.u.mul_vec(x), grp.diagonal))
+
+
+def share_a_cone(fan, v, w):
+  """Whether one max cone holds the minimal cones of both box elements."""
+  union = set(v.sigma_min) | set(w.sigma_min)
+  return not union or any(union <= set(c) for c in fan.max_cones)
+
+
+def double_box(fan):
+  """The ordered pairs (v, w) of box elements that lie in a common cone."""
+  box = fan.box()
+  return [(v, w) for v in box for w in box if share_a_cone(fan, v, w)]
+
+
+def box_of_cone(fan, cone):
+  """The box elements of one cone: those whose minimal cone lies in it."""
+  return [e for e in fan.box() if set(e.sigma_min) <= set(cone)]
+
+
+def box_inverse(fan, v):
+  """The box element w with box_add(v, w) the identity, found by search;
+  there is exactly one."""
+  found = [w for w in fan.box()
+           if share_a_cone(fan, v, w) and fan.box_add(v, w).is_identity]
+  assert len(found) == 1, found
+  return found[0]
+
+
+def rational_monomials(degrees, target):
+  """The monomials of a rational degree under rational variable degrees:
+  both are scaled by the lcm of the degree denominators, and a target off
+  that grid has none."""
+  degrees = [Fraction(d) for d in degrees]
+  scale = lcm(*(d.denominator for d in degrees))
+  t = Fraction(target) * scale
+  if any(d <= 0 for d in degrees):
+    raise ValueError("nonpositive variable degree")
+  if t.denominator != 1:
+    return []
+  return monomials_of_degree([int(d * scale) for d in degrees], int(t))
+
+
+def homogeneous_degree(poly, degrees):
+  """The common Fraction degree of the terms of poly, None if they mix
+  degrees, 0 for the zero polynomial."""
+  degs = {sum((Fraction(d) * e for e, d in zip(exp, degrees)), Fraction(0))
+          for exp in poly.terms}
+  if len(degs) > 1:
+    return None
+  return degs.pop() if degs else Fraction(0)

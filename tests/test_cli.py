@@ -2,8 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,11 +17,10 @@ from stackychow.charring import sr_ring
 from stackychow.cli import (CliError, PRODUCT_NAMES, SCHEMA, main,
                             parse_fan_document, parse_presentation_document,
                             print_fan_document, print_presentation_document)
-from stackychow.gradedpoly import monomials_of_degree
 from stackychow.inertial import Bundle
 from stackychow.lattice import AbGroup
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
-from tests.conftest import dense, valid_fans
+from tests.conftest import dense, rational_monomials, valid_fans
 
 P64_DOC = {
     "schema": "stacky-chow/1",
@@ -148,6 +151,72 @@ def test_schema_errors(tmp_path, capsys):
               {**P654_DOC, "labels": {"1": "a", "2": "a"}}, "not distinct")
   code, out, err = run(capsys, "box", str(tmp_path / "absent.json"))
   assert code == 1 and "cannot read" in err
+
+
+def test_numbers_take_ascii_digits_only(tmp_path, capsys, docs):
+  # int() and Fraction() also read the digits of other scripts, and "1_0"
+  for doc in ({**P64_DOC, "rank": "\u0662"}, {**P64_DOC, "rank": "1_0"},
+              {**P654_DOC, "labels": {"\u0661": "a"}}):
+    schema_case(tmp_path, capsys, doc, "is not a decimal integer")
+  v_plus = ("multiply", docs["p654"], "--product", "v-plus", "w1", "w2")
+  code, out, err = run(capsys, *v_plus, "--bundle", "\u0663,1_0,+2")
+  assert code == 3 and "--bundle: " in err and out == ""
+  code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg",
+                       "\u0661/\u0662")
+  assert code == 3 and "--maxdeg: " in err and out == ""
+  # signs and the whitespace around a number are still read
+  p = tmp_path / "signed.json"
+  p.write_text(json.dumps({**P64_DOC, "rank": " +1", "torsion": ["+2"]}))
+  assert run_json(capsys, "validate", str(p))["valid"]
+  assert (run_json(capsys, *v_plus, "--bundle", "+1, 2,3")
+          == run_json(capsys, *v_plus, "--bundle", "1,2,3"))
+  assert (run_json(capsys, "hilbert", docs["p64"], "--maxdeg", " +3/1")
+          == run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "3"))
+
+
+def test_presentation_document_numbers_refused_fast():
+  def doc(coeff="1", degree="1"):
+    return {"schema": SCHEMA, "coefficients": "q",
+            "variables": [{"name": "x", "degree": degree}],
+            "generators": [{"tag": "box", "terms": [
+                {"coeff": coeff, "powers": [[1, 1]]}]}]}
+
+  # Fraction alone builds a 3 * 10^7-digit integer for either exponent
+  for bad, needle in (({"coeff": "1e30000000"}, "decimal exponent beyond"),
+                      ({"degree": "1e-30000000"}, "decimal exponent beyond"),
+                      ({"coeff": "\u0663"}, "is not a rational"),
+                      ({"degree": "1_0"}, "is not a rational")):
+    start = time.perf_counter()
+    with pytest.raises(CliError, match=needle) as exc:
+      parse_presentation_document(doc(**bad))
+    assert exc.value.code == 1 and "schema error" in str(exc.value)
+    assert time.perf_counter() - start < 1
+  pres, _ = parse_presentation_document(doc("-3/2", " 1e-2"))
+  assert pres.degrees == (Fraction(1, 100),)
+  assert pres.generators[0].terms == {(1,): Fraction(-3, 2)}
+
+
+def test_the_module_runs_as_a_process(tmp_path, capsys, docs):
+  src = str(Path(__file__).resolve().parents[1] / "src")
+  env = {**os.environ, "PYTHONPATH": src}
+
+  def process(*argv):
+    done = subprocess.run([sys.executable, "-m", "stackychow.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return done.returncode, done.stdout
+
+  job = ("inertial", docs["p654"], "--product", "v-plus", "--simplify")
+  code, out, _ = run(capsys, *job)
+  assert process(*job) == (0, out.encode())
+  bad = tmp_path / "bad.json"
+  bad.write_text("{not json")
+  flat = tmp_path / "flat.json"
+  flat.write_text(json.dumps({"schema": SCHEMA, "rank": 2, "torsion": [],
+                              "b": [[1, 0]], "max_cones": [[1]]}))
+  codes = [process(*argv)[0] for argv in (
+      ("validate", docs["p64"]), ("validate", str(bad)),
+      ("validate", str(flat)), ("multiply", docs["p654"], "nope", "w1"))]
+  assert codes == [0, 1, 2, 3]
 
 
 def test_usage_errors(capsys, docs):
@@ -393,12 +462,12 @@ def test_hilbert_refuses_the_product_and_presentation_before_maxdeg(
 def _raw_piece(pres, deg):
   """(free rank, torsion) of degree deg, by a Smith form of every generator
   times every monomial, with no echelon pass in between."""
-  basis = monomials_of_degree(pres.degrees, deg)
+  basis = rational_monomials(pres.degrees, deg)
   index = {e: k for k, e in enumerate(basis)}
   rows = [dense({index[e]: c for e, c in g.mul_monomial(m).terms.items()},
                 len(basis))
           for g, dg in zip(pres.generators, pres.generator_degrees())
-          if dg <= deg for m in monomials_of_degree(pres.degrees, deg - dg)]
+          if dg <= deg for m in rational_monomials(pres.degrees, deg - dg)]
   grp = AbGroup(len(basis), rows)
   return grp.free_rank, [str(d) for d in grp.invariant_factors]
 
