@@ -22,6 +22,7 @@ from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.lattice import (
     AbGroup,
     IntMatrix,
+    rational_rank,
     smith_normal_form,
 )
 from stackychow.stackyfan import StackyFan
@@ -48,11 +49,14 @@ class CharacterData:
     """tilde_x_i as a degree-one polynomial in the x variables."""
     return Poly.linear(self.f.col(i))
 
-  def check_expansion(self, exps):
-    """Raise ValueError when prod_i tilde_x_i^exps[i] could expand to more
-    than MAX_EXPANSION_TERMS terms or take more coefficient products than
-    that: the sum, over the factors, of the term bounds of the partial
-    product and the factor."""
+  def tilde_monomial(self, exps):
+    """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
+    cached per (i, exps[i]).
+
+    Raises ValueError when the product could expand to more than
+    MAX_EXPANSION_TERMS terms or take more coefficient products than that:
+    the sum, over the factors, of the term bounds of the partial product and
+    the factor."""
     n = self.f.rows
     factors = [(e, comb(e + t - 1, t - 1))
                for e, t in zip(exps, self._term_counts) if e]
@@ -71,19 +75,6 @@ class CharacterData:
               else "take %d coefficient products to expand" % work)
       raise ValueError("coefficient %s may %s, more than the limit of %d"
                        % (text, cost, MAX_EXPANSION_TERMS))
-
-  def may_refuse(self):
-    """Whether check_expansion can refuse some exponent vector.  When every
-    tilde class is one term, as on a fan without torsion, a product has one
-    term and takes one coefficient product per factor, at most n."""
-    return (any(t > 1 for t in self._term_counts)
-            or self.f.rows > MAX_EXPANSION_TERMS)
-
-  def tilde_monomial(self, exps):
-    """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
-    cached per (i, exps[i]), after check_expansion."""
-    self.check_expansion(exps)
-    n = self.f.rows
     out = Poly.constant(n, 1)
     for i, e in enumerate(exps):
       if e:
@@ -182,7 +173,7 @@ def _change_matrix(fan: StackyFan) -> IntMatrix:
     raise ValueError("invariant-factor mismatch")
   cols = [_babai_reduce(rig.lift(*full.coords(i)), lam) for i in range(n)]
   f0 = IntMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
-  if f0.det() != 0:
+  if rational_rank(f0.entries) == n:
     return f0
   # a preimage choice can be singular; correcting by relation-lattice
   # columns shifts the action on the lattice by e*k*identity, which is
@@ -201,7 +192,7 @@ def _change_matrix(fan: StackyFan) -> IntMatrix:
   for k in range(1, n + 2):
     cand = IntMatrix([[f0[u, v] + k * corr[u][v] for v in range(n)]
                       for u in range(n)])
-    if cand.det() != 0:
+    if rational_rank(cand.entries) == n:
       return cand
   raise AssertionError("no nonsingular associated matrix found")
 

@@ -281,6 +281,11 @@ def parse_presentation_document(doc):
   for i, var in enumerate(_as_list(doc.get("variables"), "variables")):
     if not isinstance(var, dict) or set(var) != {"name", "degree"}:
       raise _schema_error("field variables[%d]: expected name and degree" % i)
+    if not isinstance(var["name"], str) or not var["name"]:
+      raise _schema_error("field variables[%d].name: expected a nonempty "
+                          "string" % i)
+    if not isinstance(var["degree"], str):
+      raise _schema_error("field variables[%d].degree: expected a string" % i)
     names.append(var["name"])
     degrees.append(_rational(var["degree"], "field variables[%d].degree" % i,
                              _schema_error))
@@ -288,6 +293,8 @@ def parse_presentation_document(doc):
   for i, gen in enumerate(_as_list(doc.get("generators"), "generators")):
     if not isinstance(gen, dict) or set(gen) != {"tag", "terms"}:
       raise _schema_error("field generators[%d]: expected tag and terms" % i)
+    if not isinstance(gen["tag"], str):
+      raise _schema_error("field generators[%d].tag: expected a string" % i)
     tags.append(gen["tag"])
     gens.append(_poly_from_terms(gen["terms"], len(names),
                                  "generators[%d].terms" % i))
@@ -573,20 +580,16 @@ def _maxdeg(args, fan):
 
 
 def cmd_hilbert(args, fan, doc_bundle, labels):
-  # the product and the presentation refuse before a bad --maxdeg does, so
-  # that presentation is built in full
-  try:
-    maxdeg, fault = _maxdeg(args, fan), None
-  except CliError as e:
-    maxdeg, fault = None, e
-  if args.product:
-    kind, domain = _product(args, doc_bundle)
+  # the product flags, then --maxdeg, are refused before any presentation
+  # is built
+  kind, domain = (_product(args, doc_bundle) if args.product
+                  else (None, args.coeff))
+  maxdeg = _maxdeg(args, fan)
+  if kind is None:
+    pres = _with_domain(sr_ring(fan), domain)
+  else:
     pres = inertial_presentation(fan, kind, labels=_sector_names(fan, labels),
                                  domain=domain, maxdeg=maxdeg)
-  else:
-    pres = _with_domain(sr_ring(fan), args.coeff)
-  if fault is not None:
-    raise fault
   rows = [{"degree": str(r.degree), "free_rank": r.free_rank,
            "torsion": [str(m) for m in r.torsion], "text": r.describe()}
           for r in hilbert_table(pres, maxdeg)]

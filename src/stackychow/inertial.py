@@ -360,10 +360,10 @@ def _w_monomial(n, k, indices):
 
 def _sector_pairs(fan, kind=None, maxdeg=None):
   """The nonidentity sector pairs i <= j in order, as (i, j, common):
-  common says whether the two share a cone.  For an age-graded kind it is
-  None for a pair whose age sum is above maxdeg, compared as phase
-  numerators over the box's shared denominator; the twisted kinds, whose
-  relations are not homogeneous in the ages, keep every pair."""
+  common says whether the two share a cone.  For an age-graded kind a pair
+  whose age sum is above maxdeg, compared as phase numerators over the
+  box's shared denominator, is left out; the twisted kinds, whose relations
+  are not homogeneous in the ages, keep every pair."""
   els = fan.box()
   bounded = maxdeg is not None and kind is not None and kind.age_graded
   if bounded:
@@ -373,7 +373,6 @@ def _sector_pairs(fan, kind=None, maxdeg=None):
   for i in range(1, len(els)):
     for j in range(i, len(els)):
       if bounded and sums[i] + sums[j] > top:
-        out.append((i, j, None))
         continue
       union = sorted(set(els[i].sigma_min) | set(els[j].sigma_min))
       out.append((i, j, fan.has_common_cone(union)))
@@ -381,41 +380,25 @@ def _sector_pairs(fan, kind=None, maxdeg=None):
 
 
 def cr_ideal(fan: StackyFan, _pairs=None):
-  """Monomials w_i w_j over the sector pairs sharing no cone; _pairs, the
-  walk inertial_presentation shares with br_ideal, leaves some out."""
+  """Monomials w_i w_j over the sector pairs sharing no cone; _pairs is the
+  walk inertial_presentation shares with br_ideal."""
   n, k = fan.n, len(fan.box()) - 1
   if _pairs is None:
     _pairs = _sector_pairs(fan)
   return [_w_monomial(n, k, (i, j)) for i, j, common in _pairs
-          if common is False]
+          if not common]
 
 
 def br_ideal(fan: StackyFan, kind: ProductKind, _pairs=None):
   """One relation per unordered double-box sector pair: the pair monomial
-  minus the closed form of its star product.  Pair order is deterministic.
-
-  _pairs, the walk inertial_presentation shares with cr_ideal, leaves out
-  the pairs whose common is None.  A left-out pair still refuses, in its
-  turn, a coefficient that tilde_monomial would refuse, so a bounded build
-  fails where the full one does, with the same message."""
+  minus the closed form of its star product.  Pair order is deterministic;
+  _pairs is the walk inertial_presentation shares with cr_ideal."""
   els = fan.box()
   n, k = fan.n, len(els) - 1
   if _pairs is None:
     _pairs = _sector_pairs(fan)
-  # whether check_expansion can refuse; known at the first left-out pair
-  # with a coefficient, which builds the change matrix as star_product would
-  check = None
   out = []
   for i, j, common in _pairs:
-    if common is None:
-      if check is not False:
-        exps = star_exponents(fan, kind, els[i], els[j])[1]
-        if exps is not None:
-          cd = character_data(fan)
-          check = cd.may_refuse()
-          if check:
-            cd.check_expansion(exps)
-      continue
     if not common:
       continue
     target, coeff = star_product(fan, kind, els[i], els[j])

@@ -73,32 +73,6 @@ class IntMatrix:
       raise ValueError("shape mismatch")
     return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-  def det(self):
-    """Determinant by fraction-free Bareiss elimination."""
-    if self.rows != self.cols:
-      raise ValueError("not square")
-    n = self.rows
-    if n == 0:
-      return 1
-    m = [list(r) for r in self.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-      if m[k][k] == 0:
-        for i in range(k + 1, n):
-          if m[i][k] != 0:
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
-            break
-        else:
-          return 0
-      for i in range(k + 1, n):
-        for j in range(k + 1, n):
-          m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        m[i][k] = 0
-      prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
   def __eq__(self, other):
     return isinstance(other, IntMatrix) and self.entries == other.entries
 

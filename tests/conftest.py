@@ -138,6 +138,21 @@ def solve_rational(columns, b):
   return tuple(rows[j][k] for j in range(k))
 
 
+def det(rows):
+  """Determinant of a square integer matrix by Laplace expansion along the
+  first row; the test oracle for small matrices."""
+  if not rows:
+    return 1
+  if len(rows) == 1:
+    return rows[0][0]
+  total = 0
+  for j, lead in enumerate(rows[0]):
+    if lead:
+      minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+      total += (-1) ** j * lead * det(minor)
+  return total
+
+
 def dense(row, width):
   """A reducer row or residue {column index: value} as a dense tuple."""
   out = [0] * width

@@ -28,7 +28,7 @@ from stackychow.inertial import (Bundle, KClass, MINUS_INFINITY, ORBIFOLD,
 from stackychow.stackyfan import (GroupElement, StackyFan,
                                   weighted_projective_fan)
 
-from tests.conftest import random_valid_fans
+from tests.conftest import det, random_valid_fans
 from tests.test_inertial import P654_INDEX, p654_vplus_relations
 
 F = Fraction
@@ -234,19 +234,6 @@ def test_criterion_06_asymptotic_presentation():
 
 # -- 7: graded pieces against an independent elimination ------------------------
 
-def _det(rows):
-  if not rows:
-    return 1
-  if len(rows) == 1:
-    return rows[0][0]
-  total = 0
-  for j, lead in enumerate(rows[0]):
-    if lead:
-      minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-      total += (-1) ** j * lead * _det(minor)
-  return total
-
-
 def oracle_invariants(rows, width):
   """Nontrivial invariant factors from gcds of k x k minors."""
   rows = [list(r) for r in rows if any(r)]
@@ -256,7 +243,7 @@ def oracle_invariants(rows, width):
     g = 0
     for ridx in itertools.combinations(range(len(rows)), k):
       for cidx in itertools.combinations(range(width), k):
-        g = math.gcd(g, _det([[rows[r][c] for c in cidx] for r in ridx]))
+        g = math.gcd(g, det([[rows[r][c] for c in cidx] for r in ridx]))
         if g == 1:
           break
       if g == 1:

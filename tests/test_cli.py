@@ -174,13 +174,14 @@ def test_numbers_take_ascii_digits_only(tmp_path, capsys, docs):
           == run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "3"))
 
 
-def test_presentation_document_numbers_refused_fast():
-  def doc(coeff="1", degree="1"):
-    return {"schema": SCHEMA, "coefficients": "q",
-            "variables": [{"name": "x", "degree": degree}],
-            "generators": [{"tag": "box", "terms": [
-                {"coeff": coeff, "powers": [[1, 1]]}]}]}
+def _one_variable_document(name="x", degree="1", tag="box", coeff="1"):
+  return {"schema": SCHEMA, "coefficients": "q",
+          "variables": [{"name": name, "degree": degree}],
+          "generators": [{"tag": tag, "terms": [
+              {"coeff": coeff, "powers": [[1, 1]]}]}]}
 
+
+def test_presentation_document_numbers_refused_fast():
   # Fraction alone builds a 3 * 10^7-digit integer for either exponent
   for bad, needle in (({"coeff": "1e30000000"}, "decimal exponent beyond"),
                       ({"degree": "1e-30000000"}, "decimal exponent beyond"),
@@ -188,12 +189,29 @@ def test_presentation_document_numbers_refused_fast():
                       ({"degree": "1_0"}, "is not a rational")):
     start = time.perf_counter()
     with pytest.raises(CliError, match=needle) as exc:
-      parse_presentation_document(doc(**bad))
+      parse_presentation_document(_one_variable_document(**bad))
     assert exc.value.code == 1 and "schema error" in str(exc.value)
     assert time.perf_counter() - start < 1
-  pres, _ = parse_presentation_document(doc("-3/2", " 1e-2"))
+  pres, _ = parse_presentation_document(
+      _one_variable_document(degree=" 1e-2", coeff="-3/2"))
   assert pres.degrees == (Fraction(1, 100),)
   assert pres.generators[0].terms == {(1,): Fraction(-3, 2)}
+
+
+@pytest.mark.parametrize("field, bad, needle", [
+    ("name", [1], "variables[0].name: expected a nonempty string"),
+    ("name", 5, "variables[0].name: expected a nonempty string"),
+    ("name", "", "variables[0].name: expected a nonempty string"),
+    ("tag", [1], "generators[0].tag: expected a string"),
+    ("degree", 0.1, "variables[0].degree: expected a string"),
+    ("degree", True, "variables[0].degree: expected a string"),
+], ids=["name-list", "name-number", "name-empty", "tag-list", "degree-number",
+        "degree-bool"])
+def test_presentation_document_fields_are_strings(field, bad, needle):
+  with pytest.raises(CliError) as exc:
+    parse_presentation_document(_one_variable_document(**{field: bad}))
+  assert exc.value.code == 1
+  assert str(exc.value) == "schema error: field " + needle
 
 
 def test_the_module_runs_as_a_process(tmp_path, capsys, docs):
@@ -217,6 +235,27 @@ def test_the_module_runs_as_a_process(tmp_path, capsys, docs):
       ("validate", docs["p64"]), ("validate", str(bad)),
       ("validate", str(flat)), ("multiply", docs["p654"], "nope", "w1"))]
   assert codes == [0, 1, 2, 3]
+
+
+def test_the_readme_runs(tmp_path, capsys):
+  # the Python block runs as a script, and every stacky-chow example line
+  # exits 0 on the README's fan document, which has a bundle and labels
+  root = Path(__file__).resolve().parents[1]
+  readme = (root / "README.md").read_text()
+  script = readme.split("```python\n")[1].split("```")[0]
+  done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                        env={**os.environ, "PYTHONPATH": str(root / "src")},
+                        timeout=120)
+  assert done.returncode == 0, done.stderr.decode()
+  fan = tmp_path / "fan.json"
+  fan.write_text(readme.split("```json\n")[1].split("```")[0])
+  lines = [line.split()[1:] for line in readme.splitlines()
+           if line.startswith("stacky-chow ")]
+  assert len(lines) == 8
+  for argv in lines:
+    code, _, err = run(capsys, *[str(fan) if a == "fan.json" else a
+                                 for a in argv])
+    assert code == 0, (argv, err)
 
 
 def test_usage_errors(capsys, docs):
@@ -438,25 +477,38 @@ def test_hilbert_table(docs, capsys):
   assert code == 3 and "presentation is not graded" in err and out == ""
 
 
-def test_hilbert_refuses_the_product_and_presentation_before_maxdeg(
-    docs, monkeypatch, capsys):
-  # the presentation is built before a bad --maxdeg is reported: a short
-  # bundle fails there, a bad bundle entry before it
+def test_hilbert_refuses_the_product_flags_then_maxdeg_before_building(
+    docs, monkeypatch, capsys, tmp_path):
+  # a bad --maxdeg on a 300-sector fan is refused before its presentation
+  p = tmp_path / "rank1.json"
+  p.write_text(json.dumps({"schema": SCHEMA, "rank": 1, "torsion": [],
+                           "b": [[300], [-1]], "max_cones": [[1], [2]]}))
+  start = time.perf_counter()
+  assert run(capsys, "hilbert", str(p), "--product", "orbifold",
+             "--maxdeg", "x") == (
+      3, "", "stacky-chow: --maxdeg: 'x' is not a rational\n")
+  assert time.perf_counter() - start < 1
+  # with a good --maxdeg, a short bundle is refused by the presentation
   assert run(capsys, "hilbert", docs["p654"], "--product", "v-plus",
-             "--bundle", "1,2", "--maxdeg", "x") == (
+             "--bundle", "1,2", "--maxdeg", "1") == (
       3, "", "stacky-chow: bundle has 2 coefficients but the fan has 3 "
              "rays\n")
+
+  def built(*args, **kwargs):
+    raise AssertionError("a presentation was built")
+
+  monkeypatch.setattr(cli, "inertial_presentation", built)
+  monkeypatch.setattr(cli, "sr_ring", built)
+  for product in ((), ("--product", "orbifold"),
+                  ("--product", "v-plus", "--bundle", "1,2")):
+    assert run(capsys, "hilbert", docs["p654"], *product,
+               "--maxdeg", "-1") == (
+        3, "", "stacky-chow: --maxdeg: '-1' is negative\n")
+  # a bad --bundle entry is still reported first
   assert run(capsys, "hilbert", docs["p654"], "--product", "v-plus",
              "--bundle", "1,-2,3", "--maxdeg", "-1") == (
       3, "", "stacky-chow: --bundle: bundle coefficients must be "
              "nonnegative\n")
-  # so is a coefficient over the expansion limit, whatever --maxdeg says
-  monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", 8)
-  for maxdeg in ("x", "1/2"):
-    assert run(capsys, "hilbert", docs["torsion4"], "--product", "orbifold",
-               "--maxdeg", maxdeg) == (
-        3, "", "stacky-chow: coefficient tilde_x1^1*tilde_x3^1 may expand to "
-               "10 terms, more than the limit of 8\n")
 
 
 def _raw_piece(pres, deg):

@@ -738,39 +738,56 @@ def test_pair_relations_up_to_maxdeg_keep_the_table(data):
           or hilbert_table(low, maxdeg)) == table
 
 
-def test_pair_relations_up_to_maxdeg_refuse_as_the_full_build(monkeypatch):
-  # left-out pairs still refuse a coefficient over the expansion limit, in
-  # their turn; br_ideal alone shows it, since the nonface monomials of the
-  # whole presentation often refuse first
-  torsion = [fan for fan in _suite() if fan.r]
-  refused = 0
-  for limit in (1, 2, 3, 4):
-    monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit)
-    for fan in torsion:
-      for kind in (ORBIFOLD, PLUS_INFINITY, MINUS_INFINITY):
-        whole = _refusal(lambda: inertial_presentation(fan, kind))
-        pairs = _refusal(lambda: br_ideal(fan, kind))
-        refused += pairs is not None
+def test_a_bounded_build_expands_only_the_relations_it_keeps(monkeypatch):
+  # with the expansion limit lowered, a bounded build can succeed where the
+  # full build refuses, since a left-out pair's coefficient is never
+  # expanded; its table up to maxdeg is then the full build's at the limit
+  fans = [fan for fan in _suite() + random_valid_fans(30, seed=3) if fan.r]
+  limit0 = charring.MAX_EXPANSION_TERMS
+
+  def table(pres, maxdeg):
+    return _refusal(lambda: hilbert_table(pres, maxdeg)) or hilbert_table(
+        pres, maxdeg)
+
+  succeeded = 0
+  for fan in fans:
+    for kind, domain in AGE_GRADED:
+      for limit in range(1, 13):
+        monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit)
+        if _refusal(lambda: inertial_presentation(fan, kind, domain=domain)
+                    ) is None:
+          break
         for maxdeg in (F(0), F(1, 2), F(1), F(3, 2)):
-          assert _refusal(lambda: inertial_presentation(
-              fan, kind, maxdeg=maxdeg)) == whole
-          walk = inertial._sector_pairs(fan, kind, maxdeg)
-          assert _refusal(lambda: br_ideal(fan, kind, _pairs=walk)) == pairs
-  assert refused
+          monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit)
+          try:
+            low = inertial_presentation(fan, kind, domain=domain,
+                                        maxdeg=maxdeg)
+          except ValueError:
+            continue
+          succeeded += 1
+          monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit0)
+          full = inertial_presentation(fan, kind, domain=domain)
+          assert table(low, maxdeg) == table(full, maxdeg)
+  assert succeeded
 
 
-def test_sector_pairs_bound_only_the_age_graded_kinds():
-  fan = weighted_projective_fan((6, 5, 4))
-  whole = inertial._sector_pairs(fan)
-  assert None not in [common for _, _, common in whole]
-  for kind in _all_kinds(3):
-    for maxdeg in (None, F(0), F(1)):
-      walk = inertial._sector_pairs(fan, kind, maxdeg)
-      assert [(i, j) for i, j, _ in walk] == [(i, j) for i, j, _ in whole]
-      if maxdeg is None or not kind.age_graded:
-        assert walk == whole
-      else:
-        assert any(common is None for _, _, common in walk)
+def test_bounded_walk_keeps_the_pairs_up_to_maxdeg():
+  # the age-graded kinds keep exactly the pairs of age sum <= maxdeg, the
+  # twisted kinds the whole walk
+  left_out = 0
+  for fan in [weighted_projective_fan((6, 5, 4))] + _suite()[:5]:
+    els = fan.box()
+    whole = inertial._sector_pairs(fan)
+    for kind in _all_kinds(fan.n):
+      for maxdeg in (None, F(0), F(1, 2), F(1), F(3, 2)):
+        walk = inertial._sector_pairs(fan, kind, maxdeg)
+        if maxdeg is None or not kind.age_graded:
+          assert walk == whole
+          continue
+        assert walk == [(i, j, common) for i, j, common in whole
+                        if els[i].age + els[j].age <= maxdeg]
+        left_out += len(whole) - len(walk)
+  assert left_out
 
 
 def test_br_ideal_builds_the_change_matrix_only_for_a_coefficient(
