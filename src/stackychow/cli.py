@@ -27,6 +27,10 @@ from stackychow.stackyfan import StackyFan
 SCHEMA = "stacky-chow/1"
 # the interpreter's default int digit limit, which _as_int relies on too
 MAX_DECIMAL_EXPONENT = 4300
+# the largest power of one variable in a presentation document's term: on
+# a variable of positive degree a higher one lies past the last row of any
+# hilbert table (gradedpoly.MAX_TABLE_ROWS)
+MAX_POWER = 10 ** 6
 
 # CLI product name -> ProductKind, or for the twisted kinds its maker
 _KINDS = {"orbifold": ORBIFOLD, "virtual": VIRTUAL,
@@ -251,6 +255,9 @@ def _poly_from_terms(terms, nvars, field):
         raise _schema_error("field %s[%d].powers: powers must be positive"
                             % (field, t))
       exp[j - 1] += e
+      if exp[j - 1] > MAX_POWER:
+        raise _schema_error("field %s[%d].powers: power of variable %d is "
+                            "above %d" % (field, t, j, MAX_POWER))
     c = _rational(coeff, "field %s[%d].coeff" % (field, t), _schema_error)
     out[tuple(exp)] = out.get(tuple(exp), 0) + c
   return Poly(nvars, out)
@@ -286,9 +293,13 @@ def parse_presentation_document(doc):
                           "string" % i)
     if not isinstance(var["degree"], str):
       raise _schema_error("field variables[%d].degree: expected a string" % i)
+    degree = _rational(var["degree"], "field variables[%d].degree" % i,
+                       _schema_error)
+    if degree < 0:
+      raise _schema_error("field variables[%d].degree: must be nonnegative"
+                          % i)
     names.append(var["name"])
-    degrees.append(_rational(var["degree"], "field variables[%d].degree" % i,
-                             _schema_error))
+    degrees.append(degree)
   gens, tags = [], []
   for i, gen in enumerate(_as_list(doc.get("generators"), "generators")):
     if not isinstance(gen, dict) or set(gen) != {"tag", "terms"}:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
-from operator import add
 
 from stackychow.charring import (
     character_data,
@@ -260,7 +259,7 @@ def log_restriction(fan: StackyFan, vs, bundle: Bundle) -> KClass:
 def _pair(fan, v1, v2):
   a = fan.box_lookup(v1.v)
   b = fan.box_lookup(v2.v)
-  if not fan.has_common_cone(sorted(set(a.sigma_min) | set(b.sigma_min))):
+  if not fan.has_common_cone(a.sigma_min + b.sigma_min):
     raise ValueError("no common cone")
   return a, b
 
@@ -303,18 +302,20 @@ def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
   products would not exist) and keeps the orbifold value elsewhere."""
   a = fan.box_lookup(v1.v)
   b = fan.box_lookup(v2.v)
-  if not fan.has_common_cone(sorted(set(a.sigma_min) | set(b.sigma_min))):
+  if not fan.has_common_cone(a.sigma_min + b.sigma_min):
     return None, None
-  target = fan.box_add(a, b)
   den = a.den
-  pairs = list(zip(a.p, b.p))
-  exps = [int(x + y >= den) for x, y in pairs]
-  minus = [bool(x and y and x + y <= den) for x, y in pairs]
+  # phase numerators lie in [0, den), so a sum's quotient is its carry
+  exps = [(x + y) // den for x, y in zip(a.p, b.p)]
+  target = fan.box_add(a, b, exps)
   if kind.name == "plus_infinity":
     return target, None if any(exps) else tuple(exps)
-  if kind.name == "minus_infinity":
-    return target, None if any(minus) else tuple(exps)
-  on = exps if kind.plus_sided else minus
+  if kind.plus_sided:
+    on = exps
+  else:
+    on = [bool(x and y and x + y <= den) for x, y in zip(a.p, b.p)]
+    if kind.name == "minus_infinity":
+      return target, None if any(on) else tuple(exps)
   return target, tuple(e + c * k for e, c, k in
                        zip(exps, kind.twist_exponents(fan.n), on))
 
@@ -374,8 +375,8 @@ def _sector_pairs(fan, kind=None, maxdeg=None):
     for j in range(i, len(els)):
       if bounded and sums[i] + sums[j] > top:
         continue
-      union = sorted(set(els[i].sigma_min) | set(els[j].sigma_min))
-      out.append((i, j, fan.has_common_cone(union)))
+      out.append((i, j, fan.has_common_cone(els[i].sigma_min
+                                            + els[j].sigma_min)))
   return out
 
 
@@ -478,9 +479,12 @@ class StarCalculator:
   A class is a sector index with an x-coefficient; products land in a single
   sector, and normal forms reduce the coefficient modulo that sector's
   x-ideal (linear + annihilator, which holds the nonface relations).
-  Coefficients stay exponent vectors (see star_exponents) and are expanded
-  only for a reduction.  Sector rings are handled in eliminated variables
-  to keep the graded pieces small."""
+  The star table keeps each coefficient's exponent vector (see
+  star_exponents) packed into one int, `width` bits per ray: a field is
+  wider than the sum of two entries, so two packed vectors add and compare
+  as ints.  A vector is unpacked and expanded only for a reduction.  Sector
+  rings are handled in eliminated variables to keep the graded pieces
+  small."""
 
   def __init__(self, fan: StackyFan, kind: ProductKind, domain=None):
     fan.require_valid()
@@ -489,26 +493,48 @@ class StarCalculator:
     self.domain = kind.default_domain if domain is None else domain
     self.cd = character_data(fan)
     self.els = fan.box()
-    self._table = {}
+    self.width, self.table = self._star_table()
     self._sector = {}
     self._verdicts = {}
 
-  def star(self, i, j):
-    """(target sector index or None, exponent vector or None for a zero
-    coefficient) for sector indices."""
-    key = (i, j) if i <= j else (j, i)
-    if key not in self._table:
-      target, exps = star_exponents(self.fan, self.kind,
-                                    self.els[key[0]], self.els[key[1]])
-      idx = None if target is None else self.fan.box_index(target)
-      self._table[key] = (idx, exps)
-    return self._table[key]
+  def _star_table(self):
+    """(width, table): table[i][j] = (target sector index or None, packed
+    exponent vector or None for a zero coefficient) for every pair of
+    sector indices, from star_exponents of the pair once for i <= j."""
+    fan, els = self.fan, self.els
+    k = len(els)
+    entries = []
+    for i in range(k):
+      for j in range(i, k):
+        target, exps = star_exponents(fan, self.kind, els[i], els[j])
+        entries.append((i, j, None if target is None else fan.box_index(target),
+                        exps))
+    top = max((max(exps, default=0) for *_, exps in entries
+               if exps is not None), default=0)
+    width = (2 * top).bit_length()
+    table = [[None] * k for _ in range(k)]
+    for i, j, target, exps in entries:
+      packed = None
+      if exps is not None:
+        packed = 0
+        for e in reversed(exps):
+          packed = packed << width | e
+      table[i][j] = table[j][i] = (target, packed)
+    return width, table
 
-  def coefficient(self, exps):
-    """The coefficient Poly of an exponent vector, zero for None."""
-    if exps is None:
+  def exponents(self, packed):
+    """The exponent vector of a packed entry or sum of two, None for None."""
+    if packed is None:
+      return None
+    width = self.width
+    mask = (1 << width) - 1
+    return tuple(packed >> (width * r) & mask for r in range(self.fan.n))
+
+  def coefficient(self, packed):
+    """The coefficient Poly of a packed exponent vector, zero for None."""
+    if packed is None:
       return Poly.zero(self.fan.n)
-    return self.cd.tilde_monomial(exps)
+    return self.cd.tilde_monomial(self.exponents(packed))
 
   def _sector_elim(self, i):
     """Sector i's x-ring after eliminate.  The ring depends only on the
@@ -537,10 +563,13 @@ class StarCalculator:
 
   def associates(self, lt, le, rt, re):
     """Do the two bracketings of a sector triple agree in the quotient?
-    Each is given as its target and exponent vector, both None for a zero
-    product.  The verdict depends only on these, so each distinct
-    comparison is reduced once."""
-    key = (lt, le, rt, re)
+    Each is given as its target and packed exponent vector, both None for a
+    zero product.  The difference reduces in the target's ring, which
+    depends only on its minimal cone, so the verdict is keyed by that cone
+    and the two vectors: each distinct comparison is reduced once per
+    sector ring."""
+    sector = rt if le is None else lt
+    key = (self.els[sector].sigma_min, le, re)
     verdict = self._verdicts.get(key)
     if verdict is None:
       if le is None:
@@ -559,13 +588,13 @@ def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
   """Sector triples whose two bracketings disagree after sector reduction,
   sorted; an empty list means the product is associative on every triple.
 
-  The star table is keyed on unordered pairs, so the bracketings of
-  (l, j, i) are those of (i, j, l) swapped: only l >= i is checked, and a
-  failure lists both triples.  A triple whose two exponent sums agree needs
-  no reduction; every other one goes through associates."""
+  The star table is symmetric, so the bracketings of (l, j, i) are those of
+  (i, j, l) swapped: only l >= i is checked, and a failure lists both
+  triples.  A triple whose two packed exponent sums agree needs no
+  reduction; every other one goes through associates."""
   calc = StarCalculator(fan, kind, domain)
-  k = len(calc.els)
-  rows = [[calc.star(i, j) for j in range(k)] for i in range(k)]
+  rows = calc.table
+  k = len(rows)
   out = set()
   for i in range(k):
     row_i = rows[i]
@@ -578,13 +607,13 @@ def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
         if row_ij is not None:
           t2, e2 = row_ij[l]
           if e2 is not None:
-            lt, le = t2, tuple(map(add, e1, e2))
+            lt, le = t2, e1 + e2
         t3, e3 = row_j[l]
         rt = re = None
         if e3 is not None:
           t4, e4 = row_i[t3]
           if e4 is not None:
-            rt, re = t4, tuple(map(add, e3, e4))
+            rt, re = t4, e3 + e4
         if le != re and not calc.associates(lt, le, rt, re):
           out.update(((i, j, l), (l, j, i)))
   return sorted(out)
@@ -603,12 +632,13 @@ def asymptotic_stabilization_witnesses(fan: StackyFan, scale, plus=True):
   k = len(scaled.els)
   for i in range(k):
     for j in range(i, k):
-      t1, e1 = scaled.star(i, j)
-      t2, e2 = asym.star(i, j)
-      if (t1 is None and t2 is None) or e1 == e2:
+      t1, e1 = scaled.table[i][j]
+      t2, e2 = asym.table[i][j]
+      if ((t1 is None and t2 is None)
+          or scaled.exponents(e1) == asym.exponents(e2)):
         continue
       assert t1 == t2
       if not scaled.reduces_to_zero(
-          t1, scaled.coefficient(e1) - scaled.coefficient(e2)):
+          t1, scaled.coefficient(e1) - asym.coefficient(e2)):
         out.append((i, j))
   return out

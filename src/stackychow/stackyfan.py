@@ -89,6 +89,7 @@ class StackyFan:
     self._functionals = {}  # max cone -> (equalities, inequalities)
     self._box = None
     self._box_by_v = None
+    self._cone_masks = None  # one ray bitmask per max cone, on first use
     self._characters = None  # CharacterData, set by charring.character_data
 
   @property
@@ -242,9 +243,23 @@ class StackyFan:
 
   def has_common_cone(self, ray_set):
     """Whether one max cone holds every ray of ray_set; the empty set lies
-    in the zero cone, also on a fan with no max cones."""
-    ray_set = set(ray_set)
-    return not ray_set or any(ray_set <= set(cone) for cone in self.max_cones)
+    in the zero cone, also on a fan with no max cones.  Ray sets are tested
+    as bitmasks against one mask per max cone (which leaves out the ray
+    indices of an invalid fan that name no ray)."""
+    masks = self._cone_masks
+    if masks is None:
+      masks = self._cone_masks = tuple(
+          sum(1 << i for i in cone if 0 <= i < self.n)
+          for cone in self.max_cones)
+    mask = 0
+    for i in ray_set:
+      mask |= 1 << i
+    if not mask:
+      return True
+    for cone in masks:
+      if mask & cone == mask:
+        return True
+    return False
 
   # -- box -------------------------------------------------------------------
 
@@ -323,20 +338,27 @@ class StackyFan:
     self.box()
     return self._box_by_v[el.v]
 
-  def box_add(self, v1: BoxElement, v2: BoxElement):
+  def box_add(self, v1: BoxElement, v2: BoxElement, carries=None):
     """Box addition: the group law of N(sigma) on box representatives,
-    v1 + v2 less the rays whose phase numerators sum to D or more."""
-    union = sorted(set(v1.sigma_min) | set(v2.sigma_min))
-    if not self.has_common_cone(union):
-      raise ValueError("no common cone")
-    a, b = self.box_lookup(v1.v), self.box_lookup(v2.v)
-    den = a.den
+    v1 + v2 less the rays whose phase numerators sum to D or more.
+
+    carries, the per-ray flags x + y >= D of two elements of this box that
+    share a cone, skips the cone test and the lookups."""
+    if carries is None:
+      if not self.has_common_cone(v1.sigma_min + v2.sigma_min):
+        raise ValueError("no common cone")
+      v1, v2 = self.box_lookup(v1.v), self.box_lookup(v2.v)
+      carries = [x + y >= v1.den for x, y in zip(v1.p, v2.p)]
+    den = v1.den
     total = list(map(add, v1.v, v2.v))
-    for x, y, ray in zip(a.p, b.p, self.rays):
-      if x + y >= den:
+    for carry, ray in zip(carries, self.rays):
+      if carry:
         total = list(map(sub, total, ray))
+    # reduced torsion coordinates make total a key of the box table
+    for l, m in enumerate(self.torsion, self.d):
+      total[l] %= m
     out = self.box_lookup(tuple(total))
-    assert out.p == tuple((x + y) % den for x, y in zip(a.p, b.p))
+    assert out.p == tuple((x + y) % den for x, y in zip(v1.p, v2.p))
     return out
 
   # -- group correspondence ----------------------------------------------------

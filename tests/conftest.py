@@ -168,10 +168,16 @@ def canonical_class(grp, x):
                for c, d in zip(grp.u.mul_vec(x), grp.diagonal))
 
 
+def holds_in_a_cone(fan, rays):
+  """Whether one max cone holds every ray index in rays, by set inclusion;
+  the empty set lies in the zero cone, also on a fan with no max cones."""
+  rays = set(rays)
+  return not rays or any(rays <= set(c) for c in fan.max_cones)
+
+
 def share_a_cone(fan, v, w):
   """Whether one max cone holds the minimal cones of both box elements."""
-  union = set(v.sigma_min) | set(w.sigma_min)
-  return not union or any(union <= set(c) for c in fan.max_cones)
+  return holds_in_a_cone(fan, set(v.sigma_min) | set(w.sigma_min))
 
 
 def double_box(fan):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stackychow import charring, cli, inertial
 from stackychow.charring import sr_ring
-from stackychow.cli import (CliError, PRODUCT_NAMES, SCHEMA, main,
+from stackychow.cli import (CliError, MAX_POWER, PRODUCT_NAMES, SCHEMA, main,
                             parse_fan_document, parse_presentation_document,
                             print_fan_document, print_presentation_document)
 from stackychow.inertial import Bundle
@@ -174,11 +174,12 @@ def test_numbers_take_ascii_digits_only(tmp_path, capsys, docs):
           == run_json(capsys, "hilbert", docs["p64"], "--maxdeg", "3"))
 
 
-def _one_variable_document(name="x", degree="1", tag="box", coeff="1"):
+def _one_variable_document(name="x", degree="1", tag="box", coeff="1",
+                           powers=((1, 1),)):
   return {"schema": SCHEMA, "coefficients": "q",
           "variables": [{"name": name, "degree": degree}],
           "generators": [{"tag": tag, "terms": [
-              {"coeff": coeff, "powers": [[1, 1]]}]}]}
+              {"coeff": coeff, "powers": [list(p) for p in powers]}]}]}
 
 
 def test_presentation_document_numbers_refused_fast():
@@ -212,6 +213,31 @@ def test_presentation_document_fields_are_strings(field, bad, needle):
     parse_presentation_document(_one_variable_document(**{field: bad}))
   assert exc.value.code == 1
   assert str(exc.value) == "schema error: field " + needle
+
+
+def test_presentation_document_refuses_a_negative_degree():
+  for degree in ("-1", "-1/2"):
+    with pytest.raises(CliError) as exc:
+      parse_presentation_document(_one_variable_document(degree=degree))
+    assert exc.value.code == 1
+    assert str(exc.value) == ("schema error: field variables[0].degree: "
+                              "must be nonnegative")
+  pres, _ = parse_presentation_document(_one_variable_document(degree="0"))
+  assert pres.degrees == (0,)
+
+
+def test_presentation_document_refuses_a_power_above_the_limit():
+  needle = ("schema error: field generators[0].terms[0].powers: power of "
+            "variable 1 is above %d" % MAX_POWER)
+  # a repeated variable counts with the sum of its powers
+  for powers in (((1, 10 ** 30),), ((1, MAX_POWER + 1),),
+                 ((1, MAX_POWER), (1, 1))):
+    with pytest.raises(CliError) as exc:
+      parse_presentation_document(_one_variable_document(powers=powers))
+    assert exc.value.code == 1 and str(exc.value) == needle
+  pres, _ = parse_presentation_document(
+      _one_variable_document(powers=((1, MAX_POWER),)))
+  assert pres.generators[0].terms == {(MAX_POWER,): 1}
 
 
 def test_the_module_runs_as_a_process(tmp_path, capsys, docs):
@@ -341,6 +367,18 @@ def test_inertial_simplify_matches_display_variables(docs, capsys):
   assert "eliminated" in doc["metadata"]
   pres, _ = parse_presentation_document(doc)
   assert pres.names == tuple(v["name"] for v in doc["variables"])
+
+
+def test_age_zero_sector_document_roundtrip(docs, capsys):
+  # a pure-torsion sector has degree 0, which a document may carry
+  code, out, _ = run(capsys, "inertial", docs["p64"])
+  assert code == 0
+  doc = json.loads(out)
+  assert "0" in [v["degree"] for v in doc["variables"]]
+  pres, metadata = parse_presentation_document(doc)
+  reprinted = json.dumps(print_presentation_document(pres, metadata),
+                         sort_keys=True, indent=2) + "\n"
+  assert reprinted == out
 
 
 def test_inertial_document_roundtrip_byte_stable(docs, capsys):

@@ -44,7 +44,7 @@ from stackychow.inertial import (
 from stackychow.stackyfan import GroupElement, StackyFan, weighted_projective_fan
 
 from tests.conftest import (box_inverse, double_box, random_valid_fans,
-                            valid_fans)
+                            share_a_cone, valid_fans)
 
 F = Fraction
 
@@ -363,7 +363,7 @@ def _reference_box_add(fan, a, b):
 
 
 def _reference_star_exponents(fan, kind, a, b):
-  if not fan.has_common_cone(set(a.sigma_min) | set(b.sigma_min)):
+  if not share_a_cone(fan, a, b):
     return None, None
   target = _reference_box_add(fan, a, b)
   sums = [x + y for x, y in zip(a.q, b.q)]
@@ -872,37 +872,68 @@ def _perturbed(pair, ray):
   return mock.patch.object(inertial, "star_exponents", star_exponents)
 
 
-def _bracketing(calc, i, j, l, left):
+def _star_rows(fan, kind):
+  """rows[i][j] = (target index or None, exponent tuple or None) for every
+  pair of sector indices, from inertial.star_exponents (looked up at call
+  time, so _perturbed applies) with the smaller index first."""
+  els = fan.box()
+  k = len(els)
+  rows = [[None] * k for _ in range(k)]
+  for i in range(k):
+    for j in range(i, k):
+      target, exps = inertial.star_exponents(fan, kind, els[i], els[j])
+      rows[i][j] = rows[j][i] = (
+          None if target is None else fan.box_index(target), exps)
+  return rows
+
+
+def _bracketing(rows, i, j, l, left):
   """Target and exponent vector, both None for a zero product, of (i*j)*l
   (left) or i*(j*l): the exponent vectors of its two star products add."""
-  t1, e1 = calc.star(i, j) if left else calc.star(j, l)
+  t1, e1 = rows[i][j] if left else rows[j][l]
   if e1 is None:
     return None, None
-  t2, e2 = calc.star(t1, l) if left else calc.star(i, t1)
+  t2, e2 = rows[t1][l] if left else rows[i][t1]
   if e2 is None:
     return None, None
   return t2, tuple(a + b for a, b in zip(e1, e2))
 
 
-def _comparisons(calc):
+def _comparisons(fan, kind):
   """{(i, j, l): the two bracketings} over every sector triple whose two
   exponent vectors differ."""
-  k = len(calc.els)
+  rows = _star_rows(fan, kind)
+  k = len(rows)
   out = {}
   for i in range(k):
     for j in range(k):
       for l in range(k):
-        (lt, le), (rt, re) = (_bracketing(calc, i, j, l, True),
-                              _bracketing(calc, i, j, l, False))
+        (lt, le), (rt, re) = (_bracketing(rows, i, j, l, True),
+                              _bracketing(rows, i, j, l, False))
         if le != re:
           out[i, j, l] = (lt, le, rt, re)
   return out
 
 
 def _brute_force_witnesses(fan, kind, calculator=StarCalculator):
+  """The triples whose two bracketings differ in the target sector's ring,
+  from exponent tuples and the calculator's reduction alone: one
+  reduction per distinct (target sector, left, right)."""
   calc = calculator(fan, kind)
-  return [t for t, key in _comparisons(calc).items()
-          if not calc.associates(*key)]
+  cd = character_data(fan)
+
+  def coefficient(exps):
+    return Poly.zero(fan.n) if exps is None else cd.tilde_monomial(exps)
+  verdicts = {}
+  out = []
+  for t, (lt, le, rt, re) in _comparisons(fan, kind).items():
+    key = (rt if le is None else lt, le, re)
+    if key not in verdicts:
+      verdicts[key] = calc.reduces_to_zero(
+          key[0], coefficient(le) - coefficient(re))
+    if not verdicts[key]:
+      out.append(t)
+  return out
 
 
 def _all_kinds(n):
@@ -921,6 +952,23 @@ def test_witnesses_of_a_perturbed_product(p654, p64):
           assert witnesses == _brute_force_witnesses(fan, kind)
         total += len(witnesses)
   assert total > 0
+
+
+def test_witnesses_match_brute_force_on_the_suite():
+  # a v-plus coefficient of 1000 gives exponents up to 1001, so each packed
+  # field must hold sums above 2000
+  perturbed = 0
+  for fan in _suite():
+    wide = ProductKind.v_plus(Bundle([1000] + [1] * (fan.n - 1)))
+    for kind in _all_kinds(fan.n) + [wide]:
+      assert (associativity_witnesses(fan, kind)
+              == _brute_force_witnesses(fan, kind))
+      if len(fan.box()) > 2 and kind is not wide:
+        with _perturbed((1, 2), 0):
+          witnesses = associativity_witnesses(fan, kind)
+          assert witnesses == _brute_force_witnesses(fan, kind)
+        perturbed += bool(witnesses)
+  assert perturbed
 
 
 @settings(max_examples=15, deadline=None)
@@ -956,18 +1004,21 @@ def _counting_reductions(monkeypatch):
   return calls
 
 
-def test_each_distinct_comparison_is_reduced_once(monkeypatch):
+def test_each_distinct_comparison_is_reduced_once_per_sector_ring(
+    monkeypatch):
   fan = weighted_projective_fan((13, 17, 19))
-  calc = StarCalculator(fan, ORBIFOLD)
+  els = fan.box()
   # the sweep checks l >= i; (l, j, i) is the same comparison, swapped
-  keys = {key for (i, j, l), key in _comparisons(calc).items() if l >= i}
+  keys = {key for (i, j, l), key in _comparisons(fan, ORBIFOLD).items()
+          if l >= i}
+  # a comparison reduces in the ring of its target, one per minimal cone
+  ring_keys = {(els[rt if le is None else lt].sigma_min, le, re)
+               for lt, le, rt, re in keys}
   calls = _counting_reductions(monkeypatch)
   rings = _counting_eliminate(monkeypatch)
   assert associativity_witnesses(fan, ORBIFOLD) == []
-  assert len(calls) == len(keys)
-  # one eliminated sector ring per minimal cone, not per sector
-  cones = {calc.els[i].sigma_min for i in calls}
-  assert len(rings) == len(cones) < len(set(calls))
+  assert len(calls) == len(ring_keys) < len(keys)
+  assert len(rings) == len({els[i].sigma_min for i in calls})
 
 
 class _FreshSectorRings(StarCalculator):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (box_inverse, box_of_cone, canonical_class, double_box,
-                      solve_rational, valid_fans)
+                      holds_in_a_cone, solve_rational, valid_fans)
 from stackychow import lattice, stackyfan
 from stackychow.lattice import (
     AbGroup,
@@ -313,6 +313,30 @@ def test_group_correspondence_roundtrip(fan):
     assert all(0 <= c < 1 for c in g.gamma_phases + g.s_phases)
     assert fan.box_from_group(g) == e
     assert reference_minimal_cone(fan, e.v[:fan.d]) == e.sigma_min
+
+
+@settings(max_examples=30, deadline=None)
+@given(fan=valid_fans(), data=st.data())
+def test_has_common_cone_matches_set_oracle(fan, data):
+  # every ray subset, then random lists with repeats, as a concatenation of
+  # two minimal cones is
+  subsets = [s for k in range(fan.n + 1) for s in combinations(range(fan.n), k)]
+  subsets += [data.draw(st.lists(st.integers(0, fan.n - 1), max_size=6))
+              for _ in range(10)]
+  for rays in subsets:
+    assert fan.has_common_cone(rays) == holds_in_a_cone(fan, rays)
+
+
+def test_has_common_cone_without_max_cones():
+  point = StackyFan(0, (), (), ())
+  assert point.validate() == ()
+  assert point.has_common_cone(()) and point.has_common_cone(set())
+  # an invalid fan whose only ray lies in no cone, and one whose cone names
+  # rays it does not have
+  for fan in (StackyFan(1, (), ((1,), (-1,)), ()),
+              StackyFan(1, (), ((1,), (-1,)), ((0, 5), (-1,)))):
+    for rays in ((), (0,), (1,), (0, 1)):
+      assert fan.has_common_cone(rays) == holds_in_a_cone(fan, rays)
 
 
 @settings(max_examples=30, deadline=None,
