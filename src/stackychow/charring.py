@@ -171,7 +171,8 @@ def _change_matrix(fan: StackyFan) -> IntMatrix:
   if (full.invariant_factors != rig.invariant_factors
       or full.free_rank != rig.free_rank):
     raise ValueError("invariant-factor mismatch")
-  cols = [_babai_reduce(rig.lift(*full.coords(i)), lam) for i in range(n)]
+  reduce = _babai_reducer(lam)
+  cols = [reduce(rig.lift(*full.coords(i))) for i in range(n)]
   f0 = IntMatrix([[cols[i][k] for i in range(n)] for k in range(n)])
   if rational_rank(f0.entries) == n:
     return f0
@@ -197,27 +198,29 @@ def _change_matrix(fan: StackyFan) -> IntMatrix:
   raise AssertionError("no nonsingular associated matrix found")
 
 
-def _babai_reduce(vec, basis_rows):
-  """Reduce an integer vector modulo the row lattice, nearest-plane style.
+def _babai_reducer(basis_rows):
+  """A function reducing integer vectors modulo the row lattice,
+  nearest-plane style: it keeps the coset and shrinks the representative.
 
-  Keeps the coset, shrinks the representative; exact rational arithmetic.
+  The Gram-Schmidt rows and their squared norms are computed once; exact
+  rational arithmetic.
   """
-  work = [Fraction(c) for c in vec]
-  pairs = []
-  gs = []
+  steps = []
   for row in basis_rows:
     u = [Fraction(c) for c in row]
-    for g in gs:
-      nrm = sum(a * a for a in g)
+    for _, g, nrm in steps:
       dot = sum(a * b for a, b in zip(u, g))
       u = [a - dot / nrm * b for a, b in zip(u, g)]
-    if any(a != 0 for a in u):
-      gs.append(u)
-      pairs.append((row, u))
-  for row, g in reversed(pairs):
-    nrm = sum(a * a for a in g)
-    coef = sum(a * b for a, b in zip(work, g)) / nrm
-    shift = (coef + Fraction(1, 2)).__floor__()
-    work = [a - shift * b for a, b in zip(work, row)]
-  assert all(a.denominator == 1 for a in work)
-  return [int(a) for a in work]
+    if any(u):
+      steps.append((row, u, sum(a * a for a in u)))
+  steps.reverse()
+
+  def reduce(vec):
+    work = [Fraction(c) for c in vec]
+    for row, g, nrm in steps:
+      coef = sum(a * b for a, b in zip(work, g)) / nrm
+      shift = (coef + Fraction(1, 2)).__floor__()
+      work = [a - shift * b for a, b in zip(work, row)]
+    assert all(a.denominator == 1 for a in work)
+    return [int(a) for a in work]
+  return reduce

@@ -482,16 +482,16 @@ class StarCalculator:
   The star table keeps each coefficient's exponent vector (see
   star_exponents) packed into one int, `width` bits per ray: a field is
   wider than the sum of two entries, so two packed vectors add and compare
-  as ints.  A vector is unpacked and expanded only for a reduction.  Sector
-  rings are handled in eliminated variables to keep the graded pieces
-  small."""
+  as ints.  A vector is unpacked and expanded only for a reduction, so the
+  character data (the change matrix f) is built by the first reduction, and
+  a sweep that reduces nothing never builds it.  Sector rings are handled in
+  eliminated variables to keep the graded pieces small."""
 
   def __init__(self, fan: StackyFan, kind: ProductKind, domain=None):
     fan.require_valid()
     self.fan = fan
     self.kind = kind
     self.domain = kind.default_domain if domain is None else domain
-    self.cd = character_data(fan)
     self.els = fan.box()
     self.width, self.table = self._star_table()
     self._sector = {}
@@ -534,7 +534,7 @@ class StarCalculator:
     """The coefficient Poly of a packed exponent vector, zero for None."""
     if packed is None:
       return Poly.zero(self.fan.n)
-    return self.cd.tilde_monomial(self.exponents(packed))
+    return character_data(self.fan).tilde_monomial(self.exponents(packed))
 
   def _sector_elim(self, i):
     """Sector i's x-ring after eliminate.  The ring depends only on the

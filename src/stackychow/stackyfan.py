@@ -324,7 +324,8 @@ class StackyFan:
   def box_lookup(self, v):
     """The box element of an element of N; a canonical tuple (a key of the
     box table) is found without normalising."""
-    self.box()
+    if self._box is None:
+      self.box()
     k = self._box_by_v.get(v) if type(v) is tuple else None
     if k is None:
       v = self.norm_element(v)
@@ -335,7 +336,8 @@ class StackyFan:
 
   def box_index(self, el):
     """Position of a box element in box order."""
-    self.box()
+    if self._box is None:
+      self.box()
     return self._box_by_v[el.v]
 
   def box_add(self, v1: BoxElement, v2: BoxElement, carries=None):

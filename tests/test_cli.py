@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -596,6 +597,70 @@ def test_hilbert_gerbe_widths_stay_bounded(docs, capsys):
   assert [r["degree"] for r in doc["pieces"]] == [str(d) for d in range(401)]
   assert [r["text"] for r in doc["pieces"][:2]] == ["Z", "Z"]
   assert all(r["text"] == "Z/24" for r in doc["pieces"][2:])
+
+
+def _prime_powers(m):
+  out, p = {}, 2
+  while p * p <= m:
+    while m % p == 0:
+      out[p] = out.get(p, 1) * p
+      m //= p
+    p += 1
+  if m > 1:
+    out[m] = m
+  return out
+
+
+def weighted_z_oracle(weights, maxdeg):
+  """{degree: (free rank, invariant factors)} of the nonzero pieces up to
+  maxdeg of the orbifold Chow ring over Z of P(w), from the weights alone.
+
+  Sector f in [0, 1) exists when f*w_i is an integer for some i; its
+  component is P(w_J), J = {i : f*w_i integral}, with Chow ring
+  Z[H]/(prod w_J * H^|J|) (Edidin-Graham).  So the piece in degree
+  age(f) + k gains Z for k < |J| and Z/prod w_J for k >= |J|.  The cyclic
+  summands are merged into invariant factors through their prime powers.
+  """
+  pieces = {}
+  for f in {Fraction(k, w) for w in weights for k in range(w)}:
+    parts = [f * w % 1 for w in weights]
+    age = sum(parts, Fraction(0))
+    ws = [w for w, p in zip(weights, parts) if not p]
+    k = 0
+    while age + k <= maxdeg:
+      piece = pieces.setdefault(age + k, [0, []])
+      if k < len(ws):
+        piece[0] += 1
+      else:
+        piece[1].append(math.prod(ws))
+      k += 1
+  out = {}
+  for deg, (rank, orders) in pieces.items():
+    by_prime = {}
+    for m in orders:
+      for p, q in _prime_powers(m).items():
+        by_prime.setdefault(p, []).append(q)
+    factors = [1] * max(map(len, by_prime.values()), default=0)
+    for qs in by_prime.values():
+      for i, q in enumerate(sorted(qs, reverse=True)):
+        factors[i] *= q
+    out[deg] = (rank, sorted(factors))
+  return out
+
+
+@pytest.mark.parametrize("weights", [(6, 5, 4), (2, 3, 5, 7), (1, 2), (2, 3),
+                                     (1, 1, 2), (3, 4, 5)])
+def test_hilbert_orbifold_z_matches_the_weighted_oracle(tmp_path, capsys,
+                                                        weights):
+  # default maxdeg 2d + 2; P(7,9,11) agrees too but takes about 20 s
+  fan = weighted_projective_fan(weights)
+  path = tmp_path / "fan.json"
+  path.write_text(json.dumps(print_fan_document(fan)))
+  doc = run_json(capsys, "hilbert", str(path), "--product", "orbifold",
+                 "--coeff", "z")
+  got = {Fraction(r["degree"]): (r["free_rank"], [int(m) for m in r["torsion"]])
+         for r in doc["pieces"] if r["free_rank"] or r["torsion"]}
+  assert got == weighted_z_oracle(weights, 2 * fan.d + 2)
 
 
 # stdout sha256 of CLI runs, keyed by test id: (document, argv).  The

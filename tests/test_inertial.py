@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add
 from unittest import mock
 
 import pytest
@@ -805,6 +806,43 @@ def test_br_ideal_builds_the_change_matrix_only_for_a_coefficient(
                   for i, j, _ in inertial._sector_pairs(fan))
       seen.add(needs)
       assert (_refusal(lambda: br_ideal(fan, kind)) is not None) == needs
+  assert seen == {False, True}
+
+
+def test_associativity_builds_the_change_matrix_only_for_a_reduction(
+    monkeypatch):
+  # a sweep asks for the character data only when the two bracketings of
+  # some triple have different exponent vectors, so that their difference
+  # has to be expanded and reduced
+  def refuse(fan):
+    raise ValueError("change matrix built")
+  monkeypatch.setattr(inertial, "character_data", refuse)
+  seen = set()
+  for fan in _suite():
+    if not fan.r:
+      continue
+    els = fan.box()
+    for kind in _all_kinds(fan.n):
+      star = {}
+      for i, v in enumerate(els):
+        for j, w in enumerate(els):
+          target, exps = star_exponents(fan, kind, v, w)
+          star[i, j] = (None if exps is None else fan.box_index(target), exps)
+
+      def exponents(i, j, l, left):
+        # of (v_i v_j) v_l when left, else of v_i (v_j v_l); None for zero
+        t1, e1 = star[i, j] if left else star[j, l]
+        if e1 is None:
+          return None
+        t2, e2 = star[t1, l] if left else star[i, t1]
+        return None if e2 is None else tuple(map(add, e1, e2))
+
+      k = len(els)
+      needs = any(exponents(i, j, l, True) != exponents(i, j, l, False)
+                  for i in range(k) for j in range(k) for l in range(k))
+      seen.add(needs)
+      assert (_refusal(lambda: associativity_witnesses(fan, kind))
+              is not None) == needs
   assert seen == {False, True}
 
 
