@@ -159,7 +159,7 @@ def parse_fan_document(doc):
       raise _schema_error("field bundle: expected %d coefficients, got %d"
                           % (len(rays), len(coeffs)))
     try:
-      bundle = Bundle(coeffs)
+      bundle = _bundle(coeffs)
     except ValueError as e:
       raise _schema_error("field bundle: %s" % e)
   labels = None
@@ -179,6 +179,17 @@ def parse_fan_document(doc):
     if len(set(labels.values())) != len(labels):
       raise _schema_error("field labels: names are not distinct")
   return fan, bundle, labels
+
+
+def _bundle(coeffs):
+  """A Bundle with no coefficient above MAX_POWER - 1: a star exponent is a
+  coefficient plus one carry, so on a fan without torsion `inertial` then
+  prints no power above MAX_POWER."""
+  bundle = Bundle(coeffs)
+  if max(bundle.a, default=0) >= MAX_POWER:
+    raise ValueError("coefficient %d is above the limit of %d"
+                     % (max(bundle.a), MAX_POWER - 1))
+  return bundle
 
 
 def print_fan_document(fan, bundle=None, labels=None):
@@ -374,7 +385,7 @@ def _product(args, doc_bundle):
         if not _ascii_number(args.bundle):
           raise ValueError("%r is not a list of decimal integers"
                            % args.bundle)
-        bundle = Bundle([int(c) for c in args.bundle.split(",")])
+        bundle = _bundle([int(c) for c in args.bundle.split(",")])
       except ValueError as e:
         raise CliError(3, "--bundle: %s" % e)
     if bundle is None:
@@ -418,26 +429,29 @@ def _write_json(obj, out, indent):
   """Append obj to the list out in chunks that join to
   json.dumps(obj, sort_keys=True, indent=2); indent is the newline and
   spaces that start a line at obj's depth.  Only str, int, bool, None,
-  list and dict with str keys are written; anything else is a TypeError."""
-  if isinstance(obj, str):
-    out.append(_escape(obj))
-  elif obj is None:
-    out.append("null")
-  elif obj is True:
-    out.append("true")
-  elif obj is False:
-    out.append("false")
-  elif isinstance(obj, int):
-    out.append(int.__repr__(obj))
-  elif isinstance(obj, list):
+  list and dict with str keys are written; anything else is a TypeError.
+  The commonest items (str, int, a term's [index, power]) are written in
+  one chunk with the text before them."""
+  if isinstance(obj, list):
     if not obj:
       out.append("[]")
       return
     inner = indent + "  "
     sep = "[" + inner
     for item in obj:
-      out.append(sep)
-      _write_json(item, out, inner)
+      kind = type(item)
+      if kind is str:
+        out.append(sep + _escape(item))
+      elif kind is int:
+        out.append(sep + int.__repr__(item))
+      elif (kind is list and len(item) == 2 and type(item[0]) is int
+            and type(item[1]) is int):
+        deeper = inner + "  "
+        out.append("%s[%s%d,%s%d%s]" % (sep, deeper, item[0], deeper,
+                                        item[1], inner))
+      else:
+        out.append(sep)
+        _write_json(item, out, inner)
       sep = "," + inner
     out.append(indent + "]")
   elif isinstance(obj, dict):
@@ -447,10 +461,25 @@ def _write_json(obj, out, indent):
     inner = indent + "  "
     sep = "{" + inner
     for key in sorted(obj):
-      out.append(sep + _escape(key) + ": ")
-      _write_json(obj[key], out, inner)
+      head = sep + _escape(key) + ": "
+      value = obj[key]
+      if type(value) is str:
+        out.append(head + _escape(value))
+      else:
+        out.append(head)
+        _write_json(value, out, inner)
       sep = "," + inner
     out.append(indent + "}")
+  elif isinstance(obj, str):
+    out.append(_escape(obj))
+  elif obj is None:
+    out.append("null")
+  elif obj is True:
+    out.append("true")
+  elif obj is False:
+    out.append("false")
+  elif isinstance(obj, int):
+    out.append(int.__repr__(obj))
   else:
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(obj).__name__)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import floor, gcd, lcm
 from operator import add, mul
 
@@ -18,6 +19,8 @@ from stackychow.lattice import AbGroup, QReducer, ZReducer
 
 
 def _clean_coeff(c):
+  if type(c) is int:
+    return c
   if isinstance(c, Fraction):
     return int(c) if c.denominator == 1 else c
   return int(c)
@@ -31,22 +34,6 @@ def _mul_terms(a, b):
       e = tuple(map(add, e1, e2))
       out[e] = out.get(e, 0) + c1 * c2
   return {e: c for e, c in out.items() if c}
-
-
-class Powers:
-  """poly^0, poly^1, ... as term dicts, each computed once on first use."""
-
-  __slots__ = ("_terms", "_cache")
-
-  def __init__(self, poly):
-    self._terms = poly.terms
-    self._cache = [{(0,) * poly.nvars: 1}]
-
-  def __getitem__(self, k):
-    cache = self._cache
-    while len(cache) <= k:
-      cache.append(_mul_terms(cache[-1], self._terms))
-    return cache[k]
 
 
 class Poly:
@@ -210,50 +197,60 @@ class Poly:
       parts.setdefault(d, {})[e] = c
     return {d: Poly._trusted(self.nvars, t) for d, t in sorted(parts.items())}
 
-  def map_vars(self, new_nvars, images):
+  def map_vars(self, new_nvars, images, memo=None):
     """Substitute images[i] for variable i: an int moves the exponent to
-    that variable of the new ring, a Poly in the new ring is expanded
-    through its powers, each computed once per call."""
+    that variable of the new ring, a Poly in the new ring is expanded.
+    memo, which callers mapping through one image list may share, maps a
+    term's ((i, k), ...) on the Poly images to the product of their powers."""
     if len(images) != self.nvars:
       raise ValueError("one image per variable required")
-    powers = {}
+    if memo is None:
+      memo = {}
     out = {}
     for e, c in self.terms.items():
       ne = [0] * new_nvars
-      term = None
+      key = []
       for i, k in enumerate(e):
-        if not k:
-          continue
-        img = images[i]
-        if type(img) is int:
-          ne[img] += k
-          continue
-        p = powers.get(i)
-        if p is None:
-          if img.nvars != new_nvars:
-            raise ValueError("polynomials in different rings")
-          p = powers[i] = Powers(img)
-        term = p[k] if term is None else _mul_terms(term, p[k])
+        if k:
+          img = images[i]
+          if type(img) is int:
+            ne[img] += k
+          else:
+            key.append((i, k))
       ne = tuple(ne)
-      if term is None:
+      if not key:
         out[ne] = out.get(ne, 0) + c
         continue
+      key = tuple(key)
+      term = memo.get(key)
+      if term is None:
+        for i, k in key:
+          if images[i].nvars != new_nvars:
+            raise ValueError("polynomials in different rings")
+          power = images[i].pow(k).terms
+          term = power if term is None else _mul_terms(term, power)
+        memo[key] = term
       for te, v in term.items():
         te = tuple(map(add, te, ne))
         out[te] = out.get(te, 0) + c * v
     return Poly._trusted(new_nvars, out)
 
-  def substitute(self, i, powers):
-    """Replace variable i by the polynomial whose Powers table is given,
-    staying in the same ring."""
+  def substitute(self, i, image, memo=None):
+    """Replace variable i by image, staying in the same ring; memo (which
+    callers may share) maps k to image^k's terms."""
+    if memo is None:
+      memo = {}
     out = {}
     for e, c in self.terms.items():
       k = e[i]
       if not k:
         out[e] = out.get(e, 0) + c
         continue
+      power = memo.get(k)
+      if power is None:
+        power = memo[k] = image.pow(k).terms
       base = e[:i] + (0,) + e[i + 1:]
-      for pe, pc in powers[k].items():
+      for pe, pc in power.items():
         ne = tuple(map(add, base, pe))
         out[ne] = out.get(ne, 0) + c * pc
     return Poly._trusted(self.nvars, out)
@@ -600,41 +597,57 @@ def eliminate(pres):
       if d > 1:
         new_gens.append(Poly.variable(nn, tbase + sk).scale(d))
         new_tags.append("linear")
+    memo = {}
     for k, (g, t) in enumerate(zip(gens, tags)):
       if k in linear_idx:
         continue
-      new_gens.append(g.map_vars(nn, images))
+      new_gens.append(g.map_vars(nn, images, memo))
       new_tags.append(t)
     names, degrees, gens, tags = new_names, new_degrees, new_gens, new_tags
 
-  # step two: bare substitutions w := P.  The ring keeps all its variables
-  # until every substitution is made; a hit rewrites only the generators and
-  # substitutions that hold w, and the eliminated variables go at the end.
+  # step two: bare substitutions w := P, the least (w, position) first.  The
+  # ring keeps all its variables until every substitution is made, and the
+  # eliminated variables go at the end.  A hit rewrites only the generators
+  # and substitutions that hold w; holders[v] is a superset of v's positions.
   n = len(names)
   first = [_first_bare_variable(g) for g in gens]
+  hits = [(v, k) for k, v in enumerate(first) if v is not None]
   eliminated = set()
-  while True:
-    hits = [(v, k) for k, v in enumerate(first) if v is not None]
-    if not hits:
-      break
-    w, gk = min(hits)
-    rel = gens.pop(gk)
-    del tags[gk], first[gk]
+  if hits:
+    heapify(hits)
+    holders = [set() for _ in range(n)]
+    for k, g in enumerate(gens):
+      for i in g.vars_occurring():
+        holders[i].add(k)
+  while hits:
+    w, gk = heappop(hits)
+    if first[gk] != w:  # the generator was rewritten or used since
+      continue
+    rel = gens[gk]
+    gens[gk] = first[gk] = None
     unit = tuple(int(i == w) for i in range(n))
     c = rel.terms[unit]
     image = Poly._trusted(n, {e: -c * v for e, v in rel.terms.items()
                               if e != unit})
-    powers = Powers(image)
-    for k, g in enumerate(gens):
-      if g.occurs(w):
-        gens[k] = g.substitute(w, powers)
-        first[k] = _first_bare_variable(gens[k])
+    spread = image.vars_occurring()
+    memo = {}
+    for k in holders[w]:
+      g = gens[k]
+      if g is not None and g.occurs(w):
+        g = gens[k] = g.substitute(w, image, memo)
+        first[k] = _first_bare_variable(g)
+        if first[k] is not None:
+          heappush(hits, (first[k], k))
+        for i in spread:
+          holders[i].add(k)
     for name, p in subs.items():
       if p.occurs(w):
-        subs[name] = p.substitute(w, powers)
+        subs[name] = p.substitute(w, image, memo)
     subs[names[w]] = image
     eliminated.add(w)
   if eliminated:
+    tags = [t for g, t in zip(gens, tags) if g is not None]
+    gens = [g for g in gens if g is not None]
     keep = [i for i in range(n) if i not in eliminated]
 
     def drop(p):

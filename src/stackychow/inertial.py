@@ -271,7 +271,8 @@ def b_plus(fan: StackyFan, v1, v2):
 
 
 def b_minus(fan: StackyFan, v1, v2):
-  """0-based ray indices where both q-entries are nonzero but sum below 1."""
+  """0-based ray indices where both q-entries are nonzero but sum below 1;
+  star_exponents also flags the boundary rays, where they sum to 1."""
   a, b = _pair(fan, v1, v2)
   return tuple(i for i, (x, y) in enumerate(zip(a.p, b.p))
                if x and y and x + y < a.den)
@@ -283,6 +284,7 @@ def v_plus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
 
 
 def v_minus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
+  """sum of a_i L_i over b_minus, so without the boundary rays."""
   idx = set(b_minus(fan, v1, v2))
   return KClass([bundle.a[i] if i in idx else 0 for i in range(fan.n)])
 
@@ -295,8 +297,10 @@ def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
 
   Per ray, with phase sum s = q1 + q2, e starts at [s >= 1].  The plus-sided
   kinds add the bundle exponent a_i where s >= 1; the minus-sided kinds add
-  it where both phases are nonzero and s <= 1 (boundary rays with s = 1
-  carry it too, or the minus-sided product is not associative).  +infinity
+  it on b_minus and on the boundary rays s = 1: that flag is [q1 != 0] +
+  [q2 != 0] - [s not an integer] - floor(s), so both bracketings of a
+  triple add the same flags (on b_minus alone, associativity_witnesses
+  finds 92 v-minus failures on P(6,5,4) with bundle (1,1,1)).  +infinity
   vanishes where some s >= 1; -infinity vanishes where some ray has both
   phases nonzero and s <= 1 (a closed set, or the limit of the scaled
   products would not exist) and keeps the orbifold value elsewhere."""
@@ -341,22 +345,15 @@ def star_product(fan: StackyFan, kind: ProductKind, v1, v2):
 
 
 # -- relation ideals -----------------------------------------------------------
+#
+# A relation's exponents in the x+w ring: an x-part of n entries, a w-part of k.
 
-def _embed(poly, total):
-  """Reindex an x-polynomial into the combined x+w ring."""
-  return poly.map_vars(total, range(poly.nvars))
-
-
-def _w_exponent(n, k, indices):
-  """The exponent vector of the product of w_i over 1-based sector indices."""
-  exp = [0] * (n + k)
+def _w_part(k, indices):
+  """The w-part of the product of w_i over 1-based sector indices."""
+  exp = [0] * k
   for i in indices:
-    exp[n + i - 1] += 1
+    exp[i - 1] += 1
   return tuple(exp)
-
-
-def _w_monomial(n, k, indices):
-  return Poly._trusted(n + k, {_w_exponent(n, k, indices): 1})
 
 
 def _sector_pairs(fan, kind=None, maxdeg=None):
@@ -386,31 +383,36 @@ def cr_ideal(fan: StackyFan, _pairs=None):
   n, k = fan.n, len(fan.box()) - 1
   if _pairs is None:
     _pairs = _sector_pairs(fan)
-  return [_w_monomial(n, k, (i, j)) for i, j, common in _pairs
-          if not common]
+  xs = (0,) * n
+  return [Poly._trusted(n + k, {xs + _w_part(k, (i, j)): 1})
+          for i, j, common in _pairs if not common]
 
 
 def br_ideal(fan: StackyFan, kind: ProductKind, _pairs=None):
   """One relation per unordered double-box sector pair: the pair monomial
-  minus the closed form of its star product.  Pair order is deterministic;
+  minus the closed form of its star product (see star_product), each
+  distinct exponent vector expanded once.  Pair order is deterministic;
   _pairs is the walk inertial_presentation shares with cr_ideal."""
   els = fan.box()
   n, k = fan.n, len(els) - 1
   if _pairs is None:
     _pairs = _sector_pairs(fan)
+  xs = (0,) * n
+  coeffs = {}
   out = []
   for i, j, common in _pairs:
     if not common:
       continue
-    target, coeff = star_product(fan, kind, els[i], els[j])
-    gen = _w_monomial(n, k, (i, j))
-    if not coeff.is_zero():
-      tail = _embed(coeff, n + k)
-      if not target.is_identity:
-        tail = tail.mul_monomial(
-            _w_exponent(n, k, (fan.box_index(target),)))
-      gen = gen - tail
-    out.append(gen)
+    target, exps = star_exponents(fan, kind, els[i], els[j])
+    terms = {xs + _w_part(k, (i, j)): 1}
+    if exps is not None:
+      coeff = coeffs.get(exps)
+      if coeff is None:
+        coeff = coeffs[exps] = character_data(fan).tilde_monomial(exps).terms
+      w = _w_part(k, () if target.is_identity else (fan.box_index(target),))
+      for e, c in coeff.items():
+        terms[e + w] = -c
+    out.append(Poly._trusted(n + k, terms))
   return out
 
 
@@ -449,25 +451,25 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
   total = n + k
   names = ["x%d" % (i + 1) for i in range(n)] + sector_labels(fan, labels)
   degrees = [Fraction(1)] * n + [v.age for v in els[1:]]
-  gens, tags = [], []
-  for g in linear_ideal(fan):
-    gens.append(_embed(g, total))
-    tags.append("linear")
-  for g in sr_ideal(fan, cd):
-    gens.append(_embed(g, total))
-    tags.append("stanley_reisner")
+
+  def lift(ideal, w):
+    """x-polynomials times the w monomial of w-part w, in the x+w ring."""
+    return [Poly._trusted(total, {e + w: c for e, c in g.terms.items()})
+            for g in ideal]
+
+  ws = (0,) * k
+  parts = [("linear", lift(linear_ideal(fan), ws)),
+           ("stanley_reisner", lift(sr_ideal(fan, cd), ws))]
+  cones = {}  # a sector's relations depend only on its minimal cone
   for j, v in enumerate(els[1:]):
-    wexp = _w_exponent(n, k, (j + 1,))
-    for g in sector_ideal(fan, v):
-      gens.append(_embed(g, total).mul_monomial(wexp))
-      tags.append("sector")
+    if v.sigma_min not in cones:
+      cones[v.sigma_min] = sector_ideal(fan, v)
+    parts.append(("sector", lift(cones[v.sigma_min], _w_part(k, (j + 1,)))))
   pairs = _sector_pairs(fan, kind, maxdeg)
-  for g in cr_ideal(fan, _pairs=pairs):
-    gens.append(g)
-    tags.append("cone")
-  for g in br_ideal(fan, kind, _pairs=pairs):
-    gens.append(g)
-    tags.append("box")
+  parts += [("cone", cr_ideal(fan, _pairs=pairs)),
+            ("box", br_ideal(fan, kind, _pairs=pairs))]
+  gens = [g for _, ideal in parts for g in ideal]
+  tags = [tag for tag, ideal in parts for _ in ideal]
   return RingPresentation(names, degrees, gens, tags, domain)
 
 

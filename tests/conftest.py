@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 import pytest
 
 from hypothesis import assume, strategies as st
 
-from stackychow.gradedpoly import monomials_of_degree
+from stackychow.charring import (character_data, linear_ideal, sector_ideal,
+                                 sr_ideal)
+from stackychow.gradedpoly import (Elimination, Poly, RingPresentation,
+                                   _fresh_names, _mul_terms,
+                                   monomials_of_degree)
+from stackychow.inertial import _sector_pairs, sector_labels, star_product
+from stackychow.lattice import AbGroup
 from stackychow.stackyfan import StackyFan
 
 
@@ -222,3 +229,260 @@ def homogeneous_degree(poly, degrees):
   if len(degs) > 1:
     return None
   return degs.pop() if degs else Fraction(0)
+
+
+# -- references for the presentation build and for eliminate -----------------
+#
+# The relation build and eliminate as they were before each relation was
+# written straight into the x+w ring and step two indexed its generators:
+# every presentation and elimination must come out the same.
+
+class ReferencePowers:
+  """poly^0, poly^1, ... as term dicts, each computed once on first use."""
+
+  def __init__(self, poly):
+    self._terms = poly.terms
+    self._cache = [{(0,) * poly.nvars: 1}]
+
+  def __getitem__(self, k):
+    cache = self._cache
+    while len(cache) <= k:
+      cache.append(_mul_terms(cache[-1], self._terms))
+    return cache[k]
+
+
+def reference_map_vars(poly, new_nvars, images):
+  """Substitute images[i] for variable i: an int moves the exponent to
+  that variable of the new ring, a Poly in the new ring is expanded
+  through its powers, each computed once per call."""
+  if len(images) != poly.nvars:
+    raise ValueError("one image per variable required")
+  powers = {}
+  out = {}
+  for e, c in poly.terms.items():
+    ne = [0] * new_nvars
+    term = None
+    for i, k in enumerate(e):
+      if not k:
+        continue
+      img = images[i]
+      if type(img) is int:
+        ne[img] += k
+        continue
+      p = powers.get(i)
+      if p is None:
+        if img.nvars != new_nvars:
+          raise ValueError("polynomials in different rings")
+        p = powers[i] = ReferencePowers(img)
+      term = p[k] if term is None else _mul_terms(term, p[k])
+    ne = tuple(ne)
+    if term is None:
+      out[ne] = out.get(ne, 0) + c
+      continue
+    for te, v in term.items():
+      te = tuple(map(add, te, ne))
+      out[te] = out.get(te, 0) + c * v
+  return Poly._trusted(new_nvars, out)
+
+
+def _reference_substitute(poly, i, powers):
+  """Replace variable i by the polynomial whose powers table is given,
+  staying in the same ring."""
+  out = {}
+  for e, c in poly.terms.items():
+    k = e[i]
+    if not k:
+      out[e] = out.get(e, 0) + c
+      continue
+    base = e[:i] + (0,) + e[i + 1:]
+    for pe, pc in powers[k].items():
+      ne = tuple(map(add, base, pe))
+      out[ne] = out.get(ne, 0) + c * pc
+  return Poly._trusted(poly.nvars, out)
+
+
+def reference_eliminate(pres):
+  """Step one maps every generator through its own powers tables; step two
+  scans every generator for the least bare variable after each hit and
+  tests every generator for it."""
+  names = list(pres.names)
+  degrees = list(pres.degrees)
+  gens = list(pres.generators)
+  tags = list(pres.tags)
+  subs = {}
+
+  linear_idx = [k for k, g in enumerate(gens) if g.is_linear_form()]
+  involved = sorted({i for k in linear_idx for i in gens[k].vars_occurring()})
+  if involved and len({degrees[i] for i in involved}) == 1:
+    common_deg = degrees[involved[0]]
+    pos = {i: p for p, i in enumerate(involved)}
+    rel_rows = []
+    for k in linear_idx:
+      row = [0] * len(involved)
+      for i in gens[k].vars_occurring():
+        row[pos[i]] = gens[k].coeff_of_variable(i)
+      den = lcm(*(c.denominator for c in row))
+      rel_rows.append(row if den == 1 else [int(c * den) for c in row])
+    grp = AbGroup(len(involved), rel_rows)
+    surviving = [j for j, d in enumerate(grp.diagonal) if d != 1]
+    tnames = _fresh_names(len(surviving), set(names))
+    new_names, new_degrees = [], []
+    images = [None] * len(names)
+    tbase = 0
+    for i in range(len(names)):
+      if i == involved[0]:
+        tbase = len(new_names)
+        for tn in tnames:
+          new_names.append(tn)
+          new_degrees.append(common_deg)
+      if i in pos:
+        continue
+      images[i] = len(new_names)
+      new_names.append(names[i])
+      new_degrees.append(degrees[i])
+    nn = len(new_names)
+    for i in involved:
+      terms = {}
+      for sk, j in enumerate(surviving):
+        c = grp.u[j, pos[i]]
+        if c:
+          exp = [0] * nn
+          exp[tbase + sk] = 1
+          terms[tuple(exp)] = c
+      images[i] = subs[names[i]] = Poly(nn, terms)
+    new_gens, new_tags = [], []
+    for sk, j in enumerate(surviving):
+      d = grp.diagonal[j]
+      if d > 1:
+        new_gens.append(Poly.variable(nn, tbase + sk).scale(d))
+        new_tags.append("linear")
+    for k, (g, t) in enumerate(zip(gens, tags)):
+      if k in linear_idx:
+        continue
+      new_gens.append(reference_map_vars(g, nn, images))
+      new_tags.append(t)
+    names, degrees, gens, tags = new_names, new_degrees, new_gens, new_tags
+
+  n = len(names)
+  first = [_reference_first_bare_variable(g) for g in gens]
+  eliminated = set()
+  while True:
+    hits = [(v, k) for k, v in enumerate(first) if v is not None]
+    if not hits:
+      break
+    w, gk = min(hits)
+    rel = gens.pop(gk)
+    del tags[gk], first[gk]
+    unit = tuple(int(i == w) for i in range(n))
+    c = rel.terms[unit]
+    image = Poly._trusted(n, {e: -c * v for e, v in rel.terms.items()
+                              if e != unit})
+    powers = ReferencePowers(image)
+    for k, g in enumerate(gens):
+      if g.occurs(w):
+        gens[k] = _reference_substitute(g, w, powers)
+        first[k] = _reference_first_bare_variable(gens[k])
+    for name, p in subs.items():
+      if p.occurs(w):
+        subs[name] = _reference_substitute(p, w, powers)
+    subs[names[w]] = image
+    eliminated.add(w)
+  if eliminated:
+    keep = [i for i in range(n) if i not in eliminated]
+
+    def drop(p):
+      return Poly._trusted(len(keep), {tuple(e[i] for i in keep): c
+                                       for e, c in p.terms.items()})
+
+    names = [names[i] for i in keep]
+    degrees = [degrees[i] for i in keep]
+    gens = [drop(g) for g in gens]
+    subs = {name: drop(p) for name, p in subs.items()}
+
+  out_gens, out_tags, seen = [], [], set()
+  for g, t in zip(gens, tags):
+    if g.is_zero() or g in seen:
+      continue
+    seen.add(g)
+    out_gens.append(g)
+    out_tags.append(t)
+  index = {name: i for i, name in enumerate(names)}
+  return Elimination(
+      RingPresentation(names, degrees, out_gens, out_tags, pres.domain), subs,
+      [subs[name] if name in subs else index[name] for name in pres.names])
+
+
+def _reference_first_bare_variable(g):
+  """The smallest variable w with g = +/-(w - P) and w absent from P."""
+  best = None
+  for e, c in g.terms.items():
+    if c in (1, -1) and sum(e) == 1:
+      w = e.index(1)
+      if (best is None or w < best) and not any(
+          f[w] for f in g.terms if f != e):
+        best = w
+  return best
+
+
+def _reference_embed(poly, total):
+  return reference_map_vars(poly, total, range(poly.nvars))
+
+
+def _reference_w_exponent(n, k, indices):
+  exp = [0] * (n + k)
+  for i in indices:
+    exp[n + i - 1] += 1
+  return tuple(exp)
+
+
+def _reference_w_monomial(n, k, indices):
+  return Poly._trusted(n + k, {_reference_w_exponent(n, k, indices): 1})
+
+
+def reference_presentation(fan, kind, labels=None, domain=None, maxdeg=None):
+  """inertial_presentation with every relation built as Poly objects: each
+  star_product coefficient embedded into the x+w ring, shifted by its
+  target's w and subtracted from the pair monomial, and the sector
+  relations rebuilt for every sector."""
+  fan.require_valid()
+  if domain is None:
+    domain = kind.default_domain
+  if kind.is_asymptotic and domain != "q":
+    raise ValueError("asymptotic products require rational coefficients")
+  cd = character_data(fan)
+  els = fan.box()
+  n, k = fan.n, len(els) - 1
+  total = n + k
+  names = ["x%d" % (i + 1) for i in range(n)] + sector_labels(fan, labels)
+  degrees = [Fraction(1)] * n + [v.age for v in els[1:]]
+  gens, tags = [], []
+  for g in linear_ideal(fan):
+    gens.append(_reference_embed(g, total))
+    tags.append("linear")
+  for g in sr_ideal(fan, cd):
+    gens.append(_reference_embed(g, total))
+    tags.append("stanley_reisner")
+  for j, v in enumerate(els[1:]):
+    wexp = _reference_w_exponent(n, k, (j + 1,))
+    for g in sector_ideal(fan, v):
+      gens.append(_reference_embed(g, total).mul_monomial(wexp))
+      tags.append("sector")
+  pairs = _sector_pairs(fan, kind, maxdeg)
+  for i, j, common in pairs:
+    if not common:
+      gens.append(_reference_w_monomial(n, k, (i, j)))
+      tags.append("cone")
+  for i, j, common in pairs:
+    if not common:
+      continue
+    target, coeff = star_product(fan, kind, els[i], els[j])
+    gen = _reference_w_monomial(n, k, (i, j))
+    if not coeff.is_zero():
+      tail = _reference_embed(coeff, n + k)
+      if not target.is_identity:
+        tail = tail.mul_monomial(
+            _reference_w_exponent(n, k, (fan.box_index(target),)))
+      gen = gen - tail
+    gens.append(gen)
+    tags.append("box")
+  return RingPresentation(names, degrees, gens, tags, domain)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -239,6 +240,39 @@ def test_presentation_document_refuses_a_power_above_the_limit():
   pres, _ = parse_presentation_document(
       _one_variable_document(powers=((1, MAX_POWER),)))
   assert pres.generators[0].terms == {(MAX_POWER,): 1}
+
+
+def test_bundle_above_the_limit_is_refused(tmp_path, capsys, docs):
+  # a star exponent is a bundle coefficient plus one carry, and a printed
+  # power above MAX_POWER would not read back
+  code, out, err = run(capsys, "inertial", docs["p654"], "--product",
+                       "v-plus", "--bundle", "2000000,0,0")
+  assert (code, out) == (3, "")
+  assert err == ("stacky-chow: --bundle: coefficient 2000000 is above the "
+                 "limit of %d\n" % (MAX_POWER - 1))
+  schema_case(tmp_path, capsys, {**P654_DOC, "bundle": ["0", str(MAX_POWER),
+                                                        "0"]},
+              "field bundle: coefficient %d is above the limit of %d"
+              % (MAX_POWER, MAX_POWER - 1))
+
+
+def test_simplify_memory_is_linear_in_the_bundle(docs):
+  # eliminate kept every power of an image up to the largest, so its memory
+  # grew with the square of the bundle: 200000 raised MemoryError.  A
+  # coefficient past the interpreter's 4300-digit limit exits 3
+  src = str(Path(__file__).resolve().parents[1] / "src")
+
+  def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+  done = subprocess.run(
+      [sys.executable, "-m", "stackychow.cli", "inertial", docs["p654"],
+       "--simplify", "--product", "v-plus", "--bundle", "200000,0,0"],
+      capture_output=True, env={**os.environ, "PYTHONPATH": src},
+      timeout=60, preexec_fn=cap)
+  assert done.returncode == 0 or (done.returncode == 3 and
+                                  done.stderr.startswith(b"stacky-chow: "))
+  assert b"Traceback" not in done.stderr
 
 
 def test_the_module_runs_as_a_process(tmp_path, capsys, docs):
@@ -896,14 +930,17 @@ def test_expansion_work_refused(tmp_path, capsys):
 
 def test_large_bundle_on_monomial_classes(docs, capsys):
   # the tilde classes of P(6,5,4) are single variables, so any power is one
-  # term and a huge bundle exponent is cheap
+  # term and the largest bundle coefficient is cheap; its power MAX_POWER
+  # reads back
   code, out, err = run(capsys, "inertial", docs["p654"], "--product", "v-plus",
-                       "--bundle", "1000000,0,0")
+                       "--bundle", "999999,0,0")
   assert code == 0, err
+  pres, _ = parse_presentation_document(json.loads(out))
+  assert max(max(e) for g in pres.generators for e in g.terms) == MAX_POWER
   doc = run_json(capsys, "multiply", docs["p654"], "--product", "v-plus",
-                 "--bundle", "1000000,0,0", "w9", "w10")
+                 "--bundle", "999999,0,0", "w9", "w10")
   assert doc["coefficient"]["terms"] == [
-      {"coeff": "1", "powers": [[1, 1000001], [3, 1]]}]
+      {"coeff": "1", "powers": [[1, 1000000], [3, 1]]}]
 
 
 def test_hilbert_default_maxdeg_stops_at_zero_window(docs, capsys):

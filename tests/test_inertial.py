@@ -45,7 +45,7 @@ from stackychow.inertial import (
 from stackychow.stackyfan import GroupElement, StackyFan, weighted_projective_fan
 
 from tests.conftest import (box_inverse, double_box, random_valid_fans,
-                            share_a_cone, valid_fans)
+                            reference_presentation, share_a_cone, valid_fans)
 
 F = Fraction
 
@@ -226,6 +226,25 @@ def test_index_set_trichotomy(p654):
     assert not bp & bm
     both = {i for i in range(3) if va.q[i] != 0 and vb.q[i] != 0}
     assert bp | bm == both
+
+
+def test_v_minus_boundary_pairs(p654):
+  # b_minus is strict, q1 + q2 < 1; the minus-side flags of star_exponents
+  # also hold the boundary rays, q1 + q2 = 1.  The two differ on exactly
+  # the ordered pairs with a boundary ray
+  kind = ProductKind.v_minus(Bundle.ones(3))
+  boundary, differ = set(), set()
+  for va, vb in double_box(p654):
+    sums = [x + y for x, y in zip(va.q, vb.q)]
+    _, exps = star_exponents(p654, kind, va, vb)
+    flags = tuple(i for i, (e, s) in enumerate(zip(exps, sums))
+                  if e - (s >= 1))
+    if 1 in sums:
+      boundary.add((va.v, vb.v))
+    if flags != b_minus(p654, va, vb):
+      differ.add((va.v, vb.v))
+  assert len(boundary) == 17
+  assert differ == boundary
 
 
 # -- twists ------------------------------------------------------------------
@@ -807,6 +826,42 @@ def test_br_ideal_builds_the_change_matrix_only_for_a_coefficient(
       seen.add(needs)
       assert (_refusal(lambda: br_ideal(fan, kind)) is not None) == needs
   assert seen == {False, True}
+
+
+def _built(build):
+  """The names, degrees, generators, tags and domain of build(), or the
+  message of its ValueError."""
+  try:
+    pres = build()
+  except ValueError as e:
+    return str(e)
+  return pres.names, pres.degrees, pres.generators, pres.tags, pres.domain
+
+
+def test_presentation_matches_the_reference_build(monkeypatch):
+  # each relation written straight into the x+w ring and each distinct
+  # coefficient expanded once give the presentation of reference_presentation,
+  # which embeds every star_product as Poly objects; a bundle of 1000 on a
+  # torsion fan of the suite costs that build up to a minute
+  for fan in _suite():
+    kinds = _all_kinds(fan.n)
+    if not fan.r:
+      kinds.append(ProductKind.v_plus(Bundle([1000] * fan.n)))
+    for kind in kinds:
+      for maxdeg in (None, F(1), F(3, 2)):
+        got = _built(lambda: inertial_presentation(fan, kind, maxdeg=maxdeg))
+        assert not isinstance(got, str)
+        assert got == _built(
+            lambda: reference_presentation(fan, kind, maxdeg=maxdeg))
+  # nine box relations are built before the expansion bound refuses the
+  # coefficient of a tenth
+  monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", 30)
+  fan = _suite()[0]
+  kind = ProductKind.v_plus(Bundle([3] * fan.n))
+  needle = ("coefficient tilde_x1^4 may expand to 35 terms, more than the "
+            "limit of 30")
+  assert _built(lambda: inertial_presentation(fan, kind)) == needle
+  assert _built(lambda: reference_presentation(fan, kind)) == needle
 
 
 def test_associativity_builds_the_change_matrix_only_for_a_reduction(
