@@ -182,9 +182,7 @@ def parse_fan_document(doc):
 
 
 def _bundle(coeffs):
-  """A Bundle with no coefficient above MAX_POWER - 1: a star exponent is a
-  coefficient plus one carry, so on a fan without torsion `inertial` then
-  prints no power above MAX_POWER."""
+  """A Bundle with no coefficient above MAX_POWER - 1."""
   bundle = Bundle(coeffs)
   if max(bundle.a, default=0) >= MAX_POWER:
     raise ValueError("coefficient %d is above the limit of %d"
@@ -516,6 +514,13 @@ def _finish_presentation(args, pres, metadata):
     metadata["eliminated"] = {
         name: _terms_json(poly)
         for name, poly in sorted(elim.substitutions.items())}
+  # a document parse_presentation_document would refuse is not written
+  for g in pres.generators if pres.names else ():
+    exp = max(g.terms, key=max, default=())
+    if max(exp, default=0) > MAX_POWER:
+      j = exp.index(max(exp))
+      raise CliError(3, "power %d of %s in a generator is above the limit "
+                        "of %d" % (exp[j], pres.names[j], MAX_POWER))
   text = _presentation_text(pres) if args.format == "text" else None
   return _emit(args, print_presentation_document(pres, metadata), text)
 

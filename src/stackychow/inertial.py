@@ -65,14 +65,12 @@ class Bundle:
 
 
 class KClass:
-  """Exact combination of the L_i plus a rational multiple of the trivial
-  class.  Coefficients are rationals; integrality is assertable on demand."""
+  """Exact rational combination of the L_i; integrality is checkable."""
 
-  __slots__ = ("coeffs", "trivial")
+  __slots__ = ("coeffs",)
 
-  def __init__(self, coeffs, trivial=0):
+  def __init__(self, coeffs):
     self.coeffs = tuple(Fraction(c) for c in coeffs)
-    self.trivial = Fraction(trivial)
 
   def _chk(self, other):
     if len(self.coeffs) != len(other.coeffs):
@@ -80,38 +78,31 @@ class KClass:
 
   def __add__(self, other):
     self._chk(other)
-    return KClass([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                  self.trivial + other.trivial)
+    return KClass([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
   def __sub__(self, other):
     self._chk(other)
-    return KClass([a - b for a, b in zip(self.coeffs, other.coeffs)],
-                  self.trivial - other.trivial)
+    return KClass([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
   def scale(self, c):
-    return KClass([c * a for a in self.coeffs], c * self.trivial)
+    return KClass([c * a for a in self.coeffs])
 
   def is_zero(self):
-    return self.trivial == 0 and all(c == 0 for c in self.coeffs)
+    return all(c == 0 for c in self.coeffs)
 
   def is_integral(self):
-    return (self.trivial.denominator == 1
-            and all(c.denominator == 1 for c in self.coeffs))
+    return all(c.denominator == 1 for c in self.coeffs)
 
   def is_nonnegative_integral(self):
-    return (self.is_integral() and self.trivial >= 0
-            and all(c >= 0 for c in self.coeffs))
+    return self.is_integral() and all(c >= 0 for c in self.coeffs)
 
   def __eq__(self, other):
-    return (isinstance(other, KClass) and self.coeffs == other.coeffs
-            and self.trivial == other.trivial)
+    return isinstance(other, KClass) and self.coeffs == other.coeffs
 
   def __hash__(self):
-    return hash((self.coeffs, self.trivial))
+    return hash(self.coeffs)
 
   def __repr__(self):
-    if self.trivial:
-      return "KClass(%r, trivial=%r)" % (list(self.coeffs), self.trivial)
     return "KClass(%r)" % (list(self.coeffs),)
 
 
@@ -256,26 +247,62 @@ def log_restriction(fan: StackyFan, vs, bundle: Bundle) -> KClass:
 
 # -- pair data -----------------------------------------------------------------
 
-def _pair(fan, v1, v2):
+def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
+  """(target sector, exponent vector e) of the star product of two sectors:
+  the coefficient is prod_i tilde_x_i^e_i, and a None vector means it is
+  zero.  The target is None when the pair shares no cone; the asymptotic
+  kinds keep the box-sum target on their vanishing pairs.
+
+  e is the carry plus a_i on the kind's flags (see _pair_rule): the carries
+  for the plus-sided kinds, the minus flags for the others.  +infinity
+  vanishes where some ray carries, -infinity where some minus flag is set
+  (a closed set, or the limit of the scaled products would not exist)."""
   a = fan.box_lookup(v1.v)
   b = fan.box_lookup(v2.v)
-  if not fan.has_common_cone(a.sigma_min + b.sigma_min):
+  exps = fan.carries(a, b)
+  if exps is None:
+    return None, None
+  target = fan.box_add(a, b, exps)
+  if kind.name == "plus_infinity":
+    return target, None if any(exps) else tuple(exps)
+  if kind.plus_sided:
+    on = exps
+  else:
+    den = a.den
+    on = [bool(x and y and x + y <= den) for x, y in zip(a.p, b.p)]
+    if kind.name == "minus_infinity":
+      return target, None if any(on) else tuple(exps)
+  return target, tuple(e + c * k for e, c, k in
+                       zip(exps, kind.twist_exponents(fan.n), on))
+
+
+def _pair_rule(fan, v1, v2):
+  """Per-ray (carry, minus flag, boundary) of a sector pair sharing a cone.
+
+  With s = q1 + q2, the carry is [s >= 1] (StackyFan.carries) and the minus
+  flag [q1, q2 != 0 and s <= 1] (star_exponents; the virtual exponents are
+  their sum); the boundary, s = 1, is where both are set.  The minus flag
+  is [q1 != 0] + [q2 != 0] - [s not an integer] - floor(s), so both
+  bracketings of a triple add the same flags: without the boundary,
+  associativity_witnesses lists 92 triples of P(6,5,4) for v-minus (1,1,1)."""
+  target, carry = star_exponents(fan, ORBIFOLD, v1, v2)
+  if target is None:
     raise ValueError("no common cone")
-  return a, b
+  _, virtual = star_exponents(fan, VIRTUAL, v1, v2)
+  minus = [e - c for e, c in zip(virtual, carry)]
+  return carry, minus, [c & m for c, m in zip(carry, minus)]
 
 
 def b_plus(fan: StackyFan, v1, v2):
-  """0-based ray indices where the two q-vectors sum to 1 or more."""
-  a, b = _pair(fan, v1, v2)
-  return tuple(i for i, (x, y) in enumerate(zip(a.p, b.p)) if x + y >= a.den)
+  """0-based ray indices of B+, the carry set."""
+  carry, _, _ = _pair_rule(fan, v1, v2)
+  return tuple(i for i, c in enumerate(carry) if c)
 
 
 def b_minus(fan: StackyFan, v1, v2):
-  """0-based ray indices where both q-entries are nonzero but sum below 1;
-  star_exponents also flags the boundary rays, where they sum to 1."""
-  a, b = _pair(fan, v1, v2)
-  return tuple(i for i, (x, y) in enumerate(zip(a.p, b.p))
-               if x and y and x + y < a.den)
+  """0-based ray indices of B-, the minus flags without the boundary."""
+  _, minus, boundary = _pair_rule(fan, v1, v2)
+  return tuple(i for i, (m, o) in enumerate(zip(minus, boundary)) if m > o)
 
 
 def v_plus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
@@ -289,50 +316,15 @@ def v_minus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
   return KClass([bundle.a[i] if i in idx else 0 for i in range(fan.n)])
 
 
-def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
-  """(target sector, exponent vector e) of the star product of two sectors:
-  the coefficient is prod_i tilde_x_i^e_i, and a None vector means it is
-  zero.  The target is None when the pair shares no cone; the asymptotic
-  kinds keep the box-sum target on their vanishing pairs.
-
-  Per ray, with phase sum s = q1 + q2, e starts at [s >= 1].  The plus-sided
-  kinds add the bundle exponent a_i where s >= 1; the minus-sided kinds add
-  it on b_minus and on the boundary rays s = 1: that flag is [q1 != 0] +
-  [q2 != 0] - [s not an integer] - floor(s), so both bracketings of a
-  triple add the same flags (on b_minus alone, associativity_witnesses
-  finds 92 v-minus failures on P(6,5,4) with bundle (1,1,1)).  +infinity
-  vanishes where some s >= 1; -infinity vanishes where some ray has both
-  phases nonzero and s <= 1 (a closed set, or the limit of the scaled
-  products would not exist) and keeps the orbifold value elsewhere."""
-  a = fan.box_lookup(v1.v)
-  b = fan.box_lookup(v2.v)
-  if not fan.has_common_cone(a.sigma_min + b.sigma_min):
-    return None, None
-  den = a.den
-  # phase numerators lie in [0, den), so a sum's quotient is its carry
-  exps = [(x + y) // den for x, y in zip(a.p, b.p)]
-  target = fan.box_add(a, b, exps)
-  if kind.name == "plus_infinity":
-    return target, None if any(exps) else tuple(exps)
-  if kind.plus_sided:
-    on = exps
-  else:
-    on = [bool(x and y and x + y <= den) for x, y in zip(a.p, b.p)]
-    if kind.name == "minus_infinity":
-      return target, None if any(on) else tuple(exps)
-  return target, tuple(e + c * k for e, c, k in
-                       zip(exps, kind.twist_exponents(fan.n), on))
-
-
 def twist(fan: StackyFan, kind: ProductKind, v1, v2) -> Poly:
   """The twist class of the pair as a polynomial in the x variables: the
-  star exponents less the normal-direction factor over rays with q1+q2 = 1."""
+  star exponents less the boundary."""
   if kind.is_asymptotic:
     raise ValueError("asymptotic products have no twist class")
-  a, b = _pair(fan, v1, v2)
-  _, exps = star_exponents(fan, kind, a, b)
+  _, _, boundary = _pair_rule(fan, v1, v2)
+  _, exps = star_exponents(fan, kind, v1, v2)
   return character_data(fan).tilde_monomial(
-      tuple(e - (x + y == a.den) for e, x, y in zip(exps, a.p, b.p)))
+      tuple(e - o for e, o in zip(exps, boundary)))
 
 
 def star_product(fan: StackyFan, kind: ProductKind, v1, v2):

@@ -270,11 +270,7 @@ class StackyFan:
       return (), None
     mat = IntMatrix([[self.free(i)[j] for i in cone] for j in range(self.d)])
     snf = smith_normal_form(mat)
-    diag = snf.diagonal
-    if len(diag) < len(cone) or any(dj == 0 for dj in diag):
-      raise ValueError("cone %s: rays are linearly dependent (not simplicial)"
-                       % _cone_str(cone))
-    return diag, snf.v
+    return snf.diagonal, snf.v
 
   def _cone_box(self, cone, diag, vmat, den):
     """Box elements of a cone over den, a multiple of its exponent d_k.
@@ -340,17 +336,24 @@ class StackyFan:
       self.box()
     return self._box_by_v[el.v]
 
+  def carries(self, v1: BoxElement, v2: BoxElement):
+    """The per-ray carries [q1 + q2 >= 1] of two elements of this box, as 0
+    or 1, or None when they share no cone."""
+    if not self.has_common_cone(v1.sigma_min + v2.sigma_min):
+      return None
+    den = v1.den
+    # phase numerators lie in [0, den), so a sum's quotient is its carry
+    return [(x + y) // den for x, y in zip(v1.p, v2.p)]
+
   def box_add(self, v1: BoxElement, v2: BoxElement, carries=None):
     """Box addition: the group law of N(sigma) on box representatives,
-    v1 + v2 less the rays whose phase numerators sum to D or more.
-
-    carries, the per-ray flags x + y >= D of two elements of this box that
-    share a cone, skips the cone test and the lookups."""
+    v1 + v2 less the rays that carry.  Passing the carries of two elements
+    of this box that share a cone skips the cone test and the lookups."""
     if carries is None:
-      if not self.has_common_cone(v1.sigma_min + v2.sigma_min):
-        raise ValueError("no common cone")
       v1, v2 = self.box_lookup(v1.v), self.box_lookup(v2.v)
-      carries = [x + y >= v1.den for x, y in zip(v1.p, v2.p)]
+      carries = self.carries(v1, v2)
+      if carries is None:
+        raise ValueError("no common cone")
     den = v1.den
     total = list(map(add, v1.v, v2.v))
     for carry, ray in zip(carries, self.rays):

@@ -943,6 +943,31 @@ def test_large_bundle_on_monomial_classes(docs, capsys):
       {"coeff": "1", "powers": [[1, 1000000], [3, 1]]}]
 
 
+def test_a_document_that_would_not_read_back_is_not_written(tmp_path,
+                                                           capsys):
+  # eliminate maps x1 and x2 of the plane fan to one variable t, whose
+  # powers add; on P(2,4,6,8) tilde_x1 is x2, and x2 also collects the
+  # powers of the other tilde classes
+  plane = tmp_path / "plane.json"
+  plane.write_text(json.dumps({
+      "schema": "stacky-chow/1", "rank": 2, "torsion": [],
+      "b": [[1, 0], [1, 2], [-1, -1]],
+      "max_cones": [[1, 2], [2, 3], [1, 3]]}))
+  p2468 = tmp_path / "p2468.json"
+  p2468.write_text(json.dumps(print_fan_document(
+      weighted_projective_fan((2, 4, 6, 8)))))
+  for argv, power, name in (
+      ((str(plane), "--simplify", "--bundle", "999999,999999,0"), 2000000,
+       "t"),
+      ((str(p2468), "--bundle", "999999,0,0,0"), 1000002, "x2")):
+    for fmt in ("json", "text"):
+      code, out, err = run(capsys, "inertial", *argv, "--product", "v-plus",
+                           "--format", fmt)
+      assert (code, out) == (3, "")
+      assert err == ("stacky-chow: power %d of %s in a generator is above "
+                     "the limit of %d\n" % (power, name, MAX_POWER))
+
+
 def test_hilbert_default_maxdeg_stops_at_zero_window(docs, capsys):
   # the default maxdeg is 6; every piece above degree 2 is zero
   start = time.perf_counter()

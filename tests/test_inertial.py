@@ -1,5 +1,5 @@
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from unittest import mock
 
 import pytest
@@ -72,9 +72,8 @@ def test_bundle_validation():
 
 def test_kclass_arithmetic():
   a = KClass((1, F(1, 2)))
-  b = KClass((0, F(1, 2)), trivial=2)
+  b = KClass((0, F(1, 2)))
   assert (a + b).coeffs == (1, 1)
-  assert (a + b).trivial == 2
   assert (a - a).is_zero()
   assert a.scale(2).is_integral()
   assert not a.is_integral()
@@ -245,6 +244,34 @@ def test_v_minus_boundary_pairs(p654):
       differ.add((va.v, vb.v))
   assert len(boundary) == 17
   assert differ == boundary
+
+
+def _defect(q1, q2, bundle):
+  """L(g1) + L(g2) - L(g1 g2) for two elements with Fraction phases."""
+  return (log_trace_phases(q1, bundle) + log_trace_phases(q2, bundle)
+          - log_trace_phases([(x + y) % 1 for x, y in zip(q1, q2)], bundle))
+
+
+def test_star_exponents_are_log_trace_defects():
+  # less the carry [q1 + q2 >= 1], the v-plus star exponents are the log
+  # trace defect of the pair and the v-minus ones that of the inverse
+  # phases frac(-q); v_minus leaves out the boundary rays, so it differs
+  # from the v-minus defect exactly on the pairs with a boundary ray
+  differ = 0
+  for fan in _suite() + [weighted_projective_fan(w)
+                         for w in ((6, 4), (13, 17, 19))]:
+    for bundle in (Bundle.ones(fan.n), Bundle(range(1, fan.n + 1))):
+      for v, w in double_box(fan):
+        carry = [int(x + y >= 1) for x, y in zip(v.q, w.q)]
+        _, exps = star_exponents(fan, ProductKind.v_plus(bundle), v, w)
+        assert KClass(map(sub, exps, carry)) == _defect(v.q, w.q, bundle)
+        minus = _defect([-x % 1 for x in v.q], [-x % 1 for x in w.q], bundle)
+        _, exps = star_exponents(fan, ProductKind.v_minus(bundle), v, w)
+        assert KClass(map(sub, exps, carry)) == minus
+        boundary = any(x + y == 1 for x, y in zip(v.q, w.q))
+        assert (v_minus(fan, v, w, bundle) != minus) == boundary
+        differ += boundary
+  assert differ == 1310  # (pair, bundle) cases with a boundary ray
 
 
 # -- twists ------------------------------------------------------------------
