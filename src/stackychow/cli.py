@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 
 from stackychow.charring import character_data, sr_ring
-from stackychow.gradedpoly import (Poly, RingPresentation, eliminate,
+from stackychow.gradedpoly import (MAX_DECIMAL_EXPONENT, Poly,
+                                   RingPresentation, eliminate, format_coeff,
                                    format_poly, hilbert_table)
 from stackychow.inertial import (Bundle, MINUS_INFINITY, ORBIFOLD,
                                  PLUS_INFINITY, ProductKind, VIRTUAL,
@@ -25,8 +26,6 @@ from stackychow.inertial import (Bundle, MINUS_INFINITY, ORBIFOLD,
 from stackychow.stackyfan import StackyFan
 
 SCHEMA = "stacky-chow/1"
-# the interpreter's default int digit limit, which _as_int relies on too
-MAX_DECIMAL_EXPONENT = 4300
 # the largest power of one variable in a presentation document's term: on
 # a variable of positive degree a higher one lies past the last row of any
 # hilbert table (gradedpoly.MAX_TABLE_ROWS)
@@ -236,7 +235,7 @@ def _terms_json(poly):
   terms = []
   for exp, c in poly.sorted_terms():
     powers = [[j + 1, e] for j, e in enumerate(exp) if e]
-    terms.append({"coeff": str(c), "powers": powers})
+    terms.append({"coeff": format_coeff(c), "powers": powers})
   return terms
 
 

@@ -2,8 +2,8 @@
 
 All ideal questions are answered degree by degree: the piece of a quotient
 ring in one degree is finitely generated abelian group data obtained from the
-monomials of that degree and the generator multiples landing there.  Row
-echelon bases and Smith forms take the place of Groebner bases; variable
+standard monomials of that degree and the generator multiples landing there.
+Row echelon bases and Smith forms take the place of Groebner bases; variable
 degrees are positive rationals and every coefficient is exact.
 """
 
@@ -346,6 +346,8 @@ class RingPresentation:
   Generator tags record where each ideal generator came from.  Homogeneity is
   tracked per generator, not enforced: graded queries refuse to run when some
   generator mixes degrees.
+  Graded queries split the generators once into M, the monomials (over Z
+  those of coefficient +/-1, over Q any single term), and J, the rest.
   """
 
   def __init__(self, names, degrees, generators, tags=None, domain="z"):
@@ -381,6 +383,7 @@ class RingPresentation:
     self.ideg = tuple(int(d * self.scale) for d in degrees)
     self._reducers = {}  # Fraction degree -> reducer
     self._bases = {}     # integer degree -> monomial basis
+    self._std = None     # integer degree -> standard monomials, see _standard
     self._gen_degrees = None
     self._gen_idegs = None
     self._graded = None
@@ -413,42 +416,71 @@ class RingPresentation:
     off the grid of multiples of 1/scale)."""
     t = Fraction(deg) * self.scale
     if t.denominator == 1:
-      return self._basis(int(t))
+      t = int(t)
+      if t not in self._bases:
+        self._bases[t] = monomials_of_degree(self.ideg, t)
+      return self._bases[t]
     if any(x <= 0 for x in self.ideg):
       raise ValueError("nonpositive variable degree")
     return []
 
-  def _basis(self, t):
-    """The monomial basis in integer degree t, enumerated once."""
-    basis = self._bases.get(t)
-    if basis is None:
-      basis = self._bases[t] = monomials_of_degree(self.ideg, t)
-    return basis
-
-  def _degree_rows(self, t):
-    """Every nonzero generator times every monomial landing in integer
-    degree t, as term dicts (graded presentations only)."""
-    rows = []
-    for g, tg in zip(self.generators, self._gen_idegs):
-      if not g.terms or tg > t:
+  def _standard(self, t):
+    """The standard monomials of degree t in the integer grading, those no
+    element of M divides, as a set (none off the grid).  Each reachable
+    degree is built once, in ascending order, from a queue kept between
+    calls: s + e_i, s standard and i its first variable, is standard unless
+    it is in M or some s + e_i - e_j is not.  M (_mono) and J (_rel) are
+    split off on the first call."""
+    if self._std is None:
+      if any(x <= 0 for x in self.ideg):
+        raise ValueError("nonpositive variable degree")
+      self._std, self._queue, self._mono, self._rel = {}, [0], set(), []
+      for g, tg in zip(self.generators, self._gen_idegs):
+        if len(g.terms) == 1 and (self.domain == "q"
+                                  or abs(*g.terms.values()) == 1):
+          self._mono.update(g.terms)
+        elif g.terms:
+          self._rel.append((tuple(g.terms.items()), tg))
+    if t.denominator != 1 or t < 0:
+      return ()
+    t = t.numerator
+    std, queue, ideg, mono = self._std, self._queue, self.ideg, self._mono
+    n = len(ideg)
+    while queue and queue[0] <= t:
+      u = heappop(queue)
+      if u in std:
         continue
-      terms = tuple(g.terms.items())
-      for m in self._basis(t - tg):
-        rows.append({tuple(map(add, e, m)): c for e, c in terms})
-    return rows
+      out = std[u] = set() if u or (0,) * n in mono else {(0,) * n}
+      for d in set(ideg):
+        heappush(queue, u + d)
+      for i, d in enumerate(ideg):
+        for s in std.get(u - d, ()):
+          c = s[:i] + (s[i] + 1,) + s[i + 1:]
+          if not any(s[:i]) and c not in mono and all(
+              not c[j] or c[:j] + (c[j] - 1,) + c[j + 1:] in std[u - ideg[j]]
+              for j in range(i + 1, n)):
+            out.add(c)
+    return std.get(t, ())
 
   def reducer(self, deg):
-    """The echelon reducer of degree deg; its columns are the monomials of
-    that degree, in ascending lexicographic order."""
+    """The echelon reducer of degree deg: its columns are the standard
+    monomials, its rows g·m for g in J and m standard, nonstandard terms
+    dropped, since (R/I)_t = (R/M)_t / (I/M)_t and g·m lies in M when m is
+    not standard."""
     deg = Fraction(deg)
     red = self._reducers.get(deg)
     if red is None:
       self._require_graded()
-      width = len(self.basis(deg))
-      # off the grid of multiples of 1/scale the basis is empty
-      rows = self._degree_rows(int(deg * self.scale)) if width else []
+      t = deg * self.scale
+      std = self._standard(t)
+      t, rows = int(t), []  # std is empty off the grid
+      for terms, tg in self._rel if std else ():
+        for m in self._std.get(t - tg, ()):
+          row = {f: c for e, c in terms if (f := tuple(map(add, e, m))) in std}
+          if row:
+            rows.append(row)
       cls = ZReducer if self.domain == "z" else QReducer
-      red = self._reducers[deg] = cls(rows, width)
+      red = self._reducers[deg] = cls(rows, len(std))
     return red
 
   def graded_piece(self, deg):
@@ -469,7 +501,8 @@ class RingPresentation:
       parts.setdefault(sum(map(mul, e, ideg)), {})[e] = c
     out = {}
     for t, part in sorted(parts.items()):
-      out.update(self.reducer(Fraction(t, self.scale)).reduce(part))
+      red, std = self.reducer(Fraction(t, self.scale)), self._std[t]
+      out.update(red.reduce({e: c for e, c in part.items() if e in std}))
     return Poly._trusted(poly.nvars, out)
 
   def contains(self, poly):
@@ -695,10 +728,12 @@ def hilbert_table(pres, maxdeg):
   the table reports.  The variables have positive degrees, so a generator
   of degree e adds rows only in degrees e and up: low has the same ideal as
   pres in every degree up to top, hence the same pieces, and eliminating it
-  keeps them over Z and over Q while narrowing the monomial bases.  The
+  keeps them over Z and over Q while narrowing the reducers' columns.  The
   original presentation keeps the row limit, the degree grid (removing a
   variable can remove its degree from the grid, and no row may disappear)
   and the refusals, which run on every generator before any elimination.
+  The pieces are built on the standard monomials of the eliminated ring,
+  so its monomial relations add no rows or columns.
 
   pres may itself leave out generators above maxdeg: the inertial
   presentation of an age-graded kind (orbifold, plus_infinity,
@@ -740,9 +775,25 @@ def hilbert_table(pres, maxdeg):
   return table
 
 
+# the interpreter's default limit on the decimal digits of an int, which
+# cli._as_int relies on too
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_LIMIT_BITS = (10 ** MAX_DECIMAL_EXPONENT).bit_length()
+
+
 def format_coeff(c):
-  if isinstance(c, Fraction) and c.denominator != 1:
-    return "%d/%d" % (c.numerator, c.denominator)
+  """c in decimal, as a/b if it is not an integer.  Every coefficient
+  written as text passes here, and one with a numerator or denominator of
+  more than MAX_DECIMAL_EXPONENT digits is refused."""
+  if isinstance(c, Fraction):
+    if c.denominator != 1:
+      return "%s/%s" % (format_coeff(c.numerator),
+                        format_coeff(c.denominator))
+    c = c.numerator
+  if (c.bit_length() >= _DECIMAL_LIMIT_BITS
+      and abs(c) >= 10 ** MAX_DECIMAL_EXPONENT):
+    raise ValueError("a coefficient has more than %d decimal digits"
+                     % MAX_DECIMAL_EXPONENT)
   return "%d" % c
 
 

@@ -13,7 +13,7 @@ from stackychow.gradedpoly import (Elimination, Poly, RingPresentation,
                                    _fresh_names, _mul_terms,
                                    monomials_of_degree)
 from stackychow.inertial import _sector_pairs, sector_labels, star_product
-from stackychow.lattice import AbGroup
+from stackychow.lattice import AbGroup, QReducer, ZReducer
 from stackychow.stackyfan import StackyFan
 
 
@@ -229,6 +229,45 @@ def homogeneous_degree(poly, degrees):
   if len(degs) > 1:
     return None
   return degs.pop() if degs else Fraction(0)
+
+
+# -- the full-basis reducer ---------------------------------------------------
+#
+# A degree's reducer as it was built before its columns became the standard
+# monomials: every monomial of the degree is a column, and every nonzero
+# generator times every monomial of the complementary degree is a row.
+
+def full_basis_reducer(pres, deg):
+  """The echelon reducer of degree deg on the full monomial basis of a
+  graded presentation."""
+  deg = Fraction(deg)
+  rows = [{tuple(map(add, e, m)): c for e, c in g.terms.items()}
+          for g, dg in zip(pres.generators, pres.generator_degrees())
+          if g.terms and dg <= deg
+          for m in rational_monomials(pres.degrees, deg - dg)]
+  cls = ZReducer if pres.domain == "z" else QReducer
+  return cls(rows, len(rational_monomials(pres.degrees, deg)))
+
+
+def full_basis_piece(pres, deg):
+  """(free rank, invariant factors) of degree deg from full_basis_reducer."""
+  red = full_basis_reducer(pres, deg)
+  if pres.domain == "z":
+    return red.invariants()
+  return red.width - red.rank, ()
+
+
+def full_basis_reduce(pres, poly):
+  """The normal form of poly, each degree part reduced by
+  full_basis_reducer."""
+  parts = {}
+  for e, c in poly.terms.items():
+    deg = sum((Fraction(d) * k for d, k in zip(pres.degrees, e)), Fraction(0))
+    parts.setdefault(deg, {})[e] = c
+  out = {}
+  for deg, part in parts.items():
+    out.update(full_basis_reducer(pres, deg).reduce(part))
+  return Poly(poly.nvars, out)
 
 
 # -- references for the presentation build and for eliminate -----------------

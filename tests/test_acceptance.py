@@ -358,13 +358,12 @@ def test_criterion_10_asymptotic_stabilization(fan_suite):
       bad.append((fan, "+"))
     if asymptotic_stabilization_witnesses(fan, scale, plus=False):
       bad.append((fan, "-"))
-    # on fans small enough for degreewise linear algebra in the full ring,
     # also check literal ideal containment: every scaled generator reduces
     # to zero against the graded asymptotic presentation (the scaled side
     # is inhomogeneous, so containment runs one way; the witness sweep
-    # above certifies the converse through the sector quotients)
-    if (fan.n + len(fan.box()) - 1 > 5
-        or any(v.age == 0 for v in fan.box()[1:])):
+    # above certifies the converse through the sector quotients); a fan
+    # with an age-zero sector has no graded asymptotic presentation
+    if any(v.age == 0 for v in fan.box()[1:]):
       continue
     big = Bundle.ones(fan.n).scaled(scale)
     for kind, limit in ((ProductKind.v_plus(big), PLUS_INFINITY),
@@ -382,7 +381,7 @@ def test_criterion_10_asymptotic_stabilization(fan_suite):
   report(10, not bad,
          "scaled twist products match the asymptotic products over Q on all "
          "%d fans at scale dim+1, generator by generator; %d scaled "
-         "generators on small fans also shown inside the asymptotic ideals "
+         "generators also shown inside the asymptotic ideals "
          "by degreewise reduction" % (len(fan_suite), compared))
 
 

@@ -19,6 +19,7 @@ from stackychow.charring import sr_ring
 from stackychow.cli import (CliError, MAX_POWER, PRODUCT_NAMES, SCHEMA, main,
                             parse_fan_document, parse_presentation_document,
                             print_fan_document, print_presentation_document)
+from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.inertial import Bundle
 from stackychow.lattice import AbGroup
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
@@ -682,19 +683,45 @@ def weighted_z_oracle(weights, maxdeg):
   return out
 
 
-@pytest.mark.parametrize("weights", [(6, 5, 4), (2, 3, 5, 7), (1, 2), (2, 3),
-                                     (1, 1, 2), (3, 4, 5)])
-def test_hilbert_orbifold_z_matches_the_weighted_oracle(tmp_path, capsys,
-                                                        weights):
-  # default maxdeg 2d + 2; P(7,9,11) agrees too but takes about 20 s
+def _weighted_fan_path(tmp_path, weights):
   fan = weighted_projective_fan(weights)
   path = tmp_path / "fan.json"
   path.write_text(json.dumps(print_fan_document(fan)))
-  doc = run_json(capsys, "hilbert", str(path), "--product", "orbifold",
+  return fan, str(path)
+
+
+@pytest.mark.parametrize("weights", [(6, 5, 4), (2, 3, 5, 7), (1, 2), (2, 3),
+                                     (1, 1, 2), (3, 4, 5), (7, 9, 11)])
+def test_hilbert_orbifold_z_matches_the_weighted_oracle(tmp_path, capsys,
+                                                        weights):
+  # default maxdeg 2d + 2
+  fan, path = _weighted_fan_path(tmp_path, weights)
+  start = time.perf_counter()
+  doc = run_json(capsys, "hilbert", path, "--product", "orbifold",
                  "--coeff", "z")
+  assert time.perf_counter() - start < 20
   got = {Fraction(r["degree"]): (r["free_rank"], [int(m) for m in r["torsion"]])
          for r in doc["pieces"] if r["free_rank"] or r["torsion"]}
   assert got == weighted_z_oracle(weights, 2 * fan.d + 2)
+
+
+@pytest.mark.parametrize("weights", [(7, 9, 11), (13, 17, 19)])
+def test_hilbert_q_tables_match_the_weighted_oracle(tmp_path, capsys, weights):
+  # default maxdeg 2d + 2: over Q the orbifold and both asymptotic products
+  # have the same pieces, free of the ranks of the orbifold ring over Z
+  fan, path = _weighted_fan_path(tmp_path, weights)
+  want = {deg: rank for deg, (rank, _) in
+          weighted_z_oracle(weights, 2 * fan.d + 2).items() if rank}
+  tables = []
+  for product in ("orbifold", "plus-inf", "minus-inf"):
+    start = time.perf_counter()
+    doc = run_json(capsys, "hilbert", path, "--product", product, "--coeff",
+                   "q")
+    assert time.perf_counter() - start < 10
+    tables.append(doc["pieces"])
+    assert {Fraction(r["degree"]): r["free_rank"]
+            for r in doc["pieces"] if r["free_rank"]} == want
+  assert tables[0] == tables[1] == tables[2]
 
 
 # stdout sha256 of CLI runs, keyed by test id: (document, argv).  The
@@ -777,6 +804,49 @@ def test_simplify_output_pinned(docs, capsys, name):
   assert time.perf_counter() - start < 10
   assert code == 0, err
   assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# P(6,4) with tilde x1 = 2 x1: under the v-plus bundle (a, 0) the box
+# relation and the product w2 * w2 carry 2^(a + 1), which has 301,030
+# decimal digits for a = 999999
+P64_DOUBLED_DOC = {
+    "schema": "stacky-chow/1", "rank": 1, "torsion": ["2"],
+    "b": [["2", "1"], ["-3", "1"]], "max_cones": [[2], [1]]}
+
+
+def test_coefficients_past_the_digit_limit_are_refused(tmp_path, capsys):
+  path = tmp_path / "fan.json"
+  path.write_text(json.dumps(P64_DOUBLED_DOC))
+  refusal = (3, "", "stacky-chow: a coefficient has more than 4300 decimal "
+                    "digits\n")
+  for argv in (["inertial"], ["inertial", "--simplify"],
+               ["inertial", "--format", "text"], ["multiply", "w2", "w2"],
+               ["multiply", "w2", "w2", "--format", "text"]):
+    assert run(capsys, argv[0], str(path), *argv[1:], "--product", "v-plus",
+               "--bundle", "999999,0") == refusal
+  # 2^14285 has 4,301 digits and is refused, 2^14284 has 4,300 and is written
+  assert run(capsys, "multiply", str(path), "w2", "w2", "--product",
+             "v-plus", "--bundle", "14284,0") == refusal
+  doc = run_json(capsys, "multiply", str(path), "w2", "w2", "--product",
+                 "v-plus", "--bundle", "14283,0")
+  assert [len(t["coeff"]) for t in doc["coefficient"]["terms"]] == [4300]
+
+
+def test_eliminated_coefficients_past_the_digit_limit_are_refused(capsys):
+  # x := c*t and y := t: c appears in the eliminated metadata only
+  args = cli.build_parser().parse_args(["chow", "-", "--simplify"])
+  for c, ok in ((10 ** 4300 - 1, True), (10 ** 4300, False)):
+    pres = RingPresentation(["x", "y"], [1, 1], [
+        Poly(2, {(1, 0): 1, (0, 1): -c}), Poly(2, {(0, 2): 1})],
+        ["linear", "stanley_reisner"], "z")
+    if ok:
+      cli._finish_presentation(args, pres, {})
+      doc = json.loads(capsys.readouterr().out)
+      assert doc["metadata"]["eliminated"]["x"] == [
+          {"coeff": str(c), "powers": [[1, 1]]}]
+    else:
+      with pytest.raises(ValueError, match="more than 4300 decimal digits"):
+        cli._finish_presentation(args, pres, {})
 
 
 def test_json_output_builds_no_text(docs, capsys, monkeypatch):

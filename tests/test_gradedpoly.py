@@ -14,6 +14,7 @@ from stackychow.gradedpoly import (
     Poly,
     RingPresentation,
     eliminate,
+    format_coeff,
     format_poly,
     hilbert_table,
     ideal_equal_up_to,
@@ -21,7 +22,8 @@ from stackychow.gradedpoly import (
     occurring_degrees,
 )
 from stackychow.lattice import AbGroup, QReducer, ZReducer
-from tests.conftest import (dense, homogeneous_degree, rational_monomials,
+from tests.conftest import (dense, full_basis_piece, full_basis_reduce,
+                            homogeneous_degree, rational_monomials,
                             reference_eliminate)
 
 
@@ -252,6 +254,18 @@ def test_format_poly():
   assert format_poly(p, ["x", "y"]) == "x^2 - 4*x*y + 1/2"
   assert format_poly(Poly.zero(1), ["x"]) == "0"
   assert format_poly(P(1, {(1,): -1}), ["x"]) == "-x"
+
+
+def test_format_coeff_refuses_past_the_digit_limit():
+  limit = 10 ** gradedpoly.MAX_DECIMAL_EXPONENT
+  assert format_coeff(limit - 1) == "9" * 4300
+  assert format_coeff(Fraction(1 - limit, 7)) == "-%s/7" % ("9" * 4300)
+  assert format_coeff(Fraction(6, 2)) == "3"
+  for c in (limit, -limit, Fraction(1, limit), Fraction(-limit, 7)):
+    with pytest.raises(ValueError, match="more than 4300 decimal digits"):
+      format_coeff(c)
+  with pytest.raises(ValueError, match="more than 4300 decimal digits"):
+    format_poly(P(1, {(1,): 2 ** 999999}), ["x"])
 
 
 # -- property tests ----------------------------------------------------------
@@ -648,6 +662,70 @@ def test_integer_grading_matches_fraction_reference(seed, nvars, domain):
                    for d in occurring_degrees(degrees, maxdeg)]
   assert table == [_fraction_piece(graded, d)
                    for d in occurring_degrees(degrees, maxdeg)]
+
+
+def test_pieces_on_the_standard_monomials(monkeypatch):
+  def enumerated(dd, t):
+    raise AssertionError("a reducer enumerated a monomial basis")
+
+  monkeypatch.setattr(gradedpoly, "monomials_of_degree", enumerated)
+  # Z[x]/(2x^2) has Z/2 in degree 2: 2x^2 is not a monomial generator over
+  # Z, so x^2 stays a column; over Q it is one, and x^2 is no column
+  x2 = P(1, {(2,): 2})
+  for domain, texts in (("z", ["Z", "Z", "Z/2", "Z/2"]),
+                        ("q", ["Q", "Q", "0", "0"])):
+    pres = RingPresentation(["x"], [1], [x2], None, domain)
+    assert [p.describe() for p in hilbert_table(pres, 3)] == texts
+    assert pres.reducer(2).width == (domain == "z")
+  # a unit generator: -1 leaves no standard monomial; 3 is a monomial
+  # generator over Q only
+  for domain, c, text in (("z", -1, "0"), ("q", 3, "0"), ("z", 3, "Z/3")):
+    pres = RingPresentation(["x"], [1], [Poly.constant(1, c)], None, domain)
+    assert [p.describe() for p in hilbert_table(pres, 2)] == [text] * 3
+  # Z[x, y]/(x^2, -y^3, 2xy): xy^2 is the one standard monomial of degree 3,
+  # and of the rows 2xy * x and 2xy * y only 2xy^2 keeps a term
+  pres = RingPresentation(["x", "y"], [1, 1], [
+      P(2, {(2, 0): 1}), P(2, {(0, 3): -1}), P(2, {(1, 1): 2})], None, "z")
+  red = pres.reducer(3)
+  assert (red.width, red.rows) == (1, ({(1, 2): 2},))
+  assert pres.graded_piece(3).describe() == "Z/2"
+  # reduce drops the nonstandard terms before the reducer sees them
+  assert pres.reduce(P(2, {(3, 0): 5, (1, 2): 3, (0, 3): 7, (0, 1): 4})) == P(
+      2, {(1, 2): 1, (0, 1): 4})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from("zq"))
+def test_standard_monomial_pieces_match_the_full_basis(seed, nvars, domain):
+  rng = random.Random(seed)
+  degrees = [Fraction(rng.randint(1, 3), rng.randint(1, 2))
+             for _ in range(nvars)]
+  coeffs = [-1, 1, 1, 2, -3] + ([Fraction(1, 2)] if domain == "q" else [])
+  gens = []
+  for _ in range(rng.randint(0, 4)):
+    # one term often: the monomial generators over Q, and over Z where the
+    # coefficient is +/-1
+    ms = rational_monomials(degrees, rng.choice(
+        occurring_degrees(degrees, 3)[1:]))
+    gens.append(Poly(nvars, {m: rng.choice(coeffs) for m in rng.sample(
+        ms, min(len(ms), rng.choice([1, 1, 2, 3])))}))
+  if rng.random() < 0.5:
+    gens.append(Poly(nvars, {(2,) + (0,) * (nvars - 1): 2}))
+  if rng.random() < 0.15:
+    gens.append(Poly.constant(nvars, rng.choice([1, -1, 3])))
+  rng.shuffle(gens)
+  pres = RingPresentation(["x%d" % (i + 1) for i in range(nvars)], degrees,
+                          gens, None, domain)
+  degs = occurring_degrees(degrees, 4)
+  for deg in degs:
+    piece = pres.graded_piece(deg)
+    assert (piece.free_rank, piece.torsion) == full_basis_piece(pres, deg)
+  for _ in range(4):
+    ms = [m for d in rng.sample(degs, min(len(degs), 3))
+          for m in rational_monomials(degrees, d)]
+    poly = Poly(nvars, {m: rng.choice(coeffs + [7])
+                        for m in rng.sample(ms, min(len(ms), 6))})
+    assert pres.reduce(poly) == full_basis_reduce(pres, poly)
 
 
 def test_hilbert_table_below_the_linear_forms():
