@@ -14,14 +14,12 @@ from stackychow.lattice import (
 )
 from stackychow.gradedpoly import (
     Elimination,
-    EqualityWitness,
     GradedPieceReport,
     Poly,
     RingPresentation,
     eliminate,
     format_poly,
     hilbert_table,
-    ideal_equal_up_to,
 )
 from stackychow.stackyfan import (
     BoxElement,
@@ -40,32 +38,19 @@ from stackychow.charring import (
 )
 from stackychow.inertial import (
     Bundle,
-    KClass,
     MINUS_INFINITY,
     ORBIFOLD,
     PLUS_INFINITY,
     ProductKind,
     StarCalculator,
     VIRTUAL,
-    age,
     associativity_witnesses,
-    asymptotic_stabilization_witnesses,
-    b_minus,
-    b_plus,
     br_ideal,
     cr_ideal,
     inertial_presentation,
-    log_restriction,
-    log_restriction_phases,
-    log_trace,
-    log_trace_phases,
-    q_vector,
     sector_labels,
     star_exponents,
     star_product,
-    twist,
-    v_minus,
-    v_plus,
 )
 
 __all__ = [
@@ -74,14 +59,12 @@ __all__ = [
     "SnfDecomposition",
     "smith_normal_form",
     "Elimination",
-    "EqualityWitness",
     "GradedPieceReport",
     "Poly",
     "RingPresentation",
     "eliminate",
     "format_poly",
     "hilbert_table",
-    "ideal_equal_up_to",
     "BoxElement",
     "GroupElement",
     "StackyFan",
@@ -94,32 +77,19 @@ __all__ = [
     "sr_ideal",
     "sr_ring",
     "Bundle",
-    "KClass",
     "MINUS_INFINITY",
     "ORBIFOLD",
     "PLUS_INFINITY",
     "ProductKind",
     "StarCalculator",
     "VIRTUAL",
-    "age",
     "associativity_witnesses",
-    "asymptotic_stabilization_witnesses",
-    "b_minus",
-    "b_plus",
     "br_ideal",
     "cr_ideal",
     "inertial_presentation",
-    "log_restriction",
-    "log_restriction_phases",
-    "log_trace",
-    "log_trace_phases",
-    "q_vector",
     "sector_labels",
     "star_exponents",
     "star_product",
-    "twist",
-    "v_minus",
-    "v_plus",
 ]
 
 __version__ = "0.1.0"

@@ -189,14 +189,6 @@ class Poly:
   def has_integer_coefficients(self):
     return all(not isinstance(c, Fraction) for c in self.terms.values())
 
-  def components(self, degrees):
-    """Split into homogeneous parts, keyed by degree."""
-    parts = {}
-    for e, c in self.terms.items():
-      d = monomial_degree(e, degrees)
-      parts.setdefault(d, {})[e] = c
-    return {d: Poly._trusted(self.nvars, t) for d, t in sorted(parts.items())}
-
   def map_vars(self, new_nvars, images, memo=None):
     """Substitute images[i] for variable i: an int moves the exponent to
     that variable of the new ring, a Poly in the new ring is expanded.
@@ -272,13 +264,13 @@ class Poly:
     return "Poly(%d, %r)" % (self.nvars, dict(self.sorted_terms()))
 
 
-def monomial_degree(exp, degrees):
-  return sum((Fraction(d) * e for e, d in zip(exp, degrees)), Fraction(0))
-
-
 def monomials_of_degree(dd, t):
   """All exponent tuples of integer degree t under the integer variable
-  degrees dd, in ascending lexicographic order."""
+  degrees dd, in ascending lexicographic order.
+
+  The reducers enumerate standard monomials instead, so nothing here calls
+  it.  It stays as the tests' reference for the full monomial basis, and
+  the benchmark's tracer patches it by this module's name."""
   if any(x <= 0 for x in dd):
     raise ValueError("nonpositive variable degree")
   if t < 0:
@@ -382,7 +374,6 @@ class RingPresentation:
     self.scale = lcm(*(d.denominator for d in degrees))
     self.ideg = tuple(int(d * self.scale) for d in degrees)
     self._reducers = {}  # Fraction degree -> reducer
-    self._bases = {}     # integer degree -> monomial basis
     self._std = None     # integer degree -> standard monomials, see _standard
     self._gen_degrees = None
     self._gen_idegs = None
@@ -410,19 +401,6 @@ class RingPresentation:
   def _require_graded(self):
     if not self.is_graded:
       raise ValueError("presentation is not graded")
-
-  def basis(self, deg):
-    """Exponent tuples of degree deg, ascending lexicographic order (empty
-    off the grid of multiples of 1/scale)."""
-    t = Fraction(deg) * self.scale
-    if t.denominator == 1:
-      t = int(t)
-      if t not in self._bases:
-        self._bases[t] = monomials_of_degree(self.ideg, t)
-      return self._bases[t]
-    if any(x <= 0 for x in self.ideg):
-      raise ValueError("nonpositive variable degree")
-    return []
 
   def _standard(self, t):
     """The standard monomials of degree t in the integer grading, those no
@@ -511,38 +489,6 @@ class RingPresentation:
   def __repr__(self):
     return "RingPresentation(vars=%r, %d generators, domain=%s)" % (
         list(self.names), len(self.generators), self.domain)
-
-
-@dataclass(frozen=True)
-class EqualityWitness:
-  degree: Fraction
-  poly: Poly
-  where: str  # "first_only" or "second_only"
-
-
-def ideal_equal_up_to(p1, p2, maxdeg):
-  """Degreewise ideal comparison up to maxdeg.  Returns (bool, witness).
-
-  The ideals agree in every degree up to maxdeg exactly when each generator
-  of degree <= maxdeg of either one lies in the other.  The witness is the
-  first generator that does not, by (degree, side)."""
-  if p1.names != p2.names or p1.degrees != p2.degrees:
-    raise ValueError("mismatched variables")
-  if p1.domain != p2.domain:
-    raise ValueError("mismatched coefficient domains")
-  p1._require_graded()
-  p2._require_graded()
-  maxdeg = Fraction(maxdeg)
-  sides = ((p1, p2, "first_only"), (p2, p1, "second_only"))
-  checks = sorted((deg, s, k) for s, (pres, _, _) in enumerate(sides)
-                  for k, deg in enumerate(pres.generator_degrees())
-                  if deg <= maxdeg)
-  for deg, s, k in checks:
-    pres, other, where = sides[s]
-    g = pres.generators[k]
-    if not other.contains(g):
-      return False, EqualityWitness(deg, g, where)
-  return True, None
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Inertial products on the sectors of a toric Deligne-Mumford stack.
 
-Sectors are indexed by box elements and everything reduces to exact
-arithmetic on their q-vectors: logarithmic traces and restrictions, the
-index sets B+/B- and V+/V- restrictions of a sector pair, one exponent rule
-(star_exponents) behind the star products and twist classes of every kind,
-and the cone/box relation ideals that assemble into a presentation of the
-inertial Chow ring for each product kind.
+Sectors are indexed by box elements and everything reduces to integer
+arithmetic on their phase numerators: one exponent rule (star_exponents)
+gives the star product of a sector pair for every kind, and the cone/box
+relation ideals built from it assemble into a presentation of the inertial
+Chow ring for each product kind.  StarCalculator and
+associativity_witnesses check the products sector triple by sector triple.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from stackychow.charring import (
     sr_ideal,
 )
 from stackychow.gradedpoly import Poly, RingPresentation, eliminate
-from stackychow.lattice import frac
-from stackychow.stackyfan import BoxElement, StackyFan
+from stackychow.stackyfan import StackyFan
 
 
 class Bundle:
@@ -43,17 +42,6 @@ class Bundle:
   def n(self):
     return len(self.a)
 
-  @staticmethod
-  def zero(n):
-    return Bundle((0,) * n)
-
-  @staticmethod
-  def ones(n):
-    return Bundle((1,) * n)
-
-  def scaled(self, k):
-    return Bundle(tuple(k * c for c in self.a))
-
   def __eq__(self, other):
     return isinstance(other, Bundle) and self.a == other.a
 
@@ -62,48 +50,6 @@ class Bundle:
 
   def __repr__(self):
     return "Bundle(%r)" % (self.a,)
-
-
-class KClass:
-  """Exact rational combination of the L_i; integrality is checkable."""
-
-  __slots__ = ("coeffs",)
-
-  def __init__(self, coeffs):
-    self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-  def _chk(self, other):
-    if len(self.coeffs) != len(other.coeffs):
-      raise ValueError("classes with different numbers of line bundles")
-
-  def __add__(self, other):
-    self._chk(other)
-    return KClass([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-  def __sub__(self, other):
-    self._chk(other)
-    return KClass([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-  def scale(self, c):
-    return KClass([c * a for a in self.coeffs])
-
-  def is_zero(self):
-    return all(c == 0 for c in self.coeffs)
-
-  def is_integral(self):
-    return all(c.denominator == 1 for c in self.coeffs)
-
-  def is_nonnegative_integral(self):
-    return self.is_integral() and all(c >= 0 for c in self.coeffs)
-
-  def __eq__(self, other):
-    return isinstance(other, KClass) and self.coeffs == other.coeffs
-
-  def __hash__(self):
-    return hash(self.coeffs)
-
-  def __repr__(self):
-    return "KClass(%r)" % (list(self.coeffs),)
 
 
 _KIND_NAMES = ("orbifold", "virtual", "v_plus", "v_minus",
@@ -152,7 +98,8 @@ class ProductKind:
 
   @property
   def plus_sided(self):
-    """Whether the bundle exponents sit on B+ (else on B-)."""
+    """Whether the bundle exponents sit on the carries (else on the minus
+    flags); see star_exponents."""
     return self.name in ("orbifold", "v_plus")
 
   def twist_exponents(self, n):
@@ -187,64 +134,6 @@ PLUS_INFINITY = ProductKind("plus_infinity")
 MINUS_INFINITY = ProductKind("minus_infinity")
 
 
-# -- traces and restrictions ---------------------------------------------------
-
-def q_vector(fan: StackyFan, v: BoxElement):
-  """The coefficient vector of vbar on the rays, zero off sigma_min."""
-  return fan.box_lookup(v.v).q
-
-
-def age(fan: StackyFan, v: BoxElement) -> Fraction:
-  return fan.box_lookup(v.v).age
-
-
-def log_trace_phases(q, bundle: Bundle) -> KClass:
-  """sum_i a_i q_i L_i for a group element with rotation phases q."""
-  if len(q) != bundle.n:
-    raise ValueError("phase vector and bundle have different lengths")
-  return KClass([Fraction(qi) * ai for qi, ai in zip(q, bundle.a)])
-
-
-def log_trace(fan: StackyFan, v: BoxElement, bundle: Bundle) -> KClass:
-  return log_trace_phases(q_vector(fan, v), bundle)
-
-
-def log_restriction_phases(qs, bundle: Bundle) -> KClass:
-  """Logarithmic restriction of the bundle at a tuple of sectors given by
-  their rotation phase vectors; the phases must sum to integers."""
-  n = bundle.n
-  qs = [tuple(Fraction(c) for c in q) for q in qs]
-  for q in qs:
-    if len(q) != n:
-      raise ValueError("phase vector and bundle have different lengths")
-  sums = [sum((q[i] for q in qs), Fraction(0)) for i in range(n)]
-  if any(frac(s) != 0 for s in sums):
-    raise ValueError("tuple does not multiply to identity")
-  coeffs = []
-  for i in range(n):
-    if sums[i] == 0:
-      # every sector in the tuple fixes the i-th coordinate, so the fixed
-      # part keeps a_i and cancels against the restriction term
-      coeffs.append(Fraction(0))
-    else:
-      coeffs.append(bundle.a[i] * (sums[i] - 1))
-  out = KClass(coeffs)
-  if not out.is_nonnegative_integral():
-    raise ValueError("non-integral logarithmic restriction")
-  return out
-
-
-def log_restriction(fan: StackyFan, vs, bundle: Bundle) -> KClass:
-  """Logarithmic restriction at a tuple of box elements whose group elements
-  multiply to the identity (torsion phases included in the check)."""
-  els = [fan.box_lookup(v.v) for v in vs]
-  for l in range(fan.r):
-    total = sum((fan.group_element(v).s_phases[l] for v in els), Fraction(0))
-    if frac(total) != 0:
-      raise ValueError("tuple does not multiply to identity")
-  return log_restriction_phases([v.q for v in els], bundle)
-
-
 # -- pair data -----------------------------------------------------------------
 
 def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
@@ -253,10 +142,17 @@ def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
   zero.  The target is None when the pair shares no cone; the asymptotic
   kinds keep the box-sum target on their vanishing pairs.
 
-  e is the carry plus a_i on the kind's flags (see _pair_rule): the carries
-  for the plus-sided kinds, the minus flags for the others.  +infinity
-  vanishes where some ray carries, -infinity where some minus flag is set
-  (a closed set, or the limit of the scaled products would not exist)."""
+  With s = q1 + q2 on a ray, the carry is [s >= 1] (StackyFan.carries) and
+  the minus flag [q1, q2 != 0 and s <= 1]; both are set on the boundary
+  s = 1.  e is the carry plus a_i on the kind's flags: the carries for the
+  plus-sided kinds, the minus flags for the others.  So B+ is the carry set
+  and V+ the sum of a_i L_i over it, B- the minus flags off the boundary,
+  and the twist class is e less the boundary.  The minus flag is [q1 != 0] +
+  [q2 != 0] - [s not an integer] - floor(s), so both bracketings of a
+  triple add the same flags; leaving out the boundary would make v-minus
+  (1,1,1) fail on 92 triples of P(6,5,4).  +infinity vanishes where some
+  ray carries, -infinity where some minus flag is set (a closed set, or
+  the limit of the scaled products would not exist)."""
   a = fan.box_lookup(v1.v)
   b = fan.box_lookup(v2.v)
   exps = fan.carries(a, b)
@@ -274,57 +170,6 @@ def star_exponents(fan: StackyFan, kind: ProductKind, v1, v2):
       return target, None if any(on) else tuple(exps)
   return target, tuple(e + c * k for e, c, k in
                        zip(exps, kind.twist_exponents(fan.n), on))
-
-
-def _pair_rule(fan, v1, v2):
-  """Per-ray (carry, minus flag, boundary) of a sector pair sharing a cone.
-
-  With s = q1 + q2, the carry is [s >= 1] (StackyFan.carries) and the minus
-  flag [q1, q2 != 0 and s <= 1] (star_exponents; the virtual exponents are
-  their sum); the boundary, s = 1, is where both are set.  The minus flag
-  is [q1 != 0] + [q2 != 0] - [s not an integer] - floor(s), so both
-  bracketings of a triple add the same flags: without the boundary,
-  associativity_witnesses lists 92 triples of P(6,5,4) for v-minus (1,1,1)."""
-  target, carry = star_exponents(fan, ORBIFOLD, v1, v2)
-  if target is None:
-    raise ValueError("no common cone")
-  _, virtual = star_exponents(fan, VIRTUAL, v1, v2)
-  minus = [e - c for e, c in zip(virtual, carry)]
-  return carry, minus, [c & m for c, m in zip(carry, minus)]
-
-
-def b_plus(fan: StackyFan, v1, v2):
-  """0-based ray indices of B+, the carry set."""
-  carry, _, _ = _pair_rule(fan, v1, v2)
-  return tuple(i for i, c in enumerate(carry) if c)
-
-
-def b_minus(fan: StackyFan, v1, v2):
-  """0-based ray indices of B-, the minus flags without the boundary."""
-  _, minus, boundary = _pair_rule(fan, v1, v2)
-  return tuple(i for i, (m, o) in enumerate(zip(minus, boundary)) if m > o)
-
-
-def v_plus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
-  idx = set(b_plus(fan, v1, v2))
-  return KClass([bundle.a[i] if i in idx else 0 for i in range(fan.n)])
-
-
-def v_minus(fan: StackyFan, v1, v2, bundle: Bundle) -> KClass:
-  """sum of a_i L_i over b_minus, so without the boundary rays."""
-  idx = set(b_minus(fan, v1, v2))
-  return KClass([bundle.a[i] if i in idx else 0 for i in range(fan.n)])
-
-
-def twist(fan: StackyFan, kind: ProductKind, v1, v2) -> Poly:
-  """The twist class of the pair as a polynomial in the x variables: the
-  star exponents less the boundary."""
-  if kind.is_asymptotic:
-    raise ValueError("asymptotic products have no twist class")
-  _, _, boundary = _pair_rule(fan, v1, v2)
-  _, exps = star_exponents(fan, kind, v1, v2)
-  return character_data(fan).tilde_monomial(
-      tuple(e - o for e, o in zip(exps, boundary)))
 
 
 def star_product(fan: StackyFan, kind: ProductKind, v1, v2):
@@ -611,28 +456,3 @@ def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
         if le != re and not calc.associates(lt, le, rt, re):
           out.update(((i, j, l), (l, j, i)))
   return sorted(out)
-
-
-def asymptotic_stabilization_witnesses(fan: StackyFan, scale, plus=True):
-  """Sector pairs where the product for scale * (sum of all L_i) still
-  differs, over the rationals, from its asymptotic limit.  Empty once the
-  scale exceeds the dimension of every sector the pairs land in."""
-  bundle = Bundle.ones(fan.n).scaled(scale)
-  kind = ProductKind.v_plus(bundle) if plus else ProductKind.v_minus(bundle)
-  limit = PLUS_INFINITY if plus else MINUS_INFINITY
-  scaled = StarCalculator(fan, kind, domain="q")
-  asym = StarCalculator(fan, limit)
-  out = []
-  k = len(scaled.els)
-  for i in range(k):
-    for j in range(i, k):
-      t1, e1 = scaled.table[i][j]
-      t2, e2 = asym.table[i][j]
-      if ((t1 is None and t2 is None)
-          or scaled.exponents(e1) == asym.exponents(e2)):
-        continue
-      assert t1 == t2
-      if not scaled.reduces_to_zero(
-          t1, scaled.coefficient(e1) - asym.coefficient(e2)):
-        out.append((i, j))
-  return out

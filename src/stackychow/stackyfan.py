@@ -1,4 +1,4 @@
-"""Stacky fans, their boxes, and the box <-> group-element correspondence.
+"""Stacky fans, their boxes, and the group elements of the box.
 
 A stacky fan is a simplicial fan together with a distinguished integer point
 on each ray, living in a finitely generated abelian group N = Z^d + torsion.
@@ -19,7 +19,6 @@ from stackychow.lattice import (
     IntMatrix,
     QReducer,
     ZReducer,
-    frac,
     rational_rank,
     smith_normal_form,
 )
@@ -377,31 +376,6 @@ class StackyFan:
       drift = -sum(c * self.tors(i)[l] for i, c in enumerate(v.p)) % den
       s.append(Fraction(drift + v.v[self.d + l] * den, den * m))
     return GroupElement(v.q, tuple(s))
-
-  def box_from_group(self, g: GroupElement):
-    q = tuple(Fraction(c) for c in g.gamma_phases)
-    if len(q) != self.n or len(g.s_phases) != self.r:
-      raise ValueError("phase vector of wrong length")
-    if any(not 0 <= c < 1 for c in q):
-      raise ValueError("phase relations violated: gamma phase out of [0,1)")
-    support = tuple(i for i, c in enumerate(q) if c != 0)
-    if not self.has_common_cone(support):
-      raise ValueError("does not fix a point of Z")
-    vbar = []
-    for j in range(self.d):
-      val = sum((qi * self.free(i)[j] for i, qi in enumerate(q)), Fraction(0))
-      if val.denominator != 1:
-        raise ValueError("phase relations violated: nonintegral point")
-      vbar.append(int(val))
-    tors = []
-    for l, m in enumerate(self.torsion):
-      drift = frac(-sum((qi * self.tors(i)[l] for i, qi in enumerate(q)),
-                        Fraction(0)))
-      p = Fraction(g.s_phases[l]) * m - drift
-      if p.denominator != 1 or not 0 <= p < m:
-        raise ValueError("phase relations violated: bad s phase")
-      tors.append(int(p))
-    return self.box_lookup(tuple(vbar) + tuple(tors))
 
   def __repr__(self):
     return "StackyFan(d=%d, torsion=%r, n=%d, max_cones=%r)" % (

@@ -207,6 +207,22 @@ def box_inverse(fan, v):
   return found[0]
 
 
+def log_trace(q, a):
+  """The logarithmic trace sum_i a_i q_i L_i of a group element with
+  rotation phases q on the bundle sum_i a_i L_i, as Fraction coefficients."""
+  return tuple(Fraction(qi) * ai for qi, ai in zip(q, a))
+
+
+def log_restriction(qs, a):
+  """The logarithmic restriction of a tuple of group elements multiplying
+  to the identity, given by their rotation phases: their log traces summed,
+  less a_i on every ray one of them moves."""
+  sums = [sum(t) for t in zip(*(log_trace(q, a) for q in qs))]
+  assert all(s.denominator == 1 for s in sums)
+  return tuple(s - k if any(q[i] for q in qs) else 0
+               for i, (s, k) in enumerate(zip(sums, a)))
+
+
 def rational_monomials(degrees, target):
   """The monomials of a rational degree under rational variable degrees:
   both are scaled by the lcm of the degree denominators, and a target off
@@ -229,6 +245,22 @@ def homogeneous_degree(poly, degrees):
   if len(degs) > 1:
     return None
   return degs.pop() if degs else Fraction(0)
+
+
+def first_generator_outside(p1, p2, maxdeg):
+  """The first generator of degree <= maxdeg, by (degree, side), of one of
+  two graded presentations that the other's ideal does not contain, as
+  (degree, side, generator) with side 0 for p1; None when the two ideals
+  agree in every degree up to maxdeg."""
+  sides = (p1, p2)
+  checks = sorted((deg, s, k) for s, pres in enumerate(sides)
+                  for k, deg in enumerate(pres.generator_degrees())
+                  if deg <= maxdeg)
+  for deg, s, k in checks:
+    g = sides[s].generators[k]
+    if not sides[1 - s].contains(g):
+      return deg, s, g
+  return None
 
 
 # -- the full-basis reducer ---------------------------------------------------

@@ -243,6 +243,63 @@ def test_presentation_document_refuses_a_power_above_the_limit():
   assert pres.generators[0].terms == {(MAX_POWER,): 1}
 
 
+@pytest.fixture(scope="module")
+def printed_presentations(docs):
+  """The presentation documents that inertial, inertial --simplify, chow
+  and inertial --product minus-inf print."""
+  out = []
+  for argv in (("inertial", docs["p654"]),
+               ("inertial", docs["p654"], "--simplify"),
+               ("chow", docs["p64"]),
+               ("inertial", docs["p654"], "--product", "minus-inf")):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+      assert main(list(argv)) == 0
+    out.append(text.getvalue())
+  return out
+
+
+def _leaf_paths(node, path=()):
+  """The key paths to the leaves of a JSON value: its scalars and its
+  empty containers."""
+  if isinstance(node, (dict, list)) and node:
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+      yield from _leaf_paths(child, path + (key,))
+  else:
+    yield path
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 10 ** 7), st.just(0.5),
+    st.text(max_size=6), st.just([]), st.just({}), st.just([1, 2]),
+    st.sampled_from(["0", "-1", "1/0", "3/2", "1e30000000", "1e-30000000",
+                     str(MAX_POWER + 1), "w1", "x1", "z", "q", "box"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_presentation_document_mutations(printed_presentations, data):
+  # a printed document with one to three leaves replaced reads back as a
+  # presentation or is refused with the program's own errors, quickly
+  doc = json.loads(data.draw(st.sampled_from(printed_presentations)))
+  paths = list(_leaf_paths(doc))
+  for path in data.draw(st.lists(st.sampled_from(paths), min_size=1,
+                                 max_size=3)):
+    node = doc
+    for key in path[:-1]:
+      node = node[key]
+    node[path[-1]] = data.draw(_LEAVES)
+  start = time.perf_counter()
+  try:
+    pres, _ = parse_presentation_document(doc)
+  except (CliError, ValueError):
+    pass
+  else:
+    assert isinstance(pres, RingPresentation)
+  assert time.perf_counter() - start < 1
+
+
 def test_bundle_above_the_limit_is_refused(tmp_path, capsys, docs):
   # a star exponent is a bundle coefficient plus one carry, and a printed
   # power above MAX_POWER would not read back
@@ -297,6 +354,40 @@ def test_the_module_runs_as_a_process(tmp_path, capsys, docs):
       ("validate", docs["p64"]), ("validate", str(bad)),
       ("validate", str(flat)), ("multiply", docs["p654"], "nope", "w1"))]
   assert codes == [0, 1, 2, 3]
+
+
+_TRACED_JOBS = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+from stackychow import charring, cli
+tracer = spans.Tracer()
+spans.install(tracer)
+assert len(charring._character_cache) == 0
+doc = sys.argv[2]
+for k, argv in enumerate((["hilbert", doc, "--maxdeg", "2"],
+                          ["inertial", doc, "--simplify"],
+                          ["check-assoc", doc])):
+  with contextlib.redirect_stdout(io.StringIO()):
+    assert tracer.job(k, cli.main, argv) == 0, argv
+layers = tracer.layers()
+for name in ("gradedpoly.reducer", "gradedpoly.eliminate", "inertial.assoc",
+             "stackyfan.box", "cli.emit"):
+  assert layers[name][0] > 0, name
+"""
+
+
+def test_the_benchmark_tracer_patches_every_name_it_names(docs):
+  # perfbench/spans.py wraps program names from outside the program, and
+  # perfbench/run.py reads charring._character_cache: a deleted or renamed
+  # name fails only the traced benchmark runs unless a test installs them.
+  # A fresh process keeps the patches out of the other tests.
+  root = Path(__file__).resolve().parents[1]
+  env = {**os.environ, "PYTHONPATH": str(root / "src")}
+  done = subprocess.run(
+      [sys.executable, "-c", _TRACED_JOBS, str(root / "perfbench"),
+       docs["p654"]], capture_output=True, env=env, timeout=120, text=True)
+  assert done.returncode == 0, done.stderr
 
 
 def test_the_readme_runs(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from stackychow import gradedpoly
 from stackychow.gradedpoly import (
-    EqualityWitness,
     GradedPieceReport,
     Poly,
     RingPresentation,
@@ -17,14 +16,13 @@ from stackychow.gradedpoly import (
     format_coeff,
     format_poly,
     hilbert_table,
-    ideal_equal_up_to,
     monomials_of_degree,
     occurring_degrees,
 )
 from stackychow.lattice import AbGroup, QReducer, ZReducer
-from tests.conftest import (dense, full_basis_piece, full_basis_reduce,
-                            homogeneous_degree, rational_monomials,
-                            reference_eliminate)
+from tests.conftest import (dense, first_generator_outside, full_basis_piece,
+                            full_basis_reduce, homogeneous_degree,
+                            rational_monomials, reference_eliminate)
 
 
 def P(nvars, terms):
@@ -53,8 +51,6 @@ def test_poly_homogeneity():
   assert homogeneous_degree(p, [1, 1]) is None
   assert homogeneous_degree(p, [1, 2]) == 2
   assert homogeneous_degree(Poly.zero(2), [1, 2]) == 0
-  parts = p.components([1, 1])
-  assert sorted(parts) == [1, 2]
 
 
 def test_monomials_of_degree():
@@ -79,22 +75,19 @@ def test_monomials_of_degree():
     monomials_of_degree((2, 0, 3), 1)
 
 
-def test_basis_enumerates_on_the_integer_grading(monkeypatch):
+def test_basis_enumerates_on_the_integer_grading():
   pres = RingPresentation(["a", "b"], [Fraction(1, 2), 1], [], domain="q")
-  seen = []
-  real = gradedpoly.monomials_of_degree
-  monkeypatch.setattr(gradedpoly, "monomials_of_degree",
-                      lambda d, t: seen.append((d, t)) or real(d, t))
-  assert pres.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
-  assert pres.basis(Fraction(3, 2)) == [(1, 1), (3, 0)]
-  # off the grid of multiples of 1/2 there is no monomial to enumerate
-  assert pres.basis(Fraction(1, 3)) == []
-  assert seen == [((1, 2), 3)]
+  assert (pres.scale, pres.ideg) == (2, (1, 2))
+  # with no generator every monomial is standard: a^3 and a b in degree 3/2
+  assert pres.reducer(Fraction(3, 2)).width == 2
+  assert pres._std[3] == {(1, 1), (3, 0)}
+  # off the grid of multiples of 1/2 there is no monomial
+  assert pres.graded_piece(Fraction(1, 3)).describe() == "0"
   # the refusal of a degree-0 variable holds on the grid and off it
-  flat = RingPresentation(["a", "b"], [Fraction(1, 2), 0], [], domain="q")
   for deg in (1, Fraction(1, 3)):
+    flat = RingPresentation(["a", "b"], [Fraction(1, 2), 0], [], domain="q")
     with pytest.raises(ValueError, match="nonpositive variable degree"):
-      flat.basis(deg)
+      flat.graded_piece(deg)
 
 
 def test_occurring_degrees():
@@ -164,18 +157,13 @@ def test_ideal_equal_redundant_generator():
   p2 = RingPresentation(["x1", "x2"], [1, 1],
                         [Poly.linear([4, -6]), Poly.linear([2, -3])],
                         ["linear", "linear"], "z")
-  ok, witness = ideal_equal_up_to(p1, p2, 3)
-  assert ok and witness is None
+  assert first_generator_outside(p1, p2, 3) is None
 
 
 def test_ideal_unequal_witness():
   p1 = RingPresentation(["x"], [1], [P(1, {(2,): 1})], ["box"], "z")
   p2 = RingPresentation(["x"], [1], [P(1, {(3,): 1})], ["box"], "z")
-  ok, witness = ideal_equal_up_to(p1, p2, 3)
-  assert not ok
-  assert witness.degree == 2
-  assert witness.where == "first_only"
-  assert witness.poly == P(1, {(2,): 1})
+  assert first_generator_outside(p1, p2, 3) == (2, 0, P(1, {(2,): 1}))
 
 
 def test_ideal_equal_depends_on_the_domain():
@@ -183,10 +171,8 @@ def test_ideal_equal_depends_on_the_domain():
   x = Poly.variable(1, 0)
   pres = [[RingPresentation(["x"], [1], [g], ["box"], domain)
            for g in (x * 2, x)] for domain in ("z", "q")]
-  ok, witness = ideal_equal_up_to(*pres[0], 3)
-  assert not ok
-  assert (witness.degree, witness.where, witness.poly) == (1, "second_only", x)
-  assert ideal_equal_up_to(*pres[1], 3) == (True, None)
+  assert first_generator_outside(*pres[0], 3) == (1, 1, x)
+  assert first_generator_outside(*pres[1], 3) is None
 
 
 def test_eliminate_single_linear():
@@ -406,7 +392,12 @@ def _reference_case(rng):
   times a factor (torsion), a chain of bare substitutions x_a - c*m with m
   holding the next variable of the chain, random polynomials (Fraction
   coefficients over Q), and maybe a block where a substitution cancels a
-  variable from a generator the holders index still lists under it."""
+  variable from a generator the holders index still lists under it.
+
+  A chain monomial holds at most one variable besides the next one, and
+  every exponent outside the stale block is at most 1: composed chains
+  with larger monomials blow up, and one seed in a few hundred then ran
+  eliminate for seconds on outputs of tens of thousands of terms."""
   domain = rng.choice("zq")
   stale = rng.random() < 0.5
   nvars = rng.randint(1, 5)
@@ -425,14 +416,17 @@ def _reference_case(rng):
                              for _ in range(total)]))
   chain = rng.sample(range(total), rng.randint(0, total))
   for t, a in enumerate(chain):
-    m = [0 if i == a else rng.randint(0, 2) for i in range(total)]
+    m = [0] * total
     if t + 1 < len(chain):
-      m[chain[t + 1]] += 1
+      m[chain[t + 1]] = 1
+    other = rng.randrange(total)
+    if other != a and not m[other]:
+      m[other] = rng.randint(0, 1)
     gens.append(Poly(total, {unit(a): rng.choice([1, -1]),
                              tuple(m): rng.choice(coeffs)}))
   for _ in range(rng.randint(0, 3)):
     gens.append(Poly(total, {
-        tuple(rng.randint(0, 2) for _ in range(total)): rng.choice(coeffs)
+        tuple(rng.randint(0, 1) for _ in range(total)): rng.choice(coeffs)
         for _ in range(rng.randint(1, 3))}))
   if stale:
     # a := v*y empties a*z - v*y*z + z^2 of v before v := z^2
@@ -578,11 +572,9 @@ def test_ideal_equal_unimodular_invariance(seed):
                         ["box"] if not g1.is_zero() else [], "z")
   p2 = RingPresentation(names, [1, 1], [g2] if not g2.is_zero() else [],
                         ["box"] if not g2.is_zero() else [], "z")
-  ok, _ = ideal_equal_up_to(p1, p2, 3)
-  ok_sym, _ = ideal_equal_up_to(p2, p1, 3)
-  assert ok == ok_sym
-  ok_refl, _ = ideal_equal_up_to(p1, p1, 3)
-  assert ok_refl
+  ok = first_generator_outside(p1, p2, 3) is None
+  assert ok == (first_generator_outside(p2, p1, 3) is None)
+  assert first_generator_outside(p1, p1, 3) is None
   # shear x1 -> x1 + 2 x2 on both sides
   images = [P(2, {(1, 0): 1, (0, 1): 2}), Poly.variable(2, 1)]
   t1 = RingPresentation(names, [1, 1],
@@ -591,8 +583,7 @@ def test_ideal_equal_unimodular_invariance(seed):
   t2 = RingPresentation(names, [1, 1],
                         [g.map_vars(2, images) for g in p2.generators],
                         p2.tags, "z")
-  ok_t, _ = ideal_equal_up_to(t1, t2, 3)
-  assert ok == ok_t
+  assert ok == (first_generator_outside(t1, t2, 3) is None)
 
 
 def _fraction_piece(pres, deg):
@@ -643,8 +634,8 @@ def test_integer_grading_matches_fraction_reference(seed, nvars, domain):
   step = Fraction(1, pres.scale)
   for deg in (-1, -step, 0, step / 2, Fraction(1, 7), step, 1, Fraction(5, 2),
               Fraction(5, 2) + step / 3):
-    assert pres.basis(deg) == rational_monomials(degrees, deg)
-    assert pres.basis(deg) == rational_monomials(degrees, deg)
+    for m in rational_monomials(degrees, deg):
+      assert Fraction(sum(map(mul, m, pres.ideg)), pres.scale) == deg
   # sometimes below x1's degree, where the linear form below is dropped
   maxdeg = rng.choice([Fraction(rng.randint(0, 8), 2), degrees[0] / 2])
   gens.append(Poly.linear([rng.choice([-2, 1, 3]) if d == degrees[0] else 0

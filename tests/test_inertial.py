@@ -20,31 +20,19 @@ from stackychow.inertial import (
     PLUS_INFINITY,
     VIRTUAL,
     Bundle,
-    KClass,
     ProductKind,
     StarCalculator,
-    age,
     associativity_witnesses,
-    asymptotic_stabilization_witnesses,
-    b_minus,
-    b_plus,
     br_ideal,
     cr_ideal,
     inertial_presentation,
-    log_restriction,
-    log_restriction_phases,
-    log_trace,
-    log_trace_phases,
-    q_vector,
     star_exponents,
     star_product,
-    twist,
-    v_minus,
-    v_plus,
 )
-from stackychow.stackyfan import GroupElement, StackyFan, weighted_projective_fan
+from stackychow.stackyfan import StackyFan, weighted_projective_fan
 
-from tests.conftest import (box_inverse, double_box, random_valid_fans,
+from tests.conftest import (box_inverse, double_box, log_restriction,
+                            log_trace, random_valid_fans,
                             reference_presentation, share_a_cone, valid_fans)
 
 F = Fraction
@@ -58,29 +46,50 @@ def tilde(fan, i, *, power=1):
   return character_data(fan).tilde_poly(i).pow(power)
 
 
+def pair_flags(fan, v, w):
+  """(carry, minus) per ray of two sectors that share a cone: the orbifold
+  star exponents, and the virtual ones less the carry."""
+  _, carry = star_exponents(fan, ORBIFOLD, v, w)
+  _, virtual = star_exponents(fan, VIRTUAL, v, w)
+  return carry, tuple(map(sub, virtual, carry))
+
+
+def index_sets(fan, v, w):
+  """(B+, B-) as 0-based rays: the carry set, and the minus flags off the
+  boundary, where both flags are set."""
+  carry, minus = pair_flags(fan, v, w)
+  return (tuple(i for i, c in enumerate(carry) if c),
+          tuple(i for i, (c, m) in enumerate(zip(carry, minus)) if m > c))
+
+
+def v_classes(fan, v, w, a):
+  """(V+, V-) of a pair on the bundle a, as coefficient tuples: the v-plus
+  star exponents less the carry, and the v-minus ones less the carry and
+  off the boundary."""
+  carry, minus = pair_flags(fan, v, w)
+  _, plus_exps = star_exponents(fan, ProductKind.v_plus(Bundle(a)), v, w)
+  _, minus_exps = star_exponents(fan, ProductKind.v_minus(Bundle(a)), v, w)
+  return (tuple(map(sub, plus_exps, carry)),
+          tuple(e - c - k * (c & m)
+                for e, c, m, k in zip(minus_exps, carry, minus, a)))
+
+
+def twist(fan, kind, v, w):
+  """The twist class of a pair: the star exponents less the boundary rays,
+  where the phase sum is one, as a polynomial in the x variables."""
+  _, exps = star_exponents(fan, kind, v, w)
+  return character_data(fan).tilde_monomial(tuple(
+      e - (x + y == 1) for e, x, y in zip(exps, v.q, w.q)))
+
+
 # -- bundles, classes, kinds ---------------------------------------------------
 
 def test_bundle_validation():
   assert Bundle((1, 2, 3)).a == (1, 2, 3)
-  assert Bundle.zero(3).a == (0, 0, 0)
-  assert Bundle.ones(2).scaled(4).a == (4, 4)
   with pytest.raises(ValueError):
     Bundle((1, -1))
   with pytest.raises(ValueError):
     Bundle((F(3, 2),))
-
-
-def test_kclass_arithmetic():
-  a = KClass((1, F(1, 2)))
-  b = KClass((0, F(1, 2)))
-  assert (a + b).coeffs == (1, 1)
-  assert (a - a).is_zero()
-  assert a.scale(2).is_integral()
-  assert not a.is_integral()
-  assert KClass((0, 3)).is_nonnegative_integral()
-  assert not KClass((0, -3)).is_nonnegative_integral()
-  with pytest.raises(ValueError):
-    a + KClass((1,))
 
 
 def test_product_kind_construction():
@@ -110,128 +119,99 @@ def test_product_kind_construction():
 # -- q-vectors and ages ----------------------------------------------------
 
 def test_q_vectors_and_ages(p654, p64):
-  assert q_vector(p654, el(p654, (-1, -1))) == (0, F(1, 6), F(1, 3))
-  assert q_vector(p654, el(p654, (0, -1))) == (F(3, 5), 0, F(2, 5))
-  assert age(p654, el(p654, (1, 1))) == F(3, 4)
+  assert el(p654, (-1, -1)).q == (0, F(1, 6), F(1, 3))
+  assert el(p654, (0, -1)).q == (F(3, 5), 0, F(2, 5))
+  assert el(p654, (1, 1)).age == F(3, 4)
   ident = p654.box()[0]
-  assert q_vector(p654, ident) == (0, 0, 0)
-  assert age(p654, ident) == 0
-  assert q_vector(p64, el(p64, (1, 0))) == (F(1, 2), 0)
-  assert age(p64, el(p64, (1, 0))) == F(1, 2)
+  assert ident.q == (0, 0, 0)
+  assert ident.age == 0
+  assert el(p64, (1, 0)).q == (F(1, 2), 0)
+  assert el(p64, (1, 0)).age == F(1, 2)
   # pure-torsion sector: trivial rotation, age zero
-  assert q_vector(p64, el(p64, (0, 1))) == (0, 0)
-  assert age(p64, el(p64, (0, 1))) == 0
+  assert el(p64, (0, 1)).q == (0, 0)
+  assert el(p64, (0, 1)).age == 0
 
 
-# -- logarithmic trace -----------------------------------------------------
+# -- logarithmic trace and restriction: the Fraction oracles -------------------
 
 def test_log_trace_phases():
-  ones = Bundle.ones(4)
-  got = log_trace_phases((F(2, 3), F(1, 3), F(2, 3), 0), ones)
-  assert got == KClass((F(2, 3), F(1, 3), F(2, 3), 0))
-  weighted = log_trace_phases((F(1, 2), F(1, 4)), Bundle((2, 4)))
-  assert weighted == KClass((1, 1))
-  with pytest.raises(ValueError):
-    log_trace_phases((F(1, 2),), ones)
+  got = log_trace((F(2, 3), F(1, 3), F(2, 3), 0), (1,) * 4)
+  assert got == (F(2, 3), F(1, 3), F(2, 3), 0)
+  assert log_trace((F(1, 2), F(1, 4)), (2, 4)) == (1, 1)
 
 
 def test_log_trace_on_box_elements(p654):
   wpf = weighted_projective_fan((2, 4, 5, 6))
-  g = GroupElement((F(2, 3), F(1, 3), F(2, 3), F(0)), ())
-  v = wpf.box_from_group(g)
-  assert log_trace(wpf, v, Bundle.ones(4)) == KClass((F(2, 3), F(1, 3), F(2, 3), 0))
-  assert log_trace(wpf, wpf.box()[0], Bundle.ones(4)).is_zero()
-  assert log_trace(p654, el(p654, (1, 1)), Bundle.ones(3)) == KClass(
-      (F(1, 2), F(1, 4), 0))
+  v, = [e for e in wpf.box() if e.q == (F(2, 3), F(1, 3), F(2, 3), 0)]
+  assert log_trace(v.q, (1,) * 4) == (F(2, 3), F(1, 3), F(2, 3), 0)
+  assert not any(log_trace(wpf.box()[0].q, (1,) * 4))
+  assert log_trace(el(p654, (1, 1)).q, (1,) * 3) == (F(1, 2), F(1, 4), 0)
 
-
-# -- logarithmic restriction -------------------------------------------------
 
 def test_log_restriction_phases_concrete():
   # rotation numbers 1/6, 1/3, 1/2 acting with weights (2, 4, 5, 6)
   qs = [(F(1, 3), F(2, 3), F(5, 6), 0),
         (F(2, 3), F(1, 3), F(2, 3), 0),
         (0, 0, F(1, 2), 0)]
-  got = log_restriction_phases(qs, Bundle.ones(4))
-  assert got == KClass((0, 0, 1, 0))
-  with pytest.raises(ValueError, match="does not multiply to identity"):
-    log_restriction_phases(qs[:2], Bundle.ones(4))
-
-
-def test_log_restriction_on_box_elements(p654):
-  ident = p654.box()[0]
-  assert log_restriction(p654, (ident, ident, ident), Bundle.ones(3)).is_zero()
-  with pytest.raises(ValueError, match="does not multiply to identity"):
-    log_restriction(p654, (el(p654, (1, 1)), ident), Bundle.ones(3))
-
-
-def test_log_restriction_torsion_check(p64):
-  # both elements rotate trivially; only the torsion phases obstruct
-  ident = p64.box()[0]
-  tors = el(p64, (0, 1))
-  assert log_restriction(p64, (tors, tors), Bundle.ones(2)).is_zero()
-  with pytest.raises(ValueError, match="does not multiply to identity"):
-    log_restriction(p64, (tors, ident), Bundle.ones(2))
+  assert log_restriction(qs, (1,) * 4) == (0, 0, 1, 0)
+  assert log_restriction(qs, (2, 0, 3, 1)) == (0, 0, 3, 0)
 
 
 def test_log_restriction_of_inverse_pairs(p654):
-  a = Bundle((1, 2, 3))
+  a = (1, 2, 3)
   for v in p654.box():
-    assert log_restriction(p654, (v, box_inverse(p654, v)), a).is_zero()
+    assert not any(log_restriction((v.q, box_inverse(p654, v).q), a))
 
 
 def test_log_restriction_of_triples_matches_excess(p654):
   # for (v1, v2, inverse of their sum) the coefficient at ray i is a_i
-  # exactly when q1_i + q2_i > 1
-  a = Bundle((1, 2, 3))
+  # exactly when q1_i + q2_i > 1: the v-plus exponents less the carry,
+  # off the boundary
+  a = (1, 2, 3)
+  kind = ProductKind.v_plus(Bundle(a))
   for v1, v2 in double_box(p654):
     v3 = box_inverse(p654, p654.box_add(v1, v2))
-    got = log_restriction(p654, (v1, v2, v3), a)
-    want = [a.a[i] if v1.q[i] + v2.q[i] > 1 else 0 for i in range(3)]
-    assert got == KClass(want)
+    carry, minus = pair_flags(p654, v1, v2)
+    _, exps = star_exponents(p654, kind, v1, v2)
+    want = tuple(e - c - k * (c & m)
+                 for e, c, m, k in zip(exps, carry, minus, a))
+    assert log_restriction((v1.q, v2.q, v3.q), a) == want
+    assert want == tuple(k if x + y > 1 else 0
+                         for x, y, k in zip(v1.q, v2.q, a))
 
 
 # -- index sets and obstruction classes ----------------------------------------
 
 def test_b_plus_b_minus_table(p654):
   v1, v2, v3 = el(p654, (0, 1)), el(p654, (1, 1)), el(p654, (1, 2))
-  assert b_plus(p654, v1, v2) == ()
-  assert b_minus(p654, v1, v2) == (1,)
-  assert b_plus(p654, v2, v2) == (0,)
-  assert b_minus(p654, v2, v2) == (1,)
-  assert b_plus(p654, v2, v3) == (0, 1)
-  assert b_minus(p654, v2, v3) == ()
+  assert index_sets(p654, v1, v2) == ((), (1,))
+  assert index_sets(p654, v2, v2) == ((0,), (1,))
+  assert index_sets(p654, v2, v3) == ((0, 1), ())
   ident = p654.box()[0]
-  assert b_plus(p654, v2, ident) == ()
-  assert b_minus(p654, v2, ident) == ()
-  with pytest.raises(ValueError, match="no common cone"):
-    b_plus(p654, v1, el(p654, (-2, -3)))
+  assert index_sets(p654, v2, ident) == ((), ())
 
 
 def test_v_plus_v_minus(p654):
   v1, v2, v3 = el(p654, (0, 1)), el(p654, (1, 1)), el(p654, (1, 2))
-  a = Bundle((1, 2, 3))
-  assert v_plus(p654, v1, v2, a).is_zero()
-  assert v_minus(p654, v1, v2, a) == KClass((0, 2, 0))
-  assert v_plus(p654, v2, v2, a) == KClass((1, 0, 0))
-  assert v_minus(p654, v2, v2, a) == KClass((0, 2, 0))
-  assert v_plus(p654, v2, v3, a) == KClass((1, 2, 0))
-  assert v_minus(p654, v2, v3, a).is_zero()
+  a = (1, 2, 3)
+  assert v_classes(p654, v1, v2, a) == ((0, 0, 0), (0, 2, 0))
+  assert v_classes(p654, v2, v2, a) == ((1, 0, 0), (0, 2, 0))
+  assert v_classes(p654, v2, v3, a) == ((1, 2, 0), (0, 0, 0))
 
 
 def test_index_set_trichotomy(p654):
   for va, vb in double_box(p654):
-    bp, bm = set(b_plus(p654, va, vb)), set(b_minus(p654, va, vb))
+    bp, bm = map(set, index_sets(p654, va, vb))
     assert not bp & bm
     both = {i for i in range(3) if va.q[i] != 0 and vb.q[i] != 0}
     assert bp | bm == both
 
 
 def test_v_minus_boundary_pairs(p654):
-  # b_minus is strict, q1 + q2 < 1; the minus-side flags of star_exponents
+  # B- is strict, q1 + q2 < 1; the minus-side flags of star_exponents
   # also hold the boundary rays, q1 + q2 = 1.  The two differ on exactly
   # the ordered pairs with a boundary ray
-  kind = ProductKind.v_minus(Bundle.ones(3))
+  kind = ProductKind.v_minus(Bundle((1, 1, 1)))
   boundary, differ = set(), set()
   for va, vb in double_box(p654):
     sums = [x + y for x, y in zip(va.q, vb.q)]
@@ -240,36 +220,42 @@ def test_v_minus_boundary_pairs(p654):
                   if e - (s >= 1))
     if 1 in sums:
       boundary.add((va.v, vb.v))
-    if flags != b_minus(p654, va, vb):
+    strict = tuple(i for i, s in enumerate(sums)
+                   if va.q[i] and vb.q[i] and s < 1)
+    if flags != strict:
       differ.add((va.v, vb.v))
   assert len(boundary) == 17
   assert differ == boundary
 
 
-def _defect(q1, q2, bundle):
+def _defect(q1, q2, a):
   """L(g1) + L(g2) - L(g1 g2) for two elements with Fraction phases."""
-  return (log_trace_phases(q1, bundle) + log_trace_phases(q2, bundle)
-          - log_trace_phases([(x + y) % 1 for x, y in zip(q1, q2)], bundle))
+  return tuple(x + y - z for x, y, z in zip(
+      log_trace(q1, a), log_trace(q2, a),
+      log_trace([(x + y) % 1 for x, y in zip(q1, q2)], a)))
 
 
 def test_star_exponents_are_log_trace_defects():
   # less the carry [q1 + q2 >= 1], the v-plus star exponents are the log
   # trace defect of the pair and the v-minus ones that of the inverse
-  # phases frac(-q); v_minus leaves out the boundary rays, so it differs
-  # from the v-minus defect exactly on the pairs with a boundary ray
+  # phases frac(-q); V- leaves out the boundary rays, so it differs from
+  # the v-minus defect exactly on the pairs with a boundary ray
   differ = 0
   for fan in _suite() + [weighted_projective_fan(w)
                          for w in ((6, 4), (13, 17, 19))]:
-    for bundle in (Bundle.ones(fan.n), Bundle(range(1, fan.n + 1))):
+    for a in ((1,) * fan.n, tuple(range(1, fan.n + 1))):
+      bundle = Bundle(a)
       for v, w in double_box(fan):
         carry = [int(x + y >= 1) for x, y in zip(v.q, w.q)]
         _, exps = star_exponents(fan, ProductKind.v_plus(bundle), v, w)
-        assert KClass(map(sub, exps, carry)) == _defect(v.q, w.q, bundle)
-        minus = _defect([-x % 1 for x in v.q], [-x % 1 for x in w.q], bundle)
+        assert tuple(map(sub, exps, carry)) == _defect(v.q, w.q, a)
+        minus = _defect([-x % 1 for x in v.q], [-x % 1 for x in w.q], a)
         _, exps = star_exponents(fan, ProductKind.v_minus(bundle), v, w)
-        assert KClass(map(sub, exps, carry)) == minus
+        assert tuple(map(sub, exps, carry)) == minus
         boundary = any(x + y == 1 for x, y in zip(v.q, w.q))
-        assert (v_minus(fan, v, w, bundle) != minus) == boundary
+        _, bm = index_sets(fan, v, w)
+        strict = tuple(k if i in bm else 0 for i, k in enumerate(a))
+        assert (strict != minus) == boundary
         differ += boundary
   assert differ == 1310  # (pair, bundle) cases with a boundary ray
 
@@ -283,8 +269,6 @@ def test_twist_anchors(p654):
   assert twist(p654, VIRTUAL, v1, v3) == tilde(p654, 1)
   ident = p654.box()[0]
   assert twist(p654, ORBIFOLD, v1, ident) == Poly.constant(3, 1)
-  with pytest.raises(ValueError, match="no twist class"):
-    twist(p654, PLUS_INFINITY, v1, v3)
 
 
 def test_twist_with_bundle(p654):
@@ -430,21 +414,21 @@ def _reference_star_exponents(fan, kind, a, b):
 def test_integer_phases_match_fraction_reference(fan, data):
   a = Bundle(data.draw(st.lists(st.integers(0, 3), min_size=fan.n,
                                 max_size=fan.n)))
-  cd = character_data(fan)
   for v, w in double_box(fan):
     assert fan.box_add(v, w) == _reference_box_add(fan, v, w)
     sums = [x + y for x, y in zip(v.q, w.q)]
-    assert b_plus(fan, v, w) == tuple(
-        i for i, s in enumerate(sums) if s >= 1)
-    assert b_minus(fan, v, w) == tuple(
-        i for i, s in enumerate(sums) if v.q[i] and w.q[i] and s < 1)
+    assert index_sets(fan, v, w) == (
+        tuple(i for i, s in enumerate(sums) if s >= 1),
+        tuple(i for i, s in enumerate(sums) if v.q[i] and w.q[i] and s < 1))
+    # both flags are set exactly on the boundary, where the sum is one
+    carry, minus = pair_flags(fan, v, w)
+    assert minus == tuple(int(bool(x and y and s <= 1))
+                          for x, y, s in zip(v.q, w.q, sums))
+    assert [c & m for c, m in zip(carry, minus)] == [s == 1 for s in sums]
     for kind in _all_kinds(fan.n) + [ProductKind.v_plus(a),
                                      ProductKind.v_minus(a)]:
       target, exps = _reference_star_exponents(fan, kind, v, w)
       assert star_exponents(fan, kind, v, w) == (target, exps)
-      if not kind.is_asymptotic:
-        assert twist(fan, kind, v, w) == cd.tilde_monomial(
-            tuple(e - (s == 1) for e, s in zip(exps, sums)))
   for e in fan.box():
     assert fan.box_lookup(list(e.v)) is e
     shifted = e.v[:fan.d] + tuple(c + m for c, m in
@@ -467,13 +451,13 @@ def test_star_product_unit_and_commutativity(p654, p64):
 
 def test_virtual_equals_v_minus_ones(p654, p64):
   for fan in (p654, p64):
-    ones = ProductKind.v_minus(Bundle.ones(fan.n))
+    ones = ProductKind.v_minus(Bundle((1,) * fan.n))
     assert br_ideal(fan, VIRTUAL) == br_ideal(fan, ones)
 
 
 def test_orbifold_equals_zero_twist(p654, p64):
   for fan in (p654, p64):
-    zero = Bundle.zero(fan.n)
+    zero = Bundle((0,) * fan.n)
     assert br_ideal(fan, ORBIFOLD) == br_ideal(fan, ProductKind.v_plus(zero))
     assert br_ideal(fan, ORBIFOLD) == br_ideal(fan, ProductKind.v_minus(zero))
 
@@ -945,11 +929,33 @@ def test_associativity_fixture_fans(p654, p64):
     assert associativity_witnesses(p64, kind) == []
 
 
+def stabilization_witnesses(fan, scale, plus):
+  """Sector pairs where the product for scale * (sum of all L_i) still
+  differs, over the rationals, from its asymptotic limit.  Empty once the
+  scale exceeds the dimension of every sector the pairs land in."""
+  bundle = Bundle((scale,) * fan.n)
+  kind = ProductKind.v_plus(bundle) if plus else ProductKind.v_minus(bundle)
+  scaled = StarCalculator(fan, kind, domain="q")
+  asym = StarCalculator(fan, PLUS_INFINITY if plus else MINUS_INFINITY)
+  out = []
+  k = len(scaled.els)
+  for i in range(k):
+    for j in range(i, k):
+      (t1, e1), (t2, e2) = scaled.table[i][j], asym.table[i][j]
+      assert t1 == t2
+      if t1 is None or scaled.exponents(e1) == asym.exponents(e2):
+        continue
+      if not scaled.reduces_to_zero(
+          t1, scaled.coefficient(e1) - asym.coefficient(e2)):
+        out.append((i, j))
+  return out
+
+
 def test_stabilization_fixture_fans(p654, p64):
   for fan in (p654, p64):
     scale = fan.d + 1
-    assert asymptotic_stabilization_witnesses(fan, scale, plus=True) == []
-    assert asymptotic_stabilization_witnesses(fan, scale, plus=False) == []
+    assert stabilization_witnesses(fan, scale, plus=True) == []
+    assert stabilization_witnesses(fan, scale, plus=False) == []
 
 
 def test_star_calculator_reduces_in_sector(p654):
@@ -1165,14 +1171,14 @@ def test_shared_sector_rings_keep_the_witnesses(monkeypatch):
 @settings(max_examples=10, deadline=None)
 @given(fan=valid_fans(max_box=10), plus=st.booleans())
 def test_stabilization_random_fans(fan, plus):
-  assert asymptotic_stabilization_witnesses(fan, fan.d + 1, plus=plus) == []
+  assert stabilization_witnesses(fan, fan.d + 1, plus=plus) == []
 
 
 @settings(max_examples=15, deadline=None)
 @given(fan=valid_fans(max_box=12))
 def test_box_trichotomy_random_fans(fan):
   for va, vb in double_box(fan):
-    bp, bm = set(b_plus(fan, va, vb)), set(b_minus(fan, va, vb))
+    bp, bm = map(set, index_sets(fan, va, vb))
     assert not bp & bm
     assert bp | bm == {i for i in range(fan.n)
                        if va.q[i] != 0 and vb.q[i] != 0}
