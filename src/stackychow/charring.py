@@ -51,12 +51,22 @@ class CharacterData:
 
   def tilde_monomial(self, exps):
     """prod_i tilde_x_i^exps[i] expanded in the x variables, from powers
-    cached per (i, exps[i]).
+    cached per (i, exps[i]), once require_expandable has passed."""
+    self.require_expandable(exps)
+    out = Poly.constant(self.f.rows, 1)
+    for i, e in enumerate(exps):
+      if e:
+        power = self._powers.get((i, e))
+        if power is None:
+          power = self._powers[i, e] = self.tilde_poly(i).pow(e)
+        out = out * power
+    return out
 
-    Raises ValueError when the product could expand to more than
-    MAX_EXPANSION_TERMS terms or take more coefficient products than that:
-    the sum, over the factors, of the term bounds of the partial product and
-    the factor."""
+  def require_expandable(self, exps):
+    """Raise ValueError when prod_i tilde_x_i^exps[i] could expand to more
+    than MAX_EXPANSION_TERMS terms or take more coefficient products than
+    that: the sum, over the factors, of the term bounds of the partial
+    product and the factor."""
     n = self.f.rows
     factors = [(e, comb(e + t - 1, t - 1))
                for e, t in zip(exps, self._term_counts) if e]
@@ -75,14 +85,6 @@ class CharacterData:
               else "take %d coefficient products to expand" % work)
       raise ValueError("coefficient %s may %s, more than the limit of %d"
                        % (text, cost, MAX_EXPANSION_TERMS))
-    out = Poly.constant(n, 1)
-    for i, e in enumerate(exps):
-      if e:
-        power = self._powers.get((i, e))
-        if power is None:
-          power = self._powers[i, e] = self.tilde_poly(i).pow(e)
-        out = out * power
-    return out
 
 
 # written, never read: the live character data, counted by perfbench

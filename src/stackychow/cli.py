@@ -21,6 +21,7 @@ from stackychow.gradedpoly import (MAX_DECIMAL_EXPONENT, Poly,
 from stackychow.inertial import (Bundle, MINUS_INFINITY, ORBIFOLD,
                                  PLUS_INFINITY, ProductKind, VIRTUAL,
                                  associativity_witnesses,
+                                 inertial_hilbert_table,
                                  inertial_presentation, sector_labels,
                                  star_product)
 from stackychow.stackyfan import StackyFan
@@ -624,19 +625,18 @@ def _maxdeg(args, fan):
 
 
 def cmd_hilbert(args, fan, doc_bundle, labels):
-  # the product flags, then --maxdeg, are refused before any presentation
-  # is built
+  # the product flags, then --maxdeg, are refused before any ring is built
   kind, domain = (_product(args, doc_bundle) if args.product
                   else (None, args.coeff))
   maxdeg = _maxdeg(args, fan)
   if kind is None:
-    pres = _with_domain(sr_ring(fan), domain)
+    table = hilbert_table(_with_domain(sr_ring(fan), domain), maxdeg)
   else:
-    pres = inertial_presentation(fan, kind, labels=_sector_names(fan, labels),
-                                 domain=domain, maxdeg=maxdeg)
+    _sector_names(fan, labels)  # a label out of range is refused here too
+    table = inertial_hilbert_table(fan, kind, maxdeg, domain)
   rows = [{"degree": str(r.degree), "free_rank": r.free_rank,
            "torsion": [str(m) for m in r.torsion], "text": r.describe()}
-          for r in hilbert_table(pres, maxdeg)]
+          for r in table]
   text = "\n".join("deg %s: %s" % (r["degree"], r["text"]) for r in rows)
   return _emit(args, {"schema": SCHEMA, "pieces": rows}, text)
 

@@ -132,6 +132,8 @@ class Poly:
     self, where repeated multiplication takes about k."""
     if k < 0:
       raise ValueError("negative power")
+    if k == 1:
+      return self
     if not self.terms:
       return Poly.constant(self.nvars, 1) if k == 0 else self
     *rest, (last, c_last) = self.terms.items()
@@ -666,6 +668,19 @@ def _first_bare_variable(g):
 MAX_TABLE_ROWS = 10 ** 6
 
 
+def table_degrees(degrees, maxdeg):
+  """The rows of a Hilbert table up to maxdeg: the occurring degrees of the
+  variable degrees.  A bound that could give more than MAX_TABLE_ROWS rows
+  (floor(maxdeg * scale) + 1, scale the lcm of the degree denominators) is
+  refused first, then a nonpositive variable degree."""
+  maxdeg = Fraction(maxdeg)
+  scale = lcm(*(Fraction(d).denominator for d in degrees))
+  if floor(maxdeg * scale) + 1 > MAX_TABLE_ROWS:
+    raise ValueError("the degree bound could give more than the limit of "
+                     "%d table rows" % MAX_TABLE_ROWS)
+  return occurring_degrees(degrees, maxdeg)
+
+
 def hilbert_table(pres, maxdeg):
   """The graded pieces in every occurring degree up to maxdeg.
 
@@ -681,36 +696,34 @@ def hilbert_table(pres, maxdeg):
   The pieces are built on the standard monomials of the eliminated ring,
   so its monomial relations add no rows or columns.
 
-  pres may itself leave out generators above maxdeg: the inertial
-  presentation of an age-graded kind (orbifold, plus_infinity,
-  minus_infinity) built with the same maxdeg has no cone or box relation
-  above it, and its table is the same.  The twisted kinds build every
-  pair relation, so their mixed generators are still refused here.
-
-  Once the piece of every occurring degree in a window [z, z + m) is zero,
-  m the largest variable degree of the eliminated ring, every higher piece
-  is zero too: dividing a monomial above the window by one variable at a
-  time lands inside it, and every degree that ring reaches is on the
-  original grid.  Those pieces are reported without building their
-  reducers.
+  The pieces themselves come from graded_pieces.  The CLI's inertial
+  tables do not come through here: they are sums of shifted tables of
+  small sector rings (inertial_hilbert_table).
   """
-  maxdeg = Fraction(maxdeg)
-  if floor(maxdeg * pres.scale) + 1 > MAX_TABLE_ROWS:
-    raise ValueError("the degree bound could give more than the limit of "
-                     "%d table rows" % MAX_TABLE_ROWS)
-  degrees = occurring_degrees(pres.degrees, maxdeg)
+  degrees = table_degrees(pres.degrees, maxdeg)
   pres._require_graded()
   top = degrees[-1]
   keep = [k for k, e in enumerate(pres.generator_degrees()) if e <= top]
   low = RingPresentation(pres.names, pres.degrees,
                          [pres.generators[k] for k in keep],
                          [pres.tags[k] for k in keep], pres.domain)
-  ring = eliminate(low).presentation
+  return graded_pieces(eliminate(low).presentation, degrees)
+
+
+def graded_pieces(ring, degrees):
+  """The pieces of a graded ring at ascending degrees, a grid that holds
+  every degree the ring reaches up to the last.
+
+  Once the piece of every degree in a window [z, z + m) is zero, m the
+  largest variable degree, every higher piece is zero too: dividing a
+  monomial above the window by one variable at a time lands inside it.
+  Those pieces are reported without building their reducers.
+  """
   window = max(ring.degrees, default=0)
   table, zero_from = [], None
   for d in degrees:
     if zero_from is not None and d >= zero_from + window:
-      table.append(GradedPieceReport(d, 0, (), pres.domain))
+      table.append(GradedPieceReport(d, 0, (), ring.domain))
       continue
     piece = ring.graded_piece(d)
     if piece.free_rank or piece.torsion:

@@ -5,21 +5,29 @@ arithmetic on their phase numerators: one exponent rule (star_exponents)
 gives the star product of a sector pair for every kind, and the cone/box
 relation ideals built from it assemble into a presentation of the inertial
 Chow ring for each product kind.  StarCalculator and
-associativity_witnesses check the products sector triple by sector triple.
+associativity_witnesses check the products sector triple by sector triple;
+inertial_hilbert_table reads the graded pieces off one small ring per
+minimal cone, once StarCalculator.certify has shown that those rings carry
+the product.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 from math import floor
 
 from stackychow.charring import (
     character_data,
     linear_ideal,
+    minimal_nonfaces,
     sector_ideal,
     sr_ideal,
 )
-from stackychow.gradedpoly import Poly, RingPresentation, eliminate
+from stackychow.gradedpoly import (GradedPieceReport, Poly, RingPresentation,
+                                   eliminate, graded_pieces, table_degrees)
+from stackychow.lattice import AbGroup
 from stackychow.stackyfan import StackyFan
 
 
@@ -193,25 +201,12 @@ def _w_part(k, indices):
   return tuple(exp)
 
 
-def _sector_pairs(fan, kind=None, maxdeg=None):
+def _sector_pairs(fan):
   """The nonidentity sector pairs i <= j in order, as (i, j, common):
-  common says whether the two share a cone.  For an age-graded kind a pair
-  whose age sum is above maxdeg, compared as phase numerators over the
-  box's shared denominator, is left out; the twisted kinds, whose relations
-  are not homogeneous in the ages, keep every pair."""
+  common says whether the two share a cone."""
   els = fan.box()
-  bounded = maxdeg is not None and kind is not None and kind.age_graded
-  if bounded:
-    top = floor(Fraction(maxdeg) * els[0].den)
-    sums = [sum(v.p) for v in els]
-  out = []
-  for i in range(1, len(els)):
-    for j in range(i, len(els)):
-      if bounded and sums[i] + sums[j] > top:
-        continue
-      out.append((i, j, fan.has_common_cone(els[i].sigma_min
-                                            + els[j].sigma_min)))
-  return out
+  return [(i, j, fan.has_common_cone(els[i].sigma_min + els[j].sigma_min))
+          for i in range(1, len(els)) for j in range(i, len(els))]
 
 
 def cr_ideal(fan: StackyFan, _pairs=None):
@@ -265,18 +260,14 @@ def sector_labels(fan: StackyFan, labels=None):
 
 
 def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
-                          domain=None, maxdeg=None) -> RingPresentation:
+                          domain=None) -> RingPresentation:
   """Generators and relations for the inertial Chow ring of the given kind.
 
   Variables: one x per ray (degree 1) and one w per nonidentity sector with
   degree its age (0 for pure-torsion sectors, which blocks graded queries but
   not construction).  The ideal stacks the ray relations (linear), nonface
   relations (stanley_reisner), each sector annihilator times its w (sector),
-  the no-common-cone monomials (cone) and the product relations (box).
-
-  For an age-graded kind, maxdeg leaves out the cone and box relations of
-  degree above it, which no graded piece up to maxdeg can see; the twisted
-  kinds, whose relations are not homogeneous in the ages, keep them all."""
+  the no-common-cone monomials (cone) and the product relations (box)."""
   fan.require_valid()
   if domain is None:
     domain = kind.default_domain
@@ -302,7 +293,7 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
     if v.sigma_min not in cones:
       cones[v.sigma_min] = sector_ideal(fan, v)
     parts.append(("sector", lift(cones[v.sigma_min], _w_part(k, (j + 1,)))))
-  pairs = _sector_pairs(fan, kind, maxdeg)
+  pairs = _sector_pairs(fan)
   parts += [("cone", cr_ideal(fan, _pairs=pairs)),
             ("box", br_ideal(fan, kind, _pairs=pairs))]
   gens = [g for _, ideal in parts for g in ideal]
@@ -316,50 +307,71 @@ class StarCalculator:
   """Star products in the sector-module picture, with cached tables.
 
   A class is a sector index with an x-coefficient; products land in a single
-  sector, and normal forms reduce the coefficient modulo that sector's
-  x-ideal (linear + annihilator, which holds the nonface relations).
-  The star table keeps each coefficient's exponent vector (see
-  star_exponents) packed into one int, `width` bits per ray: a field is
-  wider than the sum of two entries, so two packed vectors add and compare
-  as ints.  A vector is unpacked and expanded only for a reduction, so the
-  character data (the change matrix f) is built by the first reduction, and
-  a sweep that reduces nothing never builds it.  Sector rings are handled in
-  eliminated variables to keep the graded pieces small."""
+  sector, and normal forms reduce the coefficient in that sector's ring
+  (sector_ring).  The star table keeps each coefficient's exponent vector
+  (see star_exponents) packed into one int, `width` bits per ray: a field
+  is wider than the sum of two entries, so two packed vectors add and
+  compare as ints.  A vector is unpacked and expanded only for a reduction,
+  so the character data (the change matrix f) is built by the first
+  reduction, and a sweep that reduces nothing never builds it.
 
-  def __init__(self, fan: StackyFan, kind: ProductKind, domain=None):
+  With a maxdeg, an age-graded kind leaves the pairs of age sum above it
+  out of the table (None entries).  `sums` holds each sector's age as a
+  phase numerator over the box's shared denominator."""
+
+  def __init__(self, fan: StackyFan, kind: ProductKind, domain=None,
+               maxdeg=None):
     fan.require_valid()
     self.fan = fan
     self.kind = kind
     self.domain = kind.default_domain if domain is None else domain
     self.els = fan.box()
-    self.width, self.table = self._star_table()
-    self._sector = {}
+    self.sums = [sum(v.p) for v in self.els]
+    top = None
+    if maxdeg is not None and kind.age_graded:
+      top = self._top(maxdeg)
+    self.width, self.table = self._star_table(top)
+    # single-ray nonfaces -> (Elimination, map_vars memo), see sector_ring
+    self._linear, self._forms = {}, None
+    self._nonfaces, self._rings = {}, {}  # minimal cone -> those of the cone
     self._verdicts = {}
 
-  def _star_table(self):
+  def _top(self, maxdeg):
+    """maxdeg as a bound on phase-numerator sums."""
+    return floor(Fraction(maxdeg) * self.els[0].den)
+
+  def _star_table(self, top):
     """(width, table): table[i][j] = (target sector index or None, packed
     exponent vector or None for a zero coefficient) for every pair of
-    sector indices, from star_exponents of the pair once for i <= j."""
-    fan, els = self.fan, self.els
+    sector indices of numerator sum at most top (all when None), from
+    star_exponents of the pair once for i <= j."""
+    fan, els, sums = self.fan, self.els, self.sums
     k = len(els)
     entries = []
     for i in range(k):
       for j in range(i, k):
+        if top is not None and sums[i] + sums[j] > top:
+          continue
         target, exps = star_exponents(fan, self.kind, els[i], els[j])
         entries.append((i, j, None if target is None else fan.box_index(target),
                         exps))
     top = max((max(exps, default=0) for *_, exps in entries
                if exps is not None), default=0)
-    width = (2 * top).bit_length()
+    # room for two entries, or for an entry and a 0/1 vector
+    width = (2 * top + 1).bit_length()
     table = [[None] * k for _ in range(k)]
     for i, j, target, exps in entries:
-      packed = None
-      if exps is not None:
-        packed = 0
-        for e in reversed(exps):
-          packed = packed << width | e
-      table[i][j] = table[j][i] = (target, packed)
+      table[i][j] = table[j][i] = (target, self._pack(exps, width))
     return width, table
+
+  @staticmethod
+  def _pack(exps, width):
+    if exps is None:
+      return None
+    packed = 0
+    for e in reversed(exps):
+      packed = packed << width | e
+    return packed
 
   def exponents(self, packed):
     """The exponent vector of a packed entry or sum of two, None for None."""
@@ -375,30 +387,56 @@ class StarCalculator:
       return Poly.zero(self.fan.n)
     return character_data(self.fan).tilde_monomial(self.exponents(packed))
 
-  def _sector_elim(self, i):
-    """Sector i's x-ring after eliminate.  The ring depends only on the
-    sector's minimal cone, so it is built once per cone.  Its nonface rows
-    cover the Stanley-Reisner rows: a nonface T holds a minimal nonface S
-    of the star, disjoint from the cone, and tilde_x^T is a multiple of
-    tilde_x^S."""
-    cone = self.els[i].sigma_min
-    if cone not in self._sector:
-      fan = self.fan
-      lin = linear_ideal(fan)
-      sec = sector_ideal(fan, self.els[i])
-      self._sector[cone] = eliminate(RingPresentation(
-          ["x%d" % (t + 1) for t in range(fan.n)], [Fraction(1)] * fan.n,
-          lin + sec, ("linear",) * len(lin) + ("sector",) * len(sec),
-          self.domain))
-    return self._sector[cone]
+  def nonfaces(self, cone):
+    """The minimal nonfaces of the star of a cone, as 0/1 exponent
+    vectors; for the zero cone, the identity's, those of the fan."""
+    out = self._nonfaces.get(cone)
+    if out is None:
+      n = self.fan.n
+      out = self._nonfaces[cone] = [tuple(int(i in s) for i in range(n))
+                                    for s in minimal_nonfaces(self.fan, cone)]
+    return out
+
+  def sector_ring(self, cone):
+    """(ring, images) of a minimal cone's sectors: Z[x]/I (Q[x] over Q) in
+    eliminated variables, and each x_i's image.  I holds the linear forms
+    and the nonface monomials of the cone's star (for the zero cone, the
+    Stanley-Reisner ones), which cover the Stanley-Reisner monomials: a
+    nonface T holds a minimal nonface S of the star, disjoint from the
+    cone.  The linear forms and the single-ray nonface classes are
+    eliminated once per set of those rays, so cones without one share the
+    fan's linear elimination; the other monomials, of degree two and up,
+    are mapped through its images."""
+    entry = self._rings.get(cone)
+    if entry is None:
+      fan, cd = self.fan, character_data(self.fan)
+      nonfaces = self.nonfaces(cone)
+      singles = tuple(e for e in nonfaces if sum(e) == 1)
+      shared = self._linear.get(singles)
+      if shared is None:
+        if self._forms is None:
+          self._forms = linear_ideal(fan)
+        gens = self._forms + [cd.tilde_monomial(e) for e in singles]
+        shared = self._linear[singles] = eliminate(RingPresentation(
+            ["x%d" % (t + 1) for t in range(fan.n)], [Fraction(1)] * fan.n,
+            gens, ("linear",) * fan.d + ("sector",) * len(singles),
+            self.domain)), {}
+      elim, memo = shared
+      base = elim.presentation
+      mono = [cd.tilde_monomial(e).map_vars(len(base.names), elim.images,
+                                            memo)
+              for e in nonfaces if sum(e) > 1]
+      entry = self._rings[cone] = RingPresentation(
+          base.names, base.degrees, base.generators + tuple(mono),
+          base.tags + ("sector",) * len(mono), self.domain), elim.images
+    return entry
 
   def reduces_to_zero(self, i, coeff):
-    """Does the x-coefficient die in sector i's quotient ring?"""
+    """Does the x-coefficient die in sector i's ring?"""
     if coeff.is_zero():
       return True
-    elim = self._sector_elim(i)
-    pres = elim.presentation
-    return pres.contains(coeff.map_vars(len(pres.names), elim.images))
+    ring, images = self.sector_ring(self.els[i].sigma_min)
+    return ring.contains(coeff.map_vars(len(ring.names), images))
 
   def associates(self, lt, le, rt, re):
     """Do the two bracketings of a sector triple agree in the quotient?
@@ -422,37 +460,155 @@ class StarCalculator:
       self._verdicts[key] = verdict
     return verdict
 
+  def witnesses(self, top=None):
+    """Sector triples of numerator sum at most top (all when None) whose
+    two bracketings disagree after sector reduction, sorted.  The star
+    table is symmetric, so only l >= i is checked and a failure lists both
+    (i, j, l) and (l, j, i).  A triple whose two packed exponent sums
+    agree needs no reduction; every other one goes through associates.  A
+    bounded triple reads only pairs within the bound, since a product's
+    age is at most the sum of its factors' ages."""
+    rows, sums = self.table, self.sums
+    k = len(rows)
+    out = set()
+    for i in range(k):
+      row_i = rows[i]
+      tail = range(i, k)
+      if top is not None:
+        tail = sorted(tail, key=sums.__getitem__)
+        tail_sums = [sums[l] for l in tail]
+      for j in range(k):
+        ls = tail
+        if top is not None:
+          rest = top - sums[i] - sums[j]
+          if rest < 0:
+            continue
+          ls = islice(tail, bisect_right(tail_sums, rest))
+        t1, e1 = row_i[j]
+        row_ij = None if e1 is None else rows[t1]
+        row_j = rows[j]
+        for l in ls:
+          lt = le = None
+          if row_ij is not None:
+            t2, e2 = row_ij[l]
+            if e2 is not None:
+              lt, le = t2, e1 + e2
+          t3, e3 = row_j[l]
+          rt = re = None
+          if e3 is not None:
+            t4, e4 = row_i[t3]
+            if e4 is not None:
+              rt, re = t4, e3 + e4
+          if le != re and not self.associates(lt, le, rt, re):
+            out.update(((i, j, l), (l, j, i)))
+    return sorted(out)
+
+  def certify(self, maxdeg):
+    """Raise ValueError naming the failed check unless the sum of the
+    sector rings, shifted by the ages, is a ring with the inertial ring's
+    pieces up to maxdeg (Bergman's diamond lemma, bounded by degree):
+    (a) deg c_uv = age u + age v - age(u + v) on every pair of the table,
+        else "presentation is not graded";
+    (b) c_uv * m dies in the ring of u + v for each nonface generator m of
+        u's ring (the identity's are the Stanley-Reisner ones);
+    (c) the triple sweep of witnesses finds nothing.
+    (b) and (c) run up to total degree maxdeg."""
+    rows, sums, den = self.table, self.sums, self.els[0].den
+    k = len(rows)
+    degrees = {None: None}  # packed vector -> its degree over den
+    for i in range(k):
+      for j in range(i, k):
+        entry = rows[i][j]
+        if entry is None:
+          continue
+        deg = degrees.get(entry[1])
+        if deg is None and entry[1] is not None:
+          deg = degrees[entry[1]] = sum(self.exponents(entry[1])) * den
+        if deg is not None and deg != sums[i] + sums[j] - sums[entry[0]]:
+          raise ValueError("presentation is not graded")
+    top = self._top(maxdeg)
+    relations = {}  # minimal cone -> packed nonface vectors and degrees
+    for u in range(k):
+      cone = self.els[u].sigma_min
+      gens = relations.get(cone)
+      if gens is None:
+        gens = relations[cone] = [(self._pack(e, self.width), sum(e) * den)
+                                  for e in self.nonfaces(cone)]
+      for v in range(1, k):
+        entry = rows[u][v]
+        if entry is None or entry[1] is None:
+          continue
+        t, c = entry
+        for m, deg in gens:
+          if (sums[u] + sums[v] + deg <= top
+              and not self.associates(t, c + m, None, None)):
+            raise ValueError(
+                "the sector rings do not carry the product (check b, "
+                "well-definedness): sector %d times a relation of sector %d "
+                "does not vanish in sector %d" % (v, u, t))
+    bad = self.witnesses(top)
+    if bad:
+      raise ValueError("the sector rings do not carry the product (check c, "
+                       "associativity): sectors %d, %d, %d" % bad[0])
+
 
 def associativity_witnesses(fan: StackyFan, kind: ProductKind, domain=None):
   """Sector triples whose two bracketings disagree after sector reduction,
-  sorted; an empty list means the product is associative on every triple.
+  sorted; an empty list means the product is associative on every triple
+  (see StarCalculator.witnesses)."""
+  return StarCalculator(fan, kind, domain).witnesses()
 
-  The star table is symmetric, so the bracketings of (l, j, i) are those of
-  (i, j, l) swapped: only l >= i is checked, and a failure lists both
-  triples.  A triple whose two packed exponent sums agree needs no
-  reduction; every other one goes through associates."""
-  calc = StarCalculator(fan, kind, domain)
-  rows = calc.table
-  k = len(rows)
-  out = set()
-  for i in range(k):
-    row_i = rows[i]
-    for j in range(k):
-      t1, e1 = row_i[j]
-      row_ij = None if e1 is None else rows[t1]
-      row_j = rows[j]
-      for l in range(i, k):
-        lt = le = None
-        if row_ij is not None:
-          t2, e2 = row_ij[l]
-          if e2 is not None:
-            lt, le = t2, e1 + e2
-        t3, e3 = row_j[l]
-        rt = re = None
-        if e3 is not None:
-          t4, e4 = row_i[t3]
-          if e4 is not None:
-            rt, re = t4, e3 + e4
-        if le != re and not calc.associates(lt, le, rt, re):
-          out.update(((i, j, l), (l, j, i)))
-  return sorted(out)
+
+def inertial_hilbert_table(fan: StackyFan, kind: ProductKind, maxdeg,
+                           domain=None):
+  """hilbert_table of inertial_presentation up to maxdeg, without building
+  it: the piece of degree t is the sum over sectors v of the pieces of
+  degree t - age v of v's sector ring (Borisov-Chen-Smith), once
+  StarCalculator.certify has passed.  Each minimal cone's ring is read
+  once, up to maxdeg less the least age of its sectors.  The degree grid,
+  the row limit and the refusals, in their order, are hilbert_table's."""
+  if domain is None:
+    domain = kind.default_domain
+  if kind.is_asymptotic and domain != "q":
+    raise ValueError("asymptotic products require rational coefficients")
+  calc = StarCalculator(fan, kind, domain, maxdeg)
+  # the presentation would expand the coefficient of every pair in the
+  # table, so its expansion limit comes before the other refusals
+  cd, seen = character_data(fan), set()
+  for i, row in enumerate(calc.table):
+    for entry in row[i:]:
+      if entry is not None and entry[1] not in seen:
+        seen.add(entry[1])
+        if entry[1] is not None:
+          cd.require_expandable(calc.exponents(entry[1]))
+  els = calc.els
+  age = [v.age for v in els]
+  grid = table_degrees([1] * fan.n + age[1:], maxdeg)
+  calc.certify(maxdeg)
+  ages = {}
+  for v, a in zip(els, age):
+    ages.setdefault(v.sigma_min, []).append(a)
+  pieces = {}
+  for cone, shifts in ages.items():
+    top = maxdeg - min(shifts)
+    if top < 0:
+      continue
+    if top < 1:  # every relation has positive degree
+      table = [GradedPieceReport(Fraction(0), 1, (), domain)]
+    else:
+      table = graded_pieces(calc.sector_ring(cone)[0],
+                            [Fraction(t) for t in range(floor(top) + 1)])
+    for shift in shifts:
+      for p in table:
+        if shift + p.degree <= maxdeg:
+          acc = pieces.setdefault(shift + p.degree, [0, []])
+          acc[0] += p.free_rank
+          acc[1] += p.torsion
+  out = []
+  for d in grid:
+    free, orders = pieces.get(d, (0, ()))
+    if len(orders) > 1:
+      orders = AbGroup(len(orders), [[m if r == c else 0 for c in range(
+          len(orders))] for r, m in enumerate(orders)]).invariant_factors
+    out.append(GradedPieceReport(d, free, tuple(orders), domain))
+  return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import floor, gcd, lcm
+from math import gcd, lcm
 
 
 def _int_row(row):
@@ -44,6 +44,15 @@ class IntMatrix:
     object.__setattr__(self, "cols", width)
     object.__setattr__(self, "entries", rows)
 
+  @classmethod
+  def _trusted(cls, rows):
+    """From equal-length rows of ints, without checking them."""
+    m = object.__new__(cls)
+    object.__setattr__(m, "rows", len(rows))
+    object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+    object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+    return m
+
   def __setattr__(self, name, value):
     raise AttributeError("IntMatrix is immutable")
 
@@ -59,7 +68,7 @@ class IntMatrix:
     return tuple(r[j] for r in self.entries)
 
   def transpose(self):
-    return IntMatrix([self.col(j) for j in range(self.cols)])
+    return IntMatrix._trusted(list(zip(*self.entries)))
 
   def mul(self, other):
     if self.cols != other.rows:
@@ -224,8 +233,8 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     if a[i][i] < 0:
       row_neg(i)
 
-  return SnfDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v),
-                          IntMatrix(ui))
+  return SnfDecomposition(IntMatrix._trusted(u), IntMatrix._trusted(a),
+                          IntMatrix._trusted(v), IntMatrix._trusted(ui))
 
 
 class _Echelon:
@@ -457,8 +466,8 @@ class AbGroup:
           u[j] = [-x for x in u[j]]
           for r in ui:
             r[j] = -r[j]
-    self.u = IntMatrix(u)
-    self.u_inv = IntMatrix(ui)
+    self.u = IntMatrix._trusted(u)
+    self.u_inv = IntMatrix._trusted(ui)
     self.diagonal = diag
     self.invariant_factors = tuple(d for d in diag if d > 1)
     self.free_rank = diag.count(0)
@@ -481,9 +490,3 @@ class AbGroup:
     return self.u_inv.mul_vec([next(torsion) if d > 1 else
                                next(free) if d == 0 else 0
                                for d in self.diagonal])
-
-
-def frac(x) -> Fraction:
-  """Fractional part in [0, 1)."""
-  x = Fraction(x)
-  return x - floor(x)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from operator import add
 
 import pytest
@@ -116,6 +116,12 @@ def random_valid_fans(count, seed, max_box=30):
       continue
     fans.append(fan)
   return fans
+
+
+def frac(x) -> Fraction:
+  """Fractional part in [0, 1)."""
+  x = Fraction(x)
+  return x - floor(x)
 
 
 def solve_rational(columns, b):
@@ -510,7 +516,7 @@ def _reference_w_monomial(n, k, indices):
   return Poly._trusted(n + k, {_reference_w_exponent(n, k, indices): 1})
 
 
-def reference_presentation(fan, kind, labels=None, domain=None, maxdeg=None):
+def reference_presentation(fan, kind, labels=None, domain=None):
   """inertial_presentation with every relation built as Poly objects: each
   star_product coefficient embedded into the x+w ring, shifted by its
   target's w and subtracted from the pair monomial, and the sector
@@ -538,7 +544,7 @@ def reference_presentation(fan, kind, labels=None, domain=None, maxdeg=None):
     for g in sector_ideal(fan, v):
       gens.append(_reference_embed(g, total).mul_monomial(wexp))
       tags.append("sector")
-  pairs = _sector_pairs(fan, kind, maxdeg)
+  pairs = _sector_pairs(fan)
   for i, j, common in pairs:
     if not common:
       gens.append(_reference_w_monomial(n, k, (i, j)))

@@ -25,6 +25,7 @@ from stackychow.inertial import (
     associativity_witnesses,
     br_ideal,
     cr_ideal,
+    inertial_hilbert_table,
     inertial_presentation,
     star_exponents,
     star_product,
@@ -707,7 +708,7 @@ def test_hilbert_eliminates_only_generators_up_to_maxdeg(monkeypatch):
                    for d in occurring_degrees(pres.degrees, 1)]
 
 
-# -- pair relations up to maxdeg -----------------------------------------------
+# -- hilbert tables from the sector rings ---------------------------------------
 
 # the seeded acceptance suite and weighted projective fans, built once
 _SUITE = []
@@ -742,11 +743,24 @@ def test_age_graded_kinds():
              for fan in _suite() for kind in kinds)
 
 
+def _table(build):
+  """build(), or the message of its ValueError."""
+  try:
+    return build()
+  except ValueError as e:
+    return str(e)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_pair_relations_up_to_maxdeg_keep_the_table(data):
+def test_sector_ring_tables_match_the_full_presentation(data):
+  # the sum of shifted sector-ring tables is hilbert_table on the full,
+  # unbounded x+w presentation; the twisted kinds, whose tables build every
+  # pair, give the same refusal
   fan = data.draw(st.sampled_from(_suite()))
-  kind, domain = data.draw(st.sampled_from(AGE_GRADED))
+  kind, domain = data.draw(st.sampled_from(
+      AGE_GRADED + tuple((k, None) for k in _all_kinds(fan.n)
+                         if not k.age_graded)))
   els = fan.box()
   pair_degrees = sorted({a.age + b.age for a in els[1:] for b in els[1:]})
   # a pair degree up to 2 (the largest is often above it) or just below one
@@ -755,70 +769,24 @@ def test_pair_relations_up_to_maxdeg_keep_the_table(data):
   if data.draw(st.booleans()):
     maxdeg = max(F(0), maxdeg - F(1, 2 * els[0].den))
   full = inertial_presentation(fan, kind, domain=domain)
-  low = inertial_presentation(fan, kind, domain=domain, maxdeg=maxdeg)
-  # exactly the cone and box relations above maxdeg are left out
-  assert low.generators == tuple(
-      g for g, t, e in zip(full.generators, full.tags,
-                           full.generator_degrees())
-      if t not in ("cone", "box") or e <= maxdeg)
-  assert (low.names, low.degrees, low.domain) == (
-      full.names, full.degrees, full.domain)
-  table = _refusal(lambda: hilbert_table(full, maxdeg)) or hilbert_table(
-      full, maxdeg)
-  assert (_refusal(lambda: hilbert_table(low, maxdeg))
-          or hilbert_table(low, maxdeg)) == table
+  assert (_table(lambda: inertial_hilbert_table(fan, kind, maxdeg, domain))
+          == _table(lambda: hilbert_table(full, maxdeg)))
 
 
-def test_a_bounded_build_expands_only_the_relations_it_keeps(monkeypatch):
-  # with the expansion limit lowered, a bounded build can succeed where the
-  # full build refuses, since a left-out pair's coefficient is never
-  # expanded; its table up to maxdeg is then the full build's at the limit
-  fans = [fan for fan in _suite() + random_valid_fans(30, seed=3) if fan.r]
-  limit0 = charring.MAX_EXPANSION_TERMS
-
-  def table(pres, maxdeg):
-    return _refusal(lambda: hilbert_table(pres, maxdeg)) or hilbert_table(
-        pres, maxdeg)
-
-  succeeded = 0
-  for fan in fans:
-    for kind, domain in AGE_GRADED:
-      for limit in range(1, 13):
-        monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit)
-        if _refusal(lambda: inertial_presentation(fan, kind, domain=domain)
-                    ) is None:
-          break
-        for maxdeg in (F(0), F(1, 2), F(1), F(3, 2)):
-          monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit)
-          try:
-            low = inertial_presentation(fan, kind, domain=domain,
-                                        maxdeg=maxdeg)
-          except ValueError:
-            continue
-          succeeded += 1
-          monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", limit0)
-          full = inertial_presentation(fan, kind, domain=domain)
-          assert table(low, maxdeg) == table(full, maxdeg)
-  assert succeeded
-
-
-def test_bounded_walk_keeps_the_pairs_up_to_maxdeg():
-  # the age-graded kinds keep exactly the pairs of age sum <= maxdeg, the
-  # twisted kinds the whole walk
-  left_out = 0
-  for fan in [weighted_projective_fan((6, 5, 4))] + _suite()[:5]:
-    els = fan.box()
-    whole = inertial._sector_pairs(fan)
-    for kind in _all_kinds(fan.n):
-      for maxdeg in (None, F(0), F(1, 2), F(1), F(3, 2)):
-        walk = inertial._sector_pairs(fan, kind, maxdeg)
-        if maxdeg is None or not kind.age_graded:
-          assert walk == whole
-          continue
-        assert walk == [(i, j, common) for i, j, common in whole
-                        if els[i].age + els[j].age <= maxdeg]
-        left_out += len(whole) - len(walk)
-  assert left_out
+def test_age_graded_tables_build_only_the_pairs_up_to_maxdeg():
+  # an age-graded kind computes star exponents only for the pairs of age
+  # sum <= maxdeg, the twisted kinds for every pair
+  fan = weighted_projective_fan((6, 5, 4))
+  els = fan.box()
+  for kind in _all_kinds(fan.n):
+    for maxdeg in (F(0), F(1, 2), F(1), F(3, 2)):
+      calc = StarCalculator(fan, kind, maxdeg=maxdeg)
+      built = {(i, j) for i, row in enumerate(calc.table)
+               for j, entry in enumerate(row) if entry is not None}
+      assert built == {(i, j) for i in range(len(els))
+                       for j in range(len(els))
+                       if not kind.age_graded
+                       or els[i].age + els[j].age <= maxdeg}
 
 
 def test_br_ideal_builds_the_change_matrix_only_for_a_coefficient(
@@ -859,11 +827,9 @@ def test_presentation_matches_the_reference_build(monkeypatch):
     if not fan.r:
       kinds.append(ProductKind.v_plus(Bundle([1000] * fan.n)))
     for kind in kinds:
-      for maxdeg in (None, F(1), F(3, 2)):
-        got = _built(lambda: inertial_presentation(fan, kind, maxdeg=maxdeg))
-        assert not isinstance(got, str)
-        assert got == _built(
-            lambda: reference_presentation(fan, kind, maxdeg=maxdeg))
+      got = _built(lambda: inertial_presentation(fan, kind))
+      assert not isinstance(got, str)
+      assert got == _built(lambda: reference_presentation(fan, kind))
   # nine box relations are built before the expansion bound refuses the
   # coefficient of a tenth
   monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", 30)
@@ -1110,13 +1076,18 @@ def test_witnesses_of_a_perturbed_product_random_fans(fan, data):
             == _brute_force_witnesses(fan, kind))
 
 
-def _counting_eliminate(monkeypatch):
-  """Wrap inertial.eliminate; the returned list grows by one per call."""
-  calls = []
-  real = inertial.eliminate
-  monkeypatch.setattr(inertial, "eliminate",
-                      lambda pres: calls.append(pres) or real(pres))
-  return calls
+def _counting_rings(monkeypatch):
+  """Wrap StarCalculator.sector_ring; the returned list collects the cone
+  of every sector ring it builds, not of those it finds built."""
+  built = []
+  real = StarCalculator.sector_ring
+
+  def counting(self, cone):
+    if cone not in self._rings:
+      built.append(cone)
+    return real(self, cone)
+  monkeypatch.setattr(StarCalculator, "sector_ring", counting)
+  return built
 
 
 def _counting_reductions(monkeypatch):
@@ -1141,19 +1112,19 @@ def test_each_distinct_comparison_is_reduced_once_per_sector_ring(
   ring_keys = {(els[rt if le is None else lt].sigma_min, le, re)
                for lt, le, rt, re in keys}
   calls = _counting_reductions(monkeypatch)
-  rings = _counting_eliminate(monkeypatch)
+  rings = _counting_rings(monkeypatch)
   assert associativity_witnesses(fan, ORBIFOLD) == []
   assert len(calls) == len(ring_keys) < len(keys)
-  assert len(rings) == len({els[i].sigma_min for i in calls})
+  assert sorted(rings) == sorted({els[i].sigma_min for i in calls})
 
 
 class _FreshSectorRings(StarCalculator):
   """A calculator that builds a fresh sector ring for every reduction, so
   no ring is shared between sectors."""
 
-  def _sector_elim(self, i):
-    self._sector = {}
-    return super()._sector_elim(i)
+  def sector_ring(self, cone):
+    self._linear, self._rings = {}, {}
+    return super().sector_ring(cone)
 
 
 def test_shared_sector_rings_keep_the_witnesses(monkeypatch):
@@ -1162,10 +1133,10 @@ def test_shared_sector_rings_keep_the_witnesses(monkeypatch):
   with _perturbed((1, 2), 0):
     want = _brute_force_witnesses(fan, ORBIFOLD, _FreshSectorRings)
     calls = _counting_reductions(monkeypatch)
-    rings = _counting_eliminate(monkeypatch)
+    rings = _counting_rings(monkeypatch)
     assert associativity_witnesses(fan, ORBIFOLD) == want != []
   cones = {els[i].sigma_min for i in calls}
-  assert len(rings) == len(cones) < len(set(calls))
+  assert sorted(rings) == sorted(cones) and len(cones) < len(set(calls))
 
 
 @settings(max_examples=10, deadline=None)

@@ -8,10 +8,9 @@ from stackychow.lattice import (
     IntMatrix,
     QReducer,
     ZReducer,
-    frac,
     smith_normal_form,
 )
-from tests.conftest import canonical_class, dense, det, solve_rational
+from tests.conftest import canonical_class, dense, det, frac, solve_rational
 
 
 def test_snf_diagonal_small():
