@@ -531,15 +531,18 @@ def eliminate(pres):
   subs = {}
 
   linear_idx = [k for k, g in enumerate(gens) if g.is_linear_form()]
-  involved = sorted({i for k in linear_idx for i in gens[k].vars_occurring()})
+  # each form as {variable: coefficient}, read off its terms in one pass
+  forms = [{e.index(1): c for e, c in gens[k].terms.items()}
+           for k in linear_idx]
+  involved = sorted({i for form in forms for i in form})
   if involved and len({degrees[i] for i in involved}) == 1:
     common_deg = degrees[involved[0]]
     pos = {i: p for p, i in enumerate(involved)}
     rel_rows = []
-    for k in linear_idx:
+    for form in forms:
       row = [0] * len(involved)
-      for i in gens[k].vars_occurring():
-        row[pos[i]] = gens[k].coeff_of_variable(i)
+      for i, c in form.items():
+        row[pos[i]] = c
       # over Q a row may hold fractions; clearing them keeps the ideal
       den = lcm(*(c.denominator for c in row))
       rel_rows.append(row if den == 1 else [int(c * den) for c in row])

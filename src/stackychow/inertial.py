@@ -311,9 +311,11 @@ class StarCalculator:
   (sector_ring).  The star table keeps each coefficient's exponent vector
   (see star_exponents) packed into one int, `width` bits per ray: a field
   is wider than the sum of two entries, so two packed vectors add and
-  compare as ints.  A vector is unpacked and expanded only for a reduction,
-  so the character data (the change matrix f) is built by the first
-  reduction, and a sweep that reduces nothing never builds it.
+  compare as ints.  A comparison is first settled by support (see
+  associates), and a vector is unpacked and expanded only for one that
+  support leaves open: the sector rings and the character data (the change
+  matrix f) are built by the first reduction, and a sweep that reduces
+  nothing never builds them.
 
   With a maxdeg, an age-graded kind leaves the pairs of age sum above it
   out of the table (None entries).  `sums` holds each sector's age as a
@@ -388,14 +390,27 @@ class StarCalculator:
     return character_data(self.fan).tilde_monomial(self.exponents(packed))
 
   def nonfaces(self, cone):
-    """The minimal nonfaces of the star of a cone, as 0/1 exponent
-    vectors; for the zero cone, the identity's, those of the fan."""
+    """The minimal nonfaces of the star of a cone, as ray bitmasks (bit i
+    for ray i); for the zero cone, the identity's, those of the fan."""
     out = self._nonfaces.get(cone)
     if out is None:
-      n = self.fan.n
-      out = self._nonfaces[cone] = [tuple(int(i in s) for i in range(n))
+      out = self._nonfaces[cone] = [sum(1 << i for i in s)
                                     for s in minimal_nonfaces(self.fan, cone)]
     return out
+
+  def _vector(self, mask):
+    """The 0/1 exponent vector of a ray bitmask."""
+    return tuple(mask >> i & 1 for i in range(self.fan.n))
+
+  def _dies(self, cone, packed):
+    """Does the support of a packed vector hold a minimal nonface S of the
+    cone's star?  Exponents are nonnegative, so a field is nonzero exactly
+    when its ray occurs; then tilde_x^e is a multiple of tilde_x^S, a
+    generator of the cone's ring, and dies there over Z as over Q."""
+    width, field = self.width, (1 << self.width) - 1
+    support = sum(1 << r for r in range(self.fan.n)
+                  if packed >> width * r & field)
+    return any(support & m == m for m in self.nonfaces(cone))
 
   def sector_ring(self, cone):
     """(ring, images) of a minimal cone's sectors: Z[x]/I (Q[x] over Q) in
@@ -410,7 +425,7 @@ class StarCalculator:
     entry = self._rings.get(cone)
     if entry is None:
       fan, cd = self.fan, character_data(self.fan)
-      nonfaces = self.nonfaces(cone)
+      nonfaces = [self._vector(m) for m in self.nonfaces(cone)]
       singles = tuple(e for e in nonfaces if sum(e) == 1)
       shared = self._linear.get(singles)
       if shared is None:
@@ -441,15 +456,18 @@ class StarCalculator:
   def associates(self, lt, le, rt, re):
     """Do the two bracketings of a sector triple agree in the quotient?
     Each is given as its target and packed exponent vector, both None for a
-    zero product.  The difference reduces in the target's ring, which
-    depends only on its minimal cone, so the verdict is keyed by that cone
-    and the two vectors: each distinct comparison is reduced once per
-    sector ring."""
-    sector = rt if le is None else lt
-    key = (self.els[sector].sigma_min, le, re)
+    zero product.  Both agree in the target's ring, which depends only on
+    its minimal cone, when every nonzero side dies there by support (see
+    _dies); otherwise the difference is expanded and reduced in it.  The
+    verdict is keyed by that cone and the two vectors, so each distinct
+    comparison is settled once per sector ring."""
+    cone = self.els[rt if le is None else lt].sigma_min
+    key = (cone, le, re)
     verdict = self._verdicts.get(key)
     if verdict is None:
-      if le is None:
+      if all(self._dies(cone, e) for e in (le, re) if e is not None):
+        verdict = True
+      elif le is None:
         verdict = self.reduces_to_zero(rt, self.coefficient(re))
       elif re is None:
         verdict = self.reduces_to_zero(lt, self.coefficient(le))
@@ -512,7 +530,8 @@ class StarCalculator:
     (b) c_uv * m dies in the ring of u + v for each nonface generator m of
         u's ring (the identity's are the Stanley-Reisner ones);
     (c) the triple sweep of witnesses finds nothing.
-    (b) and (c) run up to total degree maxdeg."""
+    (b) and (c) run up to total degree maxdeg, through associates, so a
+    product whose support holds a nonface is settled without a reduction."""
     rows, sums, den = self.table, self.sums, self.els[0].den
     k = len(rows)
     degrees = {None: None}  # packed vector -> its degree over den
@@ -532,8 +551,9 @@ class StarCalculator:
       cone = self.els[u].sigma_min
       gens = relations.get(cone)
       if gens is None:
-        gens = relations[cone] = [(self._pack(e, self.width), sum(e) * den)
-                                  for e in self.nonfaces(cone)]
+        gens = relations[cone] = [
+            (self._pack(self._vector(m), self.width), m.bit_count() * den)
+            for m in self.nonfaces(cone)]
       for v in range(1, k):
         entry = rows[u][v]
         if entry is None or entry[1] is None:

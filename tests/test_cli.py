@@ -1104,9 +1104,15 @@ def test_oversized_coefficient_refused(docs, capsys):
 
 
 def test_expansion_limit_reaches_check_assoc(docs, capsys, monkeypatch):
+  # check-assoc expands a coefficient only for a comparison that the
+  # nonface support test leaves open: on P(6,5,4) none is, so the job
+  # answers; a perturbed product has such a comparison and is refused
   monkeypatch.setattr(charring, "MAX_EXPANSION_TERMS", 0)
+  doc = run_json(capsys, "check-assoc", docs["p654"])
+  assert doc["associative"] is True and doc["witnesses"] == []
+  _break_associativity(monkeypatch)
   code, out, err = run(capsys, "check-assoc", docs["p654"])
-  assert code == 3 and "more than the limit of 0" in err
+  assert code == 3 and "more than the limit of 0" in err and out == ""
 
 
 def test_expansion_work_refused(tmp_path, capsys):

@@ -1,12 +1,13 @@
+from contextlib import nullcontext
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackychow import charring, gradedpoly, inertial
-from stackychow.charring import character_data
+from stackychow.charring import character_data, minimal_nonfaces
 from stackychow.gradedpoly import (
     Poly,
     RingPresentation,
@@ -844,8 +845,9 @@ def test_presentation_matches_the_reference_build(monkeypatch):
 def test_associativity_builds_the_change_matrix_only_for_a_reduction(
     monkeypatch):
   # a sweep asks for the character data only when the two bracketings of
-  # some triple have different exponent vectors, so that their difference
-  # has to be expanded and reduced
+  # some triple have different exponent vectors that the nonface support
+  # test does not settle, so that their difference has to be expanded and
+  # reduced; a perturbed product has such a triple
   def refuse(fan):
     raise ValueError("change matrix built")
   monkeypatch.setattr(inertial, "character_data", refuse)
@@ -853,28 +855,16 @@ def test_associativity_builds_the_change_matrix_only_for_a_reduction(
   for fan in _suite():
     if not fan.r:
       continue
-    els = fan.box()
     for kind in _all_kinds(fan.n):
-      star = {}
-      for i, v in enumerate(els):
-        for j, w in enumerate(els):
-          target, exps = star_exponents(fan, kind, v, w)
-          star[i, j] = (None if exps is None else fan.box_index(target), exps)
-
-      def exponents(i, j, l, left):
-        # of (v_i v_j) v_l when left, else of v_i (v_j v_l); None for zero
-        t1, e1 = star[i, j] if left else star[j, l]
-        if e1 is None:
-          return None
-        t2, e2 = star[t1, l] if left else star[i, t1]
-        return None if e2 is None else tuple(map(add, e1, e2))
-
-      k = len(els)
-      needs = any(exponents(i, j, l, True) != exponents(i, j, l, False)
-                  for i in range(k) for j in range(k) for l in range(k))
-      seen.add(needs)
-      assert (_refusal(lambda: associativity_witnesses(fan, kind))
-              is not None) == needs
+      perturbations = [nullcontext()]
+      if len(fan.box()) > 2:
+        perturbations.append(_perturbed((1, 2), 0))
+      for perturbation in perturbations:
+        with perturbation:
+          needs = _unsettled(fan, kind)
+          refused = _refusal(lambda: associativity_witnesses(fan, kind))
+        seen.add(needs)
+        assert (refused is not None) == needs
   assert seen == {False, True}
 
 
@@ -1007,6 +997,25 @@ def _comparisons(fan, kind):
   return out
 
 
+def _target_cone(fan, lt, le, rt, re):
+  """The minimal cone of the sector a comparison reduces in."""
+  return fan.box()[rt if le is None else lt].sigma_min
+
+
+def _settled(fan, lt, le, rt, re):
+  """Does the support of every nonzero side of a comparison hold a minimal
+  nonface of the star of its target's minimal cone?  Read from exponent
+  tuples and charring.minimal_nonfaces alone."""
+  nonfaces = minimal_nonfaces(fan, _target_cone(fan, lt, le, rt, re))
+  return all(any(all(e[i] for i in s) for s in nonfaces)
+             for e in (le, re) if e is not None)
+
+
+def _unsettled(fan, kind):
+  """Whether some differing comparison is left open by _settled."""
+  return any(not _settled(fan, *c) for c in _comparisons(fan, kind).values())
+
+
 def _brute_force_witnesses(fan, kind, calculator=StarCalculator):
   """The triples whose two bracketings differ in the target sector's ring,
   from exponent tuples and the calculator's reduction alone: one
@@ -1103,19 +1112,66 @@ def _counting_reductions(monkeypatch):
 
 def test_each_distinct_comparison_is_reduced_once_per_sector_ring(
     monkeypatch):
+  # the unperturbed product reduces nothing (see
+  # test_no_unperturbed_comparison_is_reduced); a perturbed one reduces each
+  # comparison the nonface support test leaves open, once per sector ring
   fan = weighted_projective_fan((13, 17, 19))
   els = fan.box()
-  # the sweep checks l >= i; (l, j, i) is the same comparison, swapped
-  keys = {key for (i, j, l), key in _comparisons(fan, ORBIFOLD).items()
-          if l >= i}
-  # a comparison reduces in the ring of its target, one per minimal cone
-  ring_keys = {(els[rt if le is None else lt].sigma_min, le, re)
-               for lt, le, rt, re in keys}
-  calls = _counting_reductions(monkeypatch)
-  rings = _counting_rings(monkeypatch)
-  assert associativity_witnesses(fan, ORBIFOLD) == []
+  with _perturbed((1, 2), 0):
+    want = _brute_force_witnesses(fan, ORBIFOLD)
+    # the sweep checks l >= i; (l, j, i) is the same comparison, swapped
+    keys = {key for (i, j, l), key in _comparisons(fan, ORBIFOLD).items()
+            if l >= i and not _settled(fan, *key)}
+    # a comparison reduces in the ring of its target, one per minimal cone
+    ring_keys = {(_target_cone(fan, *key),) + key[1::2] for key in keys}
+    calls = _counting_reductions(monkeypatch)
+    rings = _counting_rings(monkeypatch)
+    assert associativity_witnesses(fan, ORBIFOLD) == want != []
   assert len(calls) == len(ring_keys) < len(keys)
   assert sorted(rings) == sorted({els[i].sigma_min for i in calls})
+
+
+def test_no_unperturbed_comparison_is_reduced(monkeypatch):
+  # every differing comparison of the six products is settled by nonface
+  # support on the suite and the weighted projective fans, so a sweep runs
+  # no reduction there
+  calls = _counting_reductions(monkeypatch)
+  for fan in _suite() + [weighted_projective_fan((13, 17, 19))]:
+    for kind in _all_kinds(fan.n):
+      assert associativity_witnesses(fan, kind) == []
+      assert calls == [], (fan, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fan=valid_fans(max_box=12).filter(lambda fan: len(fan.box()) > 2),
+       data=st.data())
+def test_nonface_support_settles_only_vanishing_comparisons(fan, data):
+  # each key the support test settles has a difference that reduces to
+  # zero in its target's ring, every cached verdict is that reduction, and
+  # the witnesses are the brute force's; unperturbed and with one pair
+  # perturbed, for each of the six kinds
+  kind = data.draw(st.sampled_from(_all_kinds(fan.n)))
+  pair = None
+  if data.draw(st.booleans()):
+    k = len(fan.box())
+    i = data.draw(st.integers(0, k - 1))
+    pair = (i, data.draw(st.integers(i, k - 1)))
+  with (nullcontext() if pair is None else
+        _perturbed(pair, data.draw(st.integers(0, fan.n - 1)))):
+    calc = StarCalculator(fan, kind)
+    assert calc.witnesses() == _brute_force_witnesses(fan, kind)
+    # the sweep checks l >= i; (l, j, i) is the same comparison, swapped
+    settled = [c for (i, j, l), c in _comparisons(fan, kind).items()
+               if l >= i and _settled(fan, *c)]
+  sector = {v.sigma_min: i for i, v in enumerate(calc.els)}
+  verdicts = calc._verdicts
+  for lt, le, rt, re in settled:
+    assert verdicts[_target_cone(fan, lt, le, rt, re),
+                    calc._pack(le, calc.width),
+                    calc._pack(re, calc.width)] is True
+  for (cone, le, re), verdict in verdicts.items():
+    assert verdict == calc.reduces_to_zero(
+        sector[cone], calc.coefficient(le) - calc.coefficient(re))
 
 
 class _FreshSectorRings(StarCalculator):
