@@ -32,8 +32,7 @@ from stackychow.charring import (
     character_data,
     linear_ideal,
     minimal_nonfaces,
-    sector_ideal,
-    sr_ideal,
+    nonface_monomials,
     sr_ring,
 )
 from stackychow.inertial import (
@@ -46,7 +45,6 @@ from stackychow.inertial import (
     VIRTUAL,
     associativity_witnesses,
     br_ideal,
-    cr_ideal,
     inertial_presentation,
     sector_labels,
     star_exponents,
@@ -73,8 +71,7 @@ __all__ = [
     "character_data",
     "linear_ideal",
     "minimal_nonfaces",
-    "sector_ideal",
-    "sr_ideal",
+    "nonface_monomials",
     "sr_ring",
     "Bundle",
     "MINUS_INFINITY",
@@ -85,7 +82,6 @@ __all__ = [
     "VIRTUAL",
     "associativity_witnesses",
     "br_ideal",
-    "cr_ideal",
     "inertial_presentation",
     "sector_labels",
     "star_exponents",

@@ -121,36 +121,26 @@ def minimal_nonfaces(fan: StackyFan, base=()):
   return found
 
 
-def _nonface_monomials(fan, cd, base=()):
+def nonface_monomials(fan: StackyFan, cone=()):
+  """The minimal nonfaces of the star of a cone (of the fan for the zero
+  cone) as monomials in tilde x, written in the x variables via the matrix
+  f, in minimal_nonfaces order: the Stanley-Reisner relations, and the
+  relations cutting the closed substack of a sector with that minimal
+  cone."""
+  cd = character_data(fan)
   return [cd.tilde_monomial(tuple(int(i in s) for i in range(fan.n)))
-          for s in minimal_nonfaces(fan, base)]
-
-
-def sr_ideal(fan: StackyFan, cd: CharacterData):
-  """Non-face monomials, written in the x variables via the matrix f."""
-  return _nonface_monomials(fan, cd)
-
-
-def sector_ideal(fan: StackyFan, v):
-  """Relations cutting the closed substack indexed by a box element: non-face
-  monomials of the star of the element's minimal cone."""
-  return _nonface_monomials(fan, character_data(fan), v.sigma_min)
+          for s in minimal_nonfaces(fan, cone)]
 
 
 def sr_ring(fan: StackyFan) -> RingPresentation:
   """Integral Chow ring of the toric stack: Z[x_1..x_n] modulo the linear
   forms of the rays and the non-face monomials."""
   fan.require_valid()
-  cd = character_data(fan)
-  names = ["x%d" % (i + 1) for i in range(fan.n)]
-  gens, tags = [], []
-  for p in linear_ideal(fan):
-    gens.append(p)
-    tags.append("linear")
-  for p in sr_ideal(fan, cd):
-    gens.append(p)
-    tags.append("stanley_reisner")
-  return RingPresentation(names, [1] * fan.n, gens, tags, domain="z")
+  linear, nonfaces = linear_ideal(fan), nonface_monomials(fan)
+  return RingPresentation(["x%d" % (i + 1) for i in range(fan.n)],
+                          [1] * fan.n, linear + nonfaces,
+                          ["linear"] * len(linear)
+                          + ["stanley_reisner"] * len(nonfaces), domain="z")
 
 
 def _change_matrix(fan: StackyFan) -> IntMatrix:

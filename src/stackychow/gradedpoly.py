@@ -155,10 +155,6 @@ class Poly:
       out[key] = out.get(key, 0) + v * c_last ** left
     return Poly._trusted(self.nvars, out)
 
-  def mul_monomial(self, exp, c=1):
-    return Poly._trusted(self.nvars, {tuple(map(add, e, exp)): c * v
-                                      for e, v in self.terms.items()})
-
   def _chk(self, other):
     if self.nvars != other.nvars:
       raise ValueError("polynomials in different rings")
@@ -182,11 +178,6 @@ class Poly:
   def is_linear_form(self):
     """Every term is a single variable to the first power (no constant)."""
     return bool(self.terms) and all(sum(e) == 1 for e in self.terms)
-
-  def coeff_of_variable(self, i):
-    exp = [0] * self.nvars
-    exp[i] = 1
-    return self.terms.get(tuple(exp), 0)
 
   def has_integer_coefficients(self):
     return all(not isinstance(c, Fraction) for c in self.terms.values())

@@ -2,13 +2,13 @@
 
 Sectors are indexed by box elements and everything reduces to integer
 arithmetic on their phase numerators: one exponent rule (star_exponents)
-gives the star product of a sector pair for every kind, and the cone/box
-relation ideals built from it assemble into a presentation of the inertial
-Chow ring for each product kind.  StarCalculator and
-associativity_witnesses check the products sector triple by sector triple;
-inertial_hilbert_table reads the graded pieces off one small ring per
-minimal cone, once StarCalculator.certify has shown that those rings carry
-the product.
+gives the star product of a sector pair for every kind.  StarCalculator's
+star table applies it once per pair; the presentation of the inertial Chow
+ring reads its cone and box relations off that table, and StarCalculator
+and associativity_witnesses check the products sector triple by sector
+triple; inertial_hilbert_table reads the graded pieces off one small ring
+per minimal cone, once StarCalculator.certify has shown that those rings
+carry the product.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from stackychow.charring import (
     character_data,
     linear_ideal,
     minimal_nonfaces,
-    sector_ideal,
-    sr_ideal,
+    nonface_monomials,
 )
 from stackychow.gradedpoly import (GradedPieceReport, Poly, RingPresentation,
                                    eliminate, graded_pieces, table_degrees)
@@ -201,50 +200,31 @@ def _w_part(k, indices):
   return tuple(exp)
 
 
-def _sector_pairs(fan):
-  """The nonidentity sector pairs i <= j in order, as (i, j, common):
-  common says whether the two share a cone."""
-  els = fan.box()
-  return [(i, j, fan.has_common_cone(els[i].sigma_min + els[j].sigma_min))
-          for i in range(1, len(els)) for j in range(i, len(els))]
-
-
-def cr_ideal(fan: StackyFan, _pairs=None):
-  """Monomials w_i w_j over the sector pairs sharing no cone; _pairs is the
-  walk inertial_presentation shares with br_ideal."""
-  n, k = fan.n, len(fan.box()) - 1
-  if _pairs is None:
-    _pairs = _sector_pairs(fan)
-  xs = (0,) * n
-  return [Poly._trusted(n + k, {xs + _w_part(k, (i, j)): 1})
-          for i, j, common in _pairs if not common]
-
-
-def br_ideal(fan: StackyFan, kind: ProductKind, _pairs=None):
+def br_ideal(fan: StackyFan, kind: ProductKind, _calc=None):
   """One relation per unordered double-box sector pair: the pair monomial
-  minus the closed form of its star product (see star_product), each
-  distinct exponent vector expanded once.  Pair order is deterministic;
-  _pairs is the walk inertial_presentation shares with cr_ideal."""
-  els = fan.box()
-  n, k = fan.n, len(els) - 1
-  if _pairs is None:
-    _pairs = _sector_pairs(fan)
+  minus the closed form of its star product (see star_product), read off
+  the star table of _calc (a StarCalculator of the fan and kind, built when
+  None) in pair order, each distinct packed vector expanded once."""
+  calc = StarCalculator(fan, kind) if _calc is None else _calc
+  n, k = fan.n, len(calc.els) - 1
   xs = (0,) * n
   coeffs = {}
   out = []
-  for i, j, common in _pairs:
-    if not common:
-      continue
-    target, exps = star_exponents(fan, kind, els[i], els[j])
-    terms = {xs + _w_part(k, (i, j)): 1}
-    if exps is not None:
-      coeff = coeffs.get(exps)
-      if coeff is None:
-        coeff = coeffs[exps] = character_data(fan).tilde_monomial(exps).terms
-      w = _w_part(k, () if target.is_identity else (fan.box_index(target),))
-      for e, c in coeff.items():
-        terms[e + w] = -c
-    out.append(Poly._trusted(n + k, terms))
+  for i in range(1, k + 1):
+    row = calc.table[i]
+    for j in range(i, k + 1):
+      target, packed = row[j]
+      if target is None:
+        continue
+      terms = {xs + _w_part(k, (i, j)): 1}
+      if packed is not None:
+        coeff = coeffs.get(packed)
+        if coeff is None:
+          coeff = coeffs[packed] = calc.coefficient(packed).terms
+        w = _w_part(k, (target,) if target else ())
+        for e, c in coeff.items():
+          terms[e + w] = -c
+      out.append(Poly._trusted(n + k, terms))
   return out
 
 
@@ -267,14 +247,10 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
   degree its age (0 for pure-torsion sectors, which blocks graded queries but
   not construction).  The ideal stacks the ray relations (linear), nonface
   relations (stanley_reisner), each sector annihilator times its w (sector),
-  the no-common-cone monomials (cone) and the product relations (box)."""
-  fan.require_valid()
-  if domain is None:
-    domain = kind.default_domain
-  if kind.is_asymptotic and domain != "q":
-    raise ValueError("asymptotic products require rational coefficients")
-  cd = character_data(fan)
-  els = fan.box()
+  the no-common-cone monomials (cone) and the product relations (box), in
+  the pair order of one StarCalculator's star table."""
+  calc = StarCalculator(fan, kind, domain)
+  els = calc.els
   n, k = fan.n, len(els) - 1
   total = n + k
   names = ["x%d" % (i + 1) for i in range(n)] + sector_labels(fan, labels)
@@ -287,18 +263,20 @@ def inertial_presentation(fan: StackyFan, kind: ProductKind, labels=None,
 
   ws = (0,) * k
   parts = [("linear", lift(linear_ideal(fan), ws)),
-           ("stanley_reisner", lift(sr_ideal(fan, cd), ws))]
+           ("stanley_reisner", lift(nonface_monomials(fan), ws))]
   cones = {}  # a sector's relations depend only on its minimal cone
   for j, v in enumerate(els[1:]):
     if v.sigma_min not in cones:
-      cones[v.sigma_min] = sector_ideal(fan, v)
+      cones[v.sigma_min] = nonface_monomials(fan, v.sigma_min)
     parts.append(("sector", lift(cones[v.sigma_min], _w_part(k, (j + 1,)))))
-  pairs = _sector_pairs(fan)
-  parts += [("cone", cr_ideal(fan, _pairs=pairs)),
-            ("box", br_ideal(fan, kind, _pairs=pairs))]
+  xs = (0,) * n
+  parts += [("cone", [Poly._trusted(total, {xs + _w_part(k, (i, j)): 1})
+                      for i in range(1, k + 1) for j in range(i, k + 1)
+                      if calc.table[i][j][0] is None]),
+            ("box", br_ideal(fan, kind, _calc=calc))]
   gens = [g for _, ideal in parts for g in ideal]
   tags = [tag for tag, ideal in parts for _ in ideal]
-  return RingPresentation(names, degrees, gens, tags, domain)
+  return RingPresentation(names, degrees, gens, tags, calc.domain)
 
 
 # -- star products of module classes -------------------------------------------
@@ -319,7 +297,8 @@ class StarCalculator:
 
   With a maxdeg, an age-graded kind leaves the pairs of age sum above it
   out of the table (None entries).  `sums` holds each sector's age as a
-  phase numerator over the box's shared denominator."""
+  phase numerator over the box's shared denominator.  The domain defaults
+  to the kind's; the asymptotic kinds refuse Z."""
 
   def __init__(self, fan: StackyFan, kind: ProductKind, domain=None,
                maxdeg=None):
@@ -327,6 +306,8 @@ class StarCalculator:
     self.fan = fan
     self.kind = kind
     self.domain = kind.default_domain if domain is None else domain
+    if kind.is_asymptotic and self.domain != "q":
+      raise ValueError("asymptotic products require rational coefficients")
     self.els = fan.box()
     self.sums = [sum(v.p) for v in self.els]
     top = None
@@ -398,10 +379,6 @@ class StarCalculator:
                                     for s in minimal_nonfaces(self.fan, cone)]
     return out
 
-  def _vector(self, mask):
-    """The 0/1 exponent vector of a ray bitmask."""
-    return tuple(mask >> i & 1 for i in range(self.fan.n))
-
   def _dies(self, cone, packed):
     """Does the support of a packed vector hold a minimal nonface S of the
     cone's star?  Exponents are nonnegative, so a field is nonzero exactly
@@ -424,23 +401,23 @@ class StarCalculator:
     are mapped through its images."""
     entry = self._rings.get(cone)
     if entry is None:
-      fan, cd = self.fan, character_data(self.fan)
-      nonfaces = [self._vector(m) for m in self.nonfaces(cone)]
-      singles = tuple(e for e in nonfaces if sum(e) == 1)
-      shared = self._linear.get(singles)
+      fan = self.fan
+      nonfaces = list(zip(self.nonfaces(cone), nonface_monomials(fan, cone)))
+      singles = [(m, g) for m, g in nonfaces if m.bit_count() == 1]
+      key = tuple(m for m, _ in singles)
+      shared = self._linear.get(key)
       if shared is None:
         if self._forms is None:
           self._forms = linear_ideal(fan)
-        gens = self._forms + [cd.tilde_monomial(e) for e in singles]
-        shared = self._linear[singles] = eliminate(RingPresentation(
+        gens = self._forms + [g for _, g in singles]
+        shared = self._linear[key] = eliminate(RingPresentation(
             ["x%d" % (t + 1) for t in range(fan.n)], [Fraction(1)] * fan.n,
             gens, ("linear",) * fan.d + ("sector",) * len(singles),
             self.domain)), {}
       elim, memo = shared
       base = elim.presentation
-      mono = [cd.tilde_monomial(e).map_vars(len(base.names), elim.images,
-                                            memo)
-              for e in nonfaces if sum(e) > 1]
+      mono = [g.map_vars(len(base.names), elim.images, memo)
+              for m, g in nonfaces if m.bit_count() > 1]
       entry = self._rings[cone] = RingPresentation(
           base.names, base.degrees, base.generators + tuple(mono),
           base.tags + ("sector",) * len(mono), self.domain), elim.images
@@ -552,7 +529,8 @@ class StarCalculator:
       gens = relations.get(cone)
       if gens is None:
         gens = relations[cone] = [
-            (self._pack(self._vector(m), self.width), m.bit_count() * den)
+            (sum(1 << self.width * r for r in range(self.fan.n)
+                 if m >> r & 1), m.bit_count() * den)
             for m in self.nonfaces(cone)]
       for v in range(1, k):
         entry = rows[u][v]
@@ -587,11 +565,8 @@ def inertial_hilbert_table(fan: StackyFan, kind: ProductKind, maxdeg,
   StarCalculator.certify has passed.  Each minimal cone's ring is read
   once, up to maxdeg less the least age of its sectors.  The degree grid,
   the row limit and the refusals, in their order, are hilbert_table's."""
-  if domain is None:
-    domain = kind.default_domain
-  if kind.is_asymptotic and domain != "q":
-    raise ValueError("asymptotic products require rational coefficients")
   calc = StarCalculator(fan, kind, domain, maxdeg)
+  domain = calc.domain
   # the presentation would expand the coefficient of every pair in the
   # table, so its expansion limit comes before the other refusals
   cd, seen = character_data(fan), set()

@@ -7,12 +7,11 @@ import pytest
 
 from hypothesis import assume, strategies as st
 
-from stackychow.charring import (character_data, linear_ideal, sector_ideal,
-                                 sr_ideal)
+from stackychow.charring import character_data, linear_ideal, minimal_nonfaces
 from stackychow.gradedpoly import (Elimination, Poly, RingPresentation,
                                    _fresh_names, _mul_terms,
                                    monomials_of_degree)
-from stackychow.inertial import _sector_pairs, sector_labels, star_product
+from stackychow.inertial import sector_labels, star_product
 from stackychow.lattice import AbGroup, QReducer, ZReducer
 from stackychow.stackyfan import StackyFan
 
@@ -397,7 +396,8 @@ def reference_eliminate(pres):
     for k in linear_idx:
       row = [0] * len(involved)
       for i in gens[k].vars_occurring():
-        row[pos[i]] = gens[k].coeff_of_variable(i)
+        row[pos[i]] = gens[k].terms.get(
+            tuple(int(t == i) for t in range(gens[k].nvars)), 0)
       den = lcm(*(c.denominator for c in row))
       rel_rows.append(row if den == 1 else [int(c * den) for c in row])
     grp = AbGroup(len(involved), rel_rows)
@@ -501,6 +501,25 @@ def _reference_first_bare_variable(g):
   return best
 
 
+def mul_monomial(poly, exp, c=1):
+  """poly times the monomial c * x^exp."""
+  return Poly._trusted(poly.nvars, {tuple(map(add, e, exp)): c * v
+                                    for e, v in poly.terms.items()})
+
+
+def _reference_nonfaces(fan, base=()):
+  """The minimal nonfaces of the star of base as products of tilde x
+  classes, each multiplied out from tilde_poly."""
+  cd = character_data(fan)
+  out = []
+  for s in minimal_nonfaces(fan, base):
+    p = Poly.constant(fan.n, 1)
+    for i in s:
+      p = p * cd.tilde_poly(i)
+    out.append(p)
+  return out
+
+
 def _reference_embed(poly, total):
   return reference_map_vars(poly, total, range(poly.nvars))
 
@@ -520,13 +539,13 @@ def reference_presentation(fan, kind, labels=None, domain=None):
   """inertial_presentation with every relation built as Poly objects: each
   star_product coefficient embedded into the x+w ring, shifted by its
   target's w and subtracted from the pair monomial, and the sector
-  relations rebuilt for every sector."""
+  relations rebuilt for every sector.  The sector pairs are walked here,
+  split by has_common_cone."""
   fan.require_valid()
   if domain is None:
     domain = kind.default_domain
   if kind.is_asymptotic and domain != "q":
     raise ValueError("asymptotic products require rational coefficients")
-  cd = character_data(fan)
   els = fan.box()
   n, k = fan.n, len(els) - 1
   total = n + k
@@ -536,15 +555,16 @@ def reference_presentation(fan, kind, labels=None, domain=None):
   for g in linear_ideal(fan):
     gens.append(_reference_embed(g, total))
     tags.append("linear")
-  for g in sr_ideal(fan, cd):
+  for g in _reference_nonfaces(fan):
     gens.append(_reference_embed(g, total))
     tags.append("stanley_reisner")
   for j, v in enumerate(els[1:]):
     wexp = _reference_w_exponent(n, k, (j + 1,))
-    for g in sector_ideal(fan, v):
-      gens.append(_reference_embed(g, total).mul_monomial(wexp))
+    for g in _reference_nonfaces(fan, v.sigma_min):
+      gens.append(mul_monomial(_reference_embed(g, total), wexp))
       tags.append("sector")
-  pairs = _sector_pairs(fan)
+  pairs = [(i, j, fan.has_common_cone(els[i].sigma_min + els[j].sigma_min))
+           for i in range(1, k + 1) for j in range(i, k + 1)]
   for i, j, common in pairs:
     if not common:
       gens.append(_reference_w_monomial(n, k, (i, j)))
@@ -557,8 +577,8 @@ def reference_presentation(fan, kind, labels=None, domain=None):
     if not coeff.is_zero():
       tail = _reference_embed(coeff, n + k)
       if not target.is_identity:
-        tail = tail.mul_monomial(
-            _reference_w_exponent(n, k, (fan.box_index(target),)))
+        tail = mul_monomial(
+            tail, _reference_w_exponent(n, k, (fan.box_index(target),)))
       gen = gen - tail
     gens.append(gen)
     tags.append("box")

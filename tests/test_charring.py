@@ -12,8 +12,7 @@ from stackychow.charring import (
     character_data,
     linear_ideal,
     minimal_nonfaces,
-    sector_ideal,
-    sr_ideal,
+    nonface_monomials,
     sr_ring,
 )
 from stackychow.gradedpoly import Poly, hilbert_table
@@ -68,11 +67,11 @@ def test_linear_ideal(p64, p654):
 
 
 def test_sr_ideal_p64(p64):
-  assert sr_ideal(p64, character_data(p64)) == [Poly(2, {(1, 1): 4})]
+  assert nonface_monomials(p64) == [Poly(2, {(1, 1): 4})]
 
 
 def test_sr_ideal_p654(p654):
-  assert sr_ideal(p654, character_data(p654)) == [Poly(3, {(1, 1, 1): 1})]
+  assert nonface_monomials(p654) == [Poly(3, {(1, 1, 1): 1})]
 
 
 def test_sr_ring_p64(p64):
@@ -110,19 +109,22 @@ def test_sr_ring_affine_no_nonfaces():
 
 def test_sector_ideal_p654(p654):
   box = {e.v: e for e in p654.box()}
-  assert sector_ideal(p654, box[(0, 1)]) == [Poly(3, {(1, 0, 1): 1})]
-  assert sector_ideal(p654, box[(1, 1)]) == [Poly(3, {(0, 0, 1): 1})]
-  assert sector_ideal(p654, box[(0, 0)]) == sr_ideal(p654,
-                                                     character_data(p654))
+  assert nonface_monomials(p654, box[(0, 1)].sigma_min) == [
+      Poly(3, {(1, 0, 1): 1})]
+  assert nonface_monomials(p654, box[(1, 1)].sigma_min) == [
+      Poly(3, {(0, 0, 1): 1})]
+  assert nonface_monomials(p654, box[(0, 0)].sigma_min) == nonface_monomials(
+      p654)
 
 
 def test_sector_ideal_p64_torsion_sector(p64):
   box = {e.v: e for e in p64.box()}
   # the pure-torsion sector sees the whole fan
-  cd = character_data(p64)
-  assert sector_ideal(p64, box[(0, 1)]) == sr_ideal(p64, cd)
+  assert nonface_monomials(p64, box[(0, 1)].sigma_min) == nonface_monomials(
+      p64)
   # a sector inside one chart: the opposite coordinate class dies
-  assert sector_ideal(p64, box[(1, 0)]) == [Poly(2, {(0, 1): 2})]
+  assert nonface_monomials(p64, box[(1, 0)].sigma_min) == [
+      Poly(2, {(0, 1): 2})]
 
 
 @settings(max_examples=30, deadline=None)

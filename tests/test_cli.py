@@ -23,7 +23,8 @@ from stackychow.gradedpoly import Poly, RingPresentation
 from stackychow.inertial import Bundle
 from stackychow.lattice import AbGroup
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
-from tests.conftest import dense, rational_monomials, valid_fans
+from tests.conftest import (dense, mul_monomial, rational_monomials,
+                            valid_fans)
 
 P64_DOC = {
     "schema": "stacky-chow/1",
@@ -713,7 +714,7 @@ def _raw_piece(pres, deg):
   times every monomial, with no echelon pass in between."""
   basis = rational_monomials(pres.degrees, deg)
   index = {e: k for k, e in enumerate(basis)}
-  rows = [dense({index[e]: c for e, c in g.mul_monomial(m).terms.items()},
+  rows = [dense({index[e]: c for e, c in mul_monomial(g, m).terms.items()},
                 len(basis))
           for g, dg in zip(pres.generators, pres.generator_degrees())
           if dg <= deg for m in rational_monomials(pres.degrees, deg - dg)]

@@ -22,7 +22,8 @@ from stackychow.gradedpoly import (
 from stackychow.lattice import AbGroup, QReducer, ZReducer
 from tests.conftest import (dense, first_generator_outside, full_basis_piece,
                             full_basis_reduce, homogeneous_degree,
-                            rational_monomials, reference_eliminate)
+                            mul_monomial, rational_monomials,
+                            reference_eliminate)
 
 
 def P(nvars, terms):
@@ -277,7 +278,7 @@ def test_graded_piece_order_independent(seed, nvars, ngens):
   if shuffled:
     lift = [0] * nvars
     lift[rng.randrange(nvars)] = 1
-    shuffled.append(shuffled[0].mul_monomial(tuple(lift), 2))
+    shuffled.append(mul_monomial(shuffled[0], tuple(lift), 2))
   p2 = RingPresentation(names, [1] * nvars, shuffled,
                         ["box"] * len(shuffled), "z")
   for d in range(4):
@@ -367,7 +368,7 @@ def test_eliminate_substitutions_land_in_ideal(seed, nvars, domain):
     assert out.contains(mapped)
     # and so do its multiples up to degree 3
     for m in rational_monomials(out.degrees, 1):
-      assert out.contains(mapped.mul_monomial(m))
+      assert out.contains(mul_monomial(mapped, m))
 
 
 def test_eliminate_substitution_chain():
@@ -592,7 +593,7 @@ def _fraction_piece(pres, deg):
   Z the Smith form of all those rows."""
   basis = rational_monomials(pres.degrees, deg)
   index = {e: k for k, e in enumerate(basis)}
-  rows = [dense({index[e]: c for e, c in g.mul_monomial(m).terms.items()},
+  rows = [dense({index[e]: c for e, c in mul_monomial(g, m).terms.items()},
                 len(basis)) for g in pres.generators
           if not g.is_zero()
           for m in rational_monomials(

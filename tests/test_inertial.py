@@ -25,7 +25,6 @@ from stackychow.inertial import (
     StarCalculator,
     associativity_witnesses,
     br_ideal,
-    cr_ideal,
     inertial_hilbert_table,
     inertial_presentation,
     star_exponents,
@@ -498,6 +497,12 @@ def x_poly(fan, factors):
   return out.map_vars(n + k, range(n))
 
 
+def cone_relations(fan):
+  """The cone-tagged generators of the fan's orbifold presentation."""
+  pres = inertial_presentation(fan, ORBIFOLD)
+  return [g for g, tag in zip(pres.generators, pres.tags) if tag == "cone"]
+
+
 def test_cr_ideal_p654(p654):
   pure = {"w7"}
   plane = {"w1", "w2"}
@@ -509,7 +514,7 @@ def test_cr_ideal_p654(p654):
     for a in group_a:
       for b in group_b:
         expected.add(w_poly(p654, a, b))
-  got = cr_ideal(p654)
+  got = cone_relations(p654)
   assert len(got) == 36
   assert set(got) == expected
 
@@ -518,7 +523,7 @@ def test_cr_ideal_p64(p64):
   els = p64.box()
   assert [e.v for e in els] == [(0, 0), (0, 1), (1, 0), (1, 1), (-1, 0),
                                 (-1, 1), (-2, 0), (-2, 1)]
-  got = cr_ideal(p64)
+  got = cone_relations(p64)
   expected = {w_poly(p64, "w%d" % i, "w%d" % j)
               for i in (2, 3) for j in (4, 5, 6, 7)}
   assert len(got) == 8
@@ -527,7 +532,7 @@ def test_cr_ideal_p64(p64):
 
 def test_cr_ideal_affine_is_empty():
   fan = StackyFan(1, (), ((2,),), ((0,),))
-  assert cr_ideal(fan) == []
+  assert cone_relations(fan) == []
   gens = br_ideal(fan, ORBIFOLD)
   assert gens == [w_poly(fan, "w1", "w1") - x_poly(fan, [(0, 1)])]
 
@@ -599,7 +604,7 @@ def test_br_ideal_p654_plus_infinity(p654):
 def test_br_ideal_trivial_box():
   line = StackyFan(1, (), ((1,), (-1,)), ((0,), (1,)))
   assert br_ideal(line, ORBIFOLD) == []
-  assert cr_ideal(line) == []
+  assert cone_relations(line) == []
 
 
 # -- presentations ------------------------------------------------------------
@@ -612,6 +617,10 @@ def test_presentation_trivial_box_is_toric_ring():
   assert pres.is_graded
   assert pres.graded_piece(1).free_rank == 1
   assert pres.graded_piece(2).free_rank == 0
+  # the identity row of the star table checks the bundle, as check-assoc
+  # and hilbert do, though no relation reads it
+  with pytest.raises(ValueError, match="bundle has 1 coefficients"):
+    inertial_presentation(line, ProductKind.v_plus(Bundle((1,))))
 
 
 def test_presentation_p654_shape(p654):
@@ -653,6 +662,8 @@ def test_presentation_asymptotic_domain(p64):
   assert pres.domain == "q"
   with pytest.raises(ValueError, match="rational coefficients"):
     inertial_presentation(p64, MINUS_INFINITY, domain="z")
+  with pytest.raises(ValueError, match="rational coefficients"):
+    StarCalculator(p64, PLUS_INFINITY, "z")
 
 
 def test_presentation_orbifold_graded_piece(p654):
@@ -802,7 +813,7 @@ def test_br_ideal_builds_the_change_matrix_only_for_a_coefficient(
     for kind in (ORBIFOLD, PLUS_INFINITY, MINUS_INFINITY):
       els = fan.box()
       needs = any(star_exponents(fan, kind, els[i], els[j])[1] is not None
-                  for i, j, _ in inertial._sector_pairs(fan))
+                  for i in range(1, len(els)) for j in range(i, len(els)))
       seen.add(needs)
       assert (_refusal(lambda: br_ideal(fan, kind)) is not None) == needs
   assert seen == {False, True}
