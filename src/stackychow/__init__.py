@@ -31,7 +31,6 @@ from stackychow.charring import (
     CharacterData,
     character_data,
     linear_ideal,
-    minimal_nonfaces,
     nonface_monomials,
     sr_ring,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "CharacterData",
     "character_data",
     "linear_ideal",
-    "minimal_nonfaces",
     "nonface_monomials",
     "sr_ring",
     "Bundle",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from itertools import combinations
 from math import comb, prod
 
 from stackychow.gradedpoly import Poly, RingPresentation
@@ -103,33 +102,15 @@ def linear_ideal(fan: StackyFan):
           for j in range(fan.d)]
 
 
-def minimal_nonfaces(fan: StackyFan, base=()):
-  """Minimal ray sets S (disjoint from base) with S + base in no cone.
-
-  With base empty these are the minimal non-faces of the fan; with base a
-  cone's ray set they describe the star of that cone.
-  """
-  base = set(base)
-  rays = [i for i in range(fan.n) if i not in base]
-  found = []
-  for size in range(1, len(rays) + 1):
-    for s in combinations(rays, size):
-      if any(set(m) <= set(s) for m in found):
-        continue
-      if not fan.has_common_cone(base | set(s)):
-        found.append(s)
-  return found
-
-
 def nonface_monomials(fan: StackyFan, cone=()):
   """The minimal nonfaces of the star of a cone (of the fan for the zero
   cone) as monomials in tilde x, written in the x variables via the matrix
-  f, in minimal_nonfaces order: the Stanley-Reisner relations, and the
+  f, in StackyFan.nonfaces order: the Stanley-Reisner relations, and the
   relations cutting the closed substack of a sector with that minimal
   cone."""
   cd = character_data(fan)
-  return [cd.tilde_monomial(tuple(int(i in s) for i in range(fan.n)))
-          for s in minimal_nonfaces(fan, cone)]
+  return [cd.tilde_monomial(tuple(m >> i & 1 for i in range(fan.n)))
+          for m in fan.nonfaces(cone)]
 
 
 def sr_ring(fan: StackyFan) -> RingPresentation:

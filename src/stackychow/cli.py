@@ -81,6 +81,16 @@ def _rational(value, field, error):
   raise error("%s: %r is not a rational" % (field, value))
 
 
+def _decimal(text, field, error):
+  """int(text), or raise error(message), the message naming the field."""
+  try:
+    if _ascii_number(text):
+      return int(text, 10)
+  except ValueError:
+    pass
+  raise error("%s: %r is not a decimal integer" % (field, text))
+
+
 # -- fan documents --------------------------------------------------------------
 
 def _as_int(value, field):
@@ -90,13 +100,7 @@ def _as_int(value, field):
   if isinstance(value, int):
     return value
   if isinstance(value, str):
-    try:
-      if _ascii_number(value):
-        return int(value, 10)
-    except ValueError:
-      pass
-    raise _schema_error("field %s: %r is not a decimal integer"
-                        % (field, value))
+    return _decimal(value, "field " + field, _schema_error)
   raise _schema_error("field %s: expected an integer or decimal string"
                       % field)
 
@@ -380,10 +384,8 @@ def _product(args, doc_bundle):
     bundle = doc_bundle
     if args.bundle:
       try:
-        if not _ascii_number(args.bundle):
-          raise ValueError("%r is not a list of decimal integers"
-                           % args.bundle)
-        bundle = _bundle([int(c) for c in args.bundle.split(",")])
+        bundle = _bundle([_decimal(c, "entry %d" % (i + 1), ValueError)
+                          for i, c in enumerate(args.bundle.split(","))])
       except ValueError as e:
         raise CliError(3, "--bundle: %s" % e)
     if bundle is None:

@@ -21,7 +21,6 @@ from math import floor
 from stackychow.charring import (
     character_data,
     linear_ideal,
-    minimal_nonfaces,
     nonface_monomials,
 )
 from stackychow.gradedpoly import (GradedPieceReport, Poly, RingPresentation,
@@ -315,8 +314,8 @@ class StarCalculator:
       top = self._top(maxdeg)
     self.width, self.table = self._star_table(top)
     # single-ray nonfaces -> (Elimination, map_vars memo), see sector_ring
-    self._linear, self._forms = {}, None
-    self._nonfaces, self._rings = {}, {}  # minimal cone -> those of the cone
+    self._linear = {}
+    self._rings = {}  # minimal cone -> its sector ring
     self._verdicts = {}
 
   def _top(self, maxdeg):
@@ -370,15 +369,6 @@ class StarCalculator:
       return Poly.zero(self.fan.n)
     return character_data(self.fan).tilde_monomial(self.exponents(packed))
 
-  def nonfaces(self, cone):
-    """The minimal nonfaces of the star of a cone, as ray bitmasks (bit i
-    for ray i); for the zero cone, the identity's, those of the fan."""
-    out = self._nonfaces.get(cone)
-    if out is None:
-      out = self._nonfaces[cone] = [sum(1 << i for i in s)
-                                    for s in minimal_nonfaces(self.fan, cone)]
-    return out
-
   def _dies(self, cone, packed):
     """Does the support of a packed vector hold a minimal nonface S of the
     cone's star?  Exponents are nonnegative, so a field is nonzero exactly
@@ -387,7 +377,7 @@ class StarCalculator:
     width, field = self.width, (1 << self.width) - 1
     support = sum(1 << r for r in range(self.fan.n)
                   if packed >> width * r & field)
-    return any(support & m == m for m in self.nonfaces(cone))
+    return any(support & m == m for m in self.fan.nonfaces(cone))
 
   def sector_ring(self, cone):
     """(ring, images) of a minimal cone's sectors: Z[x]/I (Q[x] over Q) in
@@ -402,14 +392,12 @@ class StarCalculator:
     entry = self._rings.get(cone)
     if entry is None:
       fan = self.fan
-      nonfaces = list(zip(self.nonfaces(cone), nonface_monomials(fan, cone)))
+      nonfaces = list(zip(fan.nonfaces(cone), nonface_monomials(fan, cone)))
       singles = [(m, g) for m, g in nonfaces if m.bit_count() == 1]
       key = tuple(m for m, _ in singles)
       shared = self._linear.get(key)
       if shared is None:
-        if self._forms is None:
-          self._forms = linear_ideal(fan)
-        gens = self._forms + [g for _, g in singles]
+        gens = linear_ideal(fan) + [g for _, g in singles]
         shared = self._linear[key] = eliminate(RingPresentation(
             ["x%d" % (t + 1) for t in range(fan.n)], [Fraction(1)] * fan.n,
             gens, ("linear",) * fan.d + ("sector",) * len(singles),
@@ -438,20 +426,17 @@ class StarCalculator:
     _dies); otherwise the difference is expanded and reduced in it.  The
     verdict is keyed by that cone and the two vectors, so each distinct
     comparison is settled once per sector ring."""
-    cone = self.els[rt if le is None else lt].sigma_min
+    target = rt if le is None else lt
+    cone = self.els[target].sigma_min
     key = (cone, le, re)
     verdict = self._verdicts.get(key)
     if verdict is None:
       if all(self._dies(cone, e) for e in (le, re) if e is not None):
         verdict = True
-      elif le is None:
-        verdict = self.reduces_to_zero(rt, self.coefficient(re))
-      elif re is None:
-        verdict = self.reduces_to_zero(lt, self.coefficient(le))
       else:
-        assert lt == rt
+        assert le is None or re is None or lt == rt
         verdict = self.reduces_to_zero(
-            lt, self.coefficient(le) - self.coefficient(re))
+            target, self.coefficient(le) - self.coefficient(re))
       self._verdicts[key] = verdict
     return verdict
 
@@ -531,7 +516,7 @@ class StarCalculator:
         gens = relations[cone] = [
             (sum(1 << self.width * r for r in range(self.fan.n)
                  if m >> r & 1), m.bit_count() * den)
-            for m in self.nonfaces(cone)]
+            for m in self.fan.nonfaces(cone)]
       for v in range(1, k):
         entry = rows[u][v]
         if entry is None or entry[1] is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import add, sub
 
@@ -89,6 +90,7 @@ class StackyFan:
     self._box = None
     self._box_by_v = None
     self._cone_masks = None  # one ray bitmask per max cone, on first use
+    self._nonfaces = {}  # cone -> minimal nonfaces of its star
     self._characters = None  # CharacterData, set by charring.character_data
 
   @property
@@ -259,6 +261,25 @@ class StackyFan:
       if mask & cone == mask:
         return True
     return False
+
+  def nonfaces(self, cone=()):
+    """The minimal nonfaces of the star of a cone (a ray index tuple), as
+    ray bitmasks (bit i for ray i): the minimal ray sets S disjoint from the
+    cone with S + cone in no max cone, by size and then lexicographically,
+    found once per cone.  For the zero cone they are the minimal nonfaces
+    of the fan."""
+    out = self._nonfaces.get(cone)
+    if out is None:
+      found = []
+      rays = [i for i in range(self.n) if i not in cone]
+      for size in range(1, len(rays) + 1):
+        for s in combinations(rays, size):
+          mask = sum(1 << i for i in s)
+          if (not any(m & mask == m for m in found)
+              and not self.has_common_cone(cone + s)):
+            found.append(mask)
+      out = self._nonfaces[cone] = tuple(found)
+    return out
 
   # -- box -------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import floor, lcm
 from operator import add
 
@@ -7,7 +9,7 @@ import pytest
 
 from hypothesis import assume, strategies as st
 
-from stackychow.charring import character_data, linear_ideal, minimal_nonfaces
+from stackychow.charring import character_data, linear_ideal
 from stackychow.gradedpoly import (Elimination, Poly, RingPresentation,
                                    _fresh_names, _mul_terms,
                                    monomials_of_degree)
@@ -507,12 +509,32 @@ def mul_monomial(poly, exp, c=1):
                                     for e, v in poly.terms.items()})
 
 
+def brute_force_nonfaces(fan, cone=()):
+  """The minimal nonfaces of the star of a cone as ray tuples, by size and
+  then lexicographically, from the max cones alone: every ray set disjoint
+  from the cone that lies in no max cone with it, kept if no other such set
+  is a subset of it."""
+  return _brute_force_nonfaces(fan.n, fan.max_cones, tuple(cone))
+
+
+# cached by value: test_inertial._settled asks once per sector comparison
+@lru_cache(maxsize=None)
+def _brute_force_nonfaces(n, max_cones, cone):
+  rest = [i for i in range(n) if i not in cone]
+  nonfaces = [set(s) for size in range(1, len(rest) + 1)
+              for s in combinations(rest, size)
+              if not any(set(s) | set(cone) <= set(c) for c in max_cones)]
+  minimal = [s for s in nonfaces if not any(t < s for t in nonfaces)]
+  return sorted((tuple(sorted(s)) for s in minimal),
+                key=lambda s: (len(s), s))
+
+
 def _reference_nonfaces(fan, base=()):
   """The minimal nonfaces of the star of base as products of tilde x
   classes, each multiplied out from tilde_poly."""
   cd = character_data(fan)
   out = []
-  for s in minimal_nonfaces(fan, base):
+  for s in brute_force_nonfaces(fan, base):
     p = Poly.constant(fan.n, 1)
     for i in s:
       p = p * cd.tilde_poly(i)

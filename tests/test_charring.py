@@ -3,7 +3,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from conftest import valid_fans
 from stackychow import charring, lattice
@@ -11,14 +12,13 @@ from stackychow.charring import (
     CharacterData,
     character_data,
     linear_ideal,
-    minimal_nonfaces,
     nonface_monomials,
     sr_ring,
 )
 from stackychow.gradedpoly import Poly, hilbert_table
 from stackychow.lattice import IntMatrix, ZReducer
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
-from tests.conftest import det
+from tests.conftest import brute_force_nonfaces, det
 from tests.test_acceptance import random_valid_fans
 
 F = Fraction
@@ -102,7 +102,7 @@ def test_sr_ring_smooth_projective_line():
 
 def test_sr_ring_affine_no_nonfaces():
   fan = StackyFan(1, (), ((2,),), ((0,),))
-  assert minimal_nonfaces(fan) == []
+  assert fan.nonfaces() == ()
   ring = sr_ring(fan)
   assert list(ring.generators) == [Poly.linear([2])]
 
@@ -145,12 +145,20 @@ def test_weighted_projective_line_chow(ab):
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(valid_fans())
+@example(StackyFan(2, (), ((2, 0), (0, 1), (-1, 0), (0, -1)),
+                   ((0, 1), (1, 2), (2, 3), (3, 0))))
 def test_minimal_nonfaces_are_minimal(fan):
-  faces = lambda s: fan.has_common_cone(s)
-  for s in minimal_nonfaces(fan):
-    assert not faces(set(s))
-    for i in s:
-      assert faces(set(s) - {i})
+  # the fan's table, for the zero cone and every sector's minimal cone, is
+  # the brute force of conftest in (size, lex) order, and each set in it is
+  # a nonface whose every proper subset is a face
+  for cone in {()} | {v.sigma_min for v in fan.box()}:
+    table = [tuple(i for i in range(fan.n) if m >> i & 1)
+             for m in fan.nonfaces(cone)]
+    assert table == brute_force_nonfaces(fan, cone)
+    for s in table:
+      assert not fan.has_common_cone(set(s) | set(cone))
+      for i in s:
+        assert fan.has_common_cone(set(s) - {i} | set(cone))
 
 
 @settings(max_examples=30, deadline=None,

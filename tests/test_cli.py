@@ -9,12 +9,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stackychow import charring, cli, inertial
+from stackychow import charring, cli, inertial, stackyfan
 from stackychow.charring import sr_ring
 from stackychow.cli import (CliError, MAX_POWER, PRODUCT_NAMES, SCHEMA, main,
                             parse_fan_document, parse_presentation_document,
@@ -165,6 +166,13 @@ def test_numbers_take_ascii_digits_only(tmp_path, capsys, docs):
   v_plus = ("multiply", docs["p654"], "--product", "v-plus", "w1", "w2")
   code, out, err = run(capsys, *v_plus, "--bundle", "\u0663,1_0,+2")
   assert code == 3 and "--bundle: " in err and out == ""
+  # a bad entry is named, as in the document's bundle field
+  for bundle, entry in (("1,,2", "entry 2: ''"), ("1.5,0,0", "entry 1: '1.5'"),
+                        ("a,b,c", "entry 1: 'a'")):
+    code, out, err = run(capsys, *v_plus, "--bundle", bundle)
+    assert (code, out, err) == (
+        3, "", "stacky-chow: --bundle: %s is not a decimal integer\n" % entry)
+    assert "invalid literal" not in err
   code, out, err = run(capsys, "hilbert", docs["p64"], "--maxdeg",
                        "\u0661/\u0662")
   assert code == 3 and "--maxdeg: " in err and out == ""
@@ -673,6 +681,27 @@ def test_hilbert_exits_3_when_the_certificate_fails(docs, monkeypatch,
   monkeypatch.undo()
   assert run(capsys, "hilbert", docs["p654"], "--product", "orbifold",
              "--maxdeg", "3")[0] == 0
+
+
+def test_a_product_hilbert_job_enumerates_each_cone_once(docs, capsys,
+                                                          monkeypatch):
+  # the nonface support test, the certificate and the sector rings all read
+  # the fan's table, so each cone's star is enumerated once per job; an
+  # enumeration starts with the single rays off the cone
+  starts = []
+
+  def counting(rays, size):
+    if size == 1:
+      starts.append(tuple(rays))
+    return combinations(rays, size)
+  monkeypatch.setattr(stackyfan, "combinations", counting)
+  for name in ("p654", "p7911", "blowup"):
+    fan = cli.load_fan_document(docs[name])[0]
+    cones = {()} | {v.sigma_min for v in fan.box()}
+    rest = {tuple(i for i in range(fan.n) if i not in c) for c in cones}
+    starts.clear()
+    run_json(capsys, "hilbert", docs[name], "--product", "orbifold")
+    assert sorted(starts) == sorted(rest - {()})
 
 
 def test_hilbert_refuses_the_product_flags_then_maxdeg_before_building(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackychow import charring, gradedpoly, inertial
-from stackychow.charring import character_data, minimal_nonfaces
+from stackychow.charring import character_data
 from stackychow.gradedpoly import (
     Poly,
     RingPresentation,
@@ -32,8 +32,8 @@ from stackychow.inertial import (
 )
 from stackychow.stackyfan import StackyFan, weighted_projective_fan
 
-from tests.conftest import (box_inverse, double_box, log_restriction,
-                            log_trace, random_valid_fans,
+from tests.conftest import (box_inverse, brute_force_nonfaces, double_box,
+                            log_restriction, log_trace, random_valid_fans,
                             reference_presentation, share_a_cone, valid_fans)
 
 F = Fraction
@@ -1016,8 +1016,8 @@ def _target_cone(fan, lt, le, rt, re):
 def _settled(fan, lt, le, rt, re):
   """Does the support of every nonzero side of a comparison hold a minimal
   nonface of the star of its target's minimal cone?  Read from exponent
-  tuples and charring.minimal_nonfaces alone."""
-  nonfaces = minimal_nonfaces(fan, _target_cone(fan, lt, le, rt, re))
+  tuples and the brute-force nonfaces of conftest alone."""
+  nonfaces = brute_force_nonfaces(fan, _target_cone(fan, lt, le, rt, re))
   return all(any(all(e[i] for i in s) for s in nonfaces)
              for e in (le, re) if e is not None)
 
